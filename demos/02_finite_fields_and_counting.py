@@ -31,9 +31,10 @@ for q, (p, n) in [(2, (2, 1)), (3, (3, 1)), (4, (2, 2)), (5, (5, 1))]:
     marker = "ok" if naive == semi == closed else "MISMATCH"
     print(f"  q={q}: naive={naive} semi={semi} closed={closed}  [{marker}]")
 
-# the structured engine reaches cells the naive sweep cannot
+# the structured engine reaches cells the naive sweep cannot: it enumerates
+# the scaling pairs of one handle and chains the handles by a 2x2 recurrence
 f19 = make_field(19, 1)
 record = count_semi(f19, 3)
 print(f"\ngenus 3 over F_19: {record.count}")
-print(f"  ({record.elapsed * 1000:.0f} ms for 18^6 = {18 ** 6} scaling vectors)")
+print(f"  ({record.elapsed * 1000:.1f} ms for 18^2 = {18 ** 2} scaling pairs, chained over 3 handles)")
 print(f"  closed form agrees: {count_closed(19, 3) == record.count}")

@@ -29,4 +29,4 @@ t0 = time.perf_counter()
 report = cmd_table()
 elapsed = time.perf_counter() - t0
 failed = [c["name"] for c in report.checks if not c["pass"]]
-print(f"  {len(report.checks) - 1} cells recomputed in {elapsed:.1f}s; failures: {failed or 'none'}")
+print(f"  {len(report.checks) - 1} cells recomputed in {elapsed * 1000:.1f} ms; failures: {failed or 'none'}")

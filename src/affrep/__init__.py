@@ -17,6 +17,7 @@ from .affcount import (
     aff_group_table,
     aff_identity,
     commutator,
+    commutator_distribution,
     count_closed,
     count_group_generic,
     count_naive,

@@ -5,8 +5,10 @@ of group elements whose product of commutators [A_1,A_2]...[A_2g-1,A_2g] is
 the identity.  Three independent engines count them:
 
 * ``count_naive``  -- exhaustive enumeration of group-element tuples,
-* ``count_semi``   -- enumeration of the scaling coordinates only, with the
-  translation coordinates counted as solutions of a linear form,
+* ``count_semi``   -- one handle at a time: the scaling coordinates of a
+  handle are enumerated and its translation coordinates counted as
+  solutions of a linear form, and the g handles are chained by a 2x2
+  integer recurrence over the translation subgroup,
 * ``count_closed`` -- direct evaluation of the closed-form polynomial.
 
 The naive engine works on raw group elements and the semi engine works on
@@ -20,7 +22,6 @@ import dataclasses
 import itertools
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from .finitefield import FieldMismatch, FieldSpec, FqElem
@@ -161,86 +162,59 @@ def _admissible_alpha_indices(field: FieldSpec) -> list[int]:
     return [e.index() for e in field.elements() if e != minus_one]
 
 
-def _rank1_in_stripe(args: tuple[int, tuple[int, ...], int]) -> int:
-    # Rank-1 alpha vectors in one lexicographic stripe (fixed first coordinate).
-    first, vals, s_rest = args
-    if first:
-        # the first coordinate is already a pivot, so every vector has rank 1
-        return len(vals) ** s_rest
-    if s_rest == 0:
-        return 0
-    return sum(map(any, itertools.product(vals, repeat=s_rest)))
+def commutator_distribution(field: FieldSpec) -> tuple[int, int]:
+    """Commutator counts of one handle in the shifted linear-form model.
+
+    Returns (N0, N1): N0 pairs of group elements have commutator the
+    identity, N1 have commutator one fixed nonzero translation.  The pair
+    ((1 + alpha_1, beta_1), (1 + alpha_2, beta_2)) has commutator the
+    translation by alpha_1 * beta_2 - alpha_2 * beta_1, so each shifted
+    scaling pair (alpha_1, alpha_2) in (F_q - {-1})^2 contributes the number
+    of beta solutions of that 1 x 2 form: q^(2 - rank) over the identity and,
+    when the rank (computed from the coordinates) is 1, q over every nonzero
+    translation, since a rank-1 form is onto F_q.
+    """
+    q = field.order
+    n0 = n1 = 0
+    for alpha in itertools.product(_admissible_alpha_indices(field), repeat=2):
+        rank = 1 if any(alpha) else 0
+        n0 += q ** (2 - rank)
+        if rank:
+            n1 += q
+    return n0, n1
 
 
-def count_semi(
-    field: FieldSpec,
-    genus: int,
-    guard: int = DEFAULT_GUARD,
-    workers: int = 1,
-    check_kernels: bool = False,
-) -> CountRecord:
-    """Count points of the linear-form model by enumerating scaling coordinates.
+def count_semi(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> CountRecord:
+    """Count points handle by handle in the linear-form model.
 
-    Iterates over every alpha in (F_q - {-1})^2g and adds the number of beta
-    solutions of sum(alpha_i * beta_i) = 0, namely q^(2g - rank) where the
-    rank of the 1 x 2g form is computed from its coordinates (first nonzero
-    entry is the pivot), never assumed.
+    One handle's commutator lands in the translation subgroup T = F_q with
+    the distribution of :func:`commutator_distribution`: N0 at the identity
+    and N1 at each nonzero translation.  Chaining the g handles is a
+    convolution over T; as the distribution is constant on T - {0}, it
+    reduces to g steps of the integer recurrence
 
-    With ``workers`` > 1 the alpha space is partitioned into contiguous
-    lexicographic stripes by first coordinate and the stripe counts are
-    summed, which is deterministic because integer addition is associative
-    and commutative.  ``check_kernels`` re-verifies every kernel size by
-    direct beta enumeration with full field arithmetic (orders <= 5 only).
+        (u, v) <- (N0 u + (q-1) N1 v,  N1 u + (N0 + (q-2) N1) v)
+
+    from (1, 0), where u counts tuples whose commutator product is the
+    identity and v those whose product is one fixed nonzero translation.
+    The work is the (q-1)^2 scaling pairs of one handle plus g steps;
+    raises :class:`BudgetExceeded` when that exceeds ``guard``.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     t0 = time.perf_counter()
-    s = 2 * genus
     q = field.order
-    if (q - 1) ** s > guard:
-        raise BudgetExceeded(f"semi enumeration needs {(q - 1) ** s} iterations (guard {guard})")
-    vals = tuple(_admissible_alpha_indices(field))
-    n_alpha = len(vals) ** s
-    if check_kernels:
-        if q > 5:
-            raise ValueError("kernel cross-verification is a debug tool for orders <= 5")
-        count = _count_semi_checked(field, s)
-        return _record(field, genus, count, "semi", t0)
-    if workers > 1 and len(vals) > 1:
-        tasks = [(first, vals, s - 1) for first in vals]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            n_rank1 = sum(pool.map(_rank1_in_stripe, tasks))
-    else:
-        n_rank1 = sum(map(any, itertools.product(vals, repeat=s)))
-    count = n_rank1 * q ** (s - 1) + (n_alpha - n_rank1) * q**s
-    return _record(field, genus, count, "semi", t0)
-
-
-def _count_semi_checked(field: FieldSpec, s: int) -> int:
-    # Debug path: per-alpha beta enumeration with field arithmetic, compared
-    # against the rank-derived kernel size.
-    minus_one = -field.one()
-    zero = field.zero()
-    admissible = [e for e in field.elements() if e != minus_one]
-    all_elems = list(field.elements())
-    q = field.order
-    total = 0
-    for alpha in itertools.product(admissible, repeat=s):
-        rank = 1 if any(not a.is_zero() for a in alpha) else 0
-        expected = q ** (s - rank)
-        actual = 0
-        for beta in itertools.product(all_elems, repeat=s):
-            acc = zero
-            for a, b in zip(alpha, beta):
-                acc = acc + a * b
-            if acc.is_zero():
-                actual += 1
-        if actual != expected:
-            raise AssertionError(
-                f"kernel size mismatch at alpha={alpha}: enumerated {actual}, rank gives {expected}"
-            )
-        total += actual
-    return total
+    work = (q - 1) ** 2 + genus
+    if work > guard:
+        raise BudgetExceeded(
+            f"semi count needs {work} steps, (q-1)^2 scaling pairs plus {genus} handles "
+            f"(guard {guard})"
+        )
+    n0, n1 = commutator_distribution(field)
+    u, v = 1, 0
+    for _ in range(genus):
+        u, v = n0 * u + (q - 1) * n1 * v, n1 * u + (n0 + (q - 2) * n1) * v
+    return _record(field, genus, u, "semi", t0)
 
 
 def count_closed(q: int, genus: int) -> int:
@@ -329,13 +303,12 @@ def count_points(
     genus: int,
     engine: str = "semi",
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
 ) -> CountRecord:
     """Run the selected engine and wrap the result in a :class:`CountRecord`."""
     if engine == "naive":
         return count_naive(field, genus, guard)
     if engine == "semi":
-        return count_semi(field, genus, guard, workers=workers)
+        return count_semi(field, genus, guard)
     if engine == "closed":
         t0 = time.perf_counter()
         return _record(field, genus, count_closed(field.order, genus), "closed", t0)

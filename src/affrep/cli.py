@@ -22,7 +22,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 import sys
 from csv import writer as csv_writer
 from importlib import resources
@@ -52,8 +51,6 @@ GOLDEN_SHA256 = "b92b7e5c8263bcf2b9cfb9f8b1b73ed2cd2ebb4c3b12641abe867e1a5b6f257
 
 # cells the reference table leaves blank, computable all the same
 EXTEND_CELLS = ((1, 7), (1, 8), (1, 9), (1, 11), (2, 13), (2, 16), (2, 17), (2, 19))
-
-THREADS_ENV = "AFFREP_THREADS"
 
 
 @dataclasses.dataclass
@@ -119,7 +116,6 @@ def cmd_table(
     extend: bool = False,
     golden_path: str | None = None,
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
 ) -> Report:
     """Recompute every filled reference cell and compare, cell by cell."""
     cells, checksum_ok = load_golden_table(golden_path)
@@ -132,7 +128,7 @@ def cmd_table(
     ]
     computed_cells = []
     for genus, q, expected in cells:
-        rec = count_semi(_field_for_order(q), genus, guard=guard, workers=workers)
+        rec = count_semi(_field_for_order(q), genus, guard=guard)
         ok = rec.count == expected
         checks.append(
             _check(
@@ -146,7 +142,7 @@ def cmd_table(
         )
     if extend:
         for genus, q in EXTEND_CELLS:
-            rec = count_semi(_field_for_order(q), genus, guard=guard, workers=workers)
+            rec = count_semi(_field_for_order(q), genus, guard=guard)
             oracle = count_closed(q, genus)
             checks.append(
                 _check(
@@ -166,7 +162,7 @@ def cmd_table(
     )
 
 
-def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD, workers: int = 1) -> Report:
+def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     """Cross-check the three methods up to the requested genus."""
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
@@ -183,7 +179,7 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD, workers: int = 1) -> 
             )
         )
     for g in range(1, min(genus_max, 3) + 1):
-        interp = epoly_from_counts(g, guard=guard, workers=workers).epoly
+        interp = epoly_from_counts(g, guard=guard).epoly
         checks.append(
             _check(
                 f"interpolation_vs_stratification_g{g}",
@@ -195,7 +191,7 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD, workers: int = 1) -> 
         for q in (2, 3, 4, 5):
             field = _field_for_order(q)
             naive = count_naive(field, g, guard=guard).count
-            semi = count_semi(field, g, guard=guard, workers=workers).count
+            semi = count_semi(field, g, guard=guard).count
             checks.append(
                 _check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}")
             )
@@ -223,19 +219,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, threads: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pretty", action="store_true", help="human-readable output")
         p.add_argument(
             "--output", choices=("json", "csv"), default="json", help="output format"
         )
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD, help="enumeration budget")
-        if threads:
-            p.add_argument(
-                "--threads",
-                type=_positive_int,
-                default=int(os.environ.get(THREADS_ENV, "1")),
-                help=f"worker count (default from ${THREADS_ENV})",
-            )
+        p.add_argument(
+            "--guard", type=_positive_int, default=DEFAULT_GUARD, help="enumeration budget"
+        )
 
     p_count = sub.add_parser("count", help="count points over one finite field")
     p_count.add_argument("--field", required=True, help="field descriptor p^n, e.g. 3^2")
@@ -262,11 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tqft.add_argument("--show-matrix", action="store_true")
     p_tqft.add_argument("--verify-eigen", action="store_true")
     p_tqft.add_argument("--reconstruct", action="store_true")
-    common(p_tqft, threads=False)
+    common(p_tqft)
 
     p_classes = sub.add_parser("classes", help="representation/moduli/character classes")
     p_classes.add_argument("--genus", type=_positive_int, required=True)
-    common(p_classes, threads=False)
+    common(p_classes)
 
     p_table = sub.add_parser("table", help="recompute and check the reference count table")
     p_table.add_argument("--extend", action="store_true", help="also fill the blank cells")
@@ -298,7 +289,7 @@ def _emit_csv(rows: list[dict]) -> None:
 def _run_count(args) -> int:
     p, n = parse_descriptor(args.field)
     field = make_field(p, n)
-    rec = count_points(field, args.genus, engine=args.engine, guard=args.guard, workers=args.threads)
+    rec = count_points(field, args.genus, engine=args.engine, guard=args.guard)
     payload = rec.as_json()
     if args.show_modulus:
         payload["modulus"] = field.modulus_text()
@@ -332,9 +323,7 @@ def _run_epoly(args) -> int:
             )
     else:
         plan = plan_from_text(args.genus, args.plan) if args.plan else default_plan(args.genus)
-        result = epoly_from_counts(
-            args.genus, plan, engine=args.engine, guard=args.guard, workers=args.threads
-        )
+        result = epoly_from_counts(args.genus, plan, engine=args.engine, guard=args.guard)
         epoly, records = result.epoly, result.records
         plan_powers = list(plan.prime_powers)
     payload = {
@@ -441,15 +430,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "classes":
             return _run_classes(args)
         if args.command == "table":
-            report = cmd_table(
-                extend=args.extend,
-                golden_path=args.golden,
-                guard=args.guard,
-                workers=args.threads,
-            )
+            report = cmd_table(extend=args.extend, golden_path=args.golden, guard=args.guard)
             return _emit_report(report, args)
         if args.command == "verify":
-            report = cmd_verify(args.genus_max, guard=args.guard, workers=args.threads)
+            report = cmd_verify(args.genus_max, guard=args.guard)
             return _emit_report(report, args)
         raise AssertionError(f"unhandled command {args.command}")
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

@@ -170,7 +170,6 @@ def epoly_from_counts(
     plan: SamplePlan | None = None,
     engine: str = "semi",
     guard: int = DEFAULT_GUARD,
-    workers: int = 1,
 ) -> EPolyResult:
     """Count points at each prime power of the plan and interpolate.
 
@@ -186,25 +185,36 @@ def epoly_from_counts(
     for m in plan.prime_powers:
         p, k = prime_power(m)  # plan validation guarantees this decomposes
         field = make_field(p, k)
-        records.append(count_points(field, genus, engine=engine, guard=guard, workers=workers))
+        records.append(count_points(field, genus, engine=engine, guard=guard))
     samples = [(rec.q, rec.count) for rec in records]
     epoly = epoly_from_samples(genus, samples)
     return EPolyResult(genus=genus, plan=plan, records=records, epoly=epoly)
 
 
 def samples_from_csv(path: str) -> list[tuple[int, int]]:
-    """Read ``q,count`` rows; a header line is optional."""
+    """Read ``q,count`` rows; the first line may be a header.
+
+    Blank lines are skipped.  Any other row whose first two cells are not
+    integers raises :class:`ValueError` naming its line, so a bad row is
+    never dropped.
+    """
     out: list[tuple[int, int]] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or not row[0].strip():
                 continue
-            first = row[0].strip()
-            if not first.lstrip("-").isdigit():
-                continue  # header
-            if len(row) < 2:
-                raise ValueError(f"malformed sample row {row!r}")
-            out.append((int(first), int(row[1])))
+            malformed = ValueError(f"{path}, line {reader.line_num}: malformed sample row {row!r}")
+            try:
+                q = int(row[0])
+            except ValueError:
+                if reader.line_num == 1:
+                    continue  # header
+                raise malformed from None
+            try:
+                out.append((q, int(row[1])))
+            except (IndexError, ValueError):
+                raise malformed from None
     return out
 
 

@@ -175,9 +175,13 @@ def eigen_verify(data: TransferData | None = None) -> CheckReport:
 
     The normalized matrix M (transfer matrix divided entry-wise by the
     group class) has eigenvectors (q-1, -1) and (1, 1) with eigenvalues q^2
-    and q^2 (q-1)^2.  Checking the eigenvector identities plus trace and
-    determinant avoids inverting the eigenbasis over Z[q], which would need
-    denominators.
+    and q^2 (q-1)^2.  These are (|G| / chi(1))^2 for the two irreducible
+    degrees chi(1) = q - 1 and chi(1) = 1 (the latter q - 1 times) of the
+    group of order |G| = q(q-1): by the Frobenius-Mednykh formula the
+    genus-g count is |G|^(2g-1) sum_chi chi(1)^(2-2g), a sum of g-th powers
+    of exactly these values.  Checking the eigenvector identities plus trace
+    and determinant avoids inverting the eigenbasis over Z[q], which would
+    need denominators.
     """
     if data is None:
         data = build_transfer()

@@ -1,6 +1,7 @@
 """The affine group and the counting engines."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from affrep.affcount import (
     aff_group_table,
     aff_identity,
     commutator,
+    commutator_distribution,
     count_closed,
     count_group_generic,
     count_naive,
@@ -19,11 +21,14 @@ from affrep.affcount import (
     count_semi,
 )
 from affrep.finitefield import FieldMismatch, make_field
+from affrep.interpolate import prime_power
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
+
+REFERENCE_GRID = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
 
 
 class TestGroupStructure:
@@ -116,22 +121,33 @@ class TestSemiEngine:
         assert count_semi(F2, 4).count == count_naive(F2, 4).count == 256
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            count_semi(make_field(19, 1), 3, guard=10**6)
+        # the work is the (q-1)^2 scaling pairs of one handle plus one step per handle
+        f19 = make_field(19, 1)
+        with pytest.raises(BudgetExceeded, match=r"\(q-1\)\^2"):
+            count_semi(f19, 3, guard=18**2 + 3 - 1)
+        assert count_semi(f19, 3, guard=18**2 + 3).count == 84217678403958
 
-    def test_kernel_cross_verification(self):
-        for field, genus in [(F2, 1), (F3, 1), (F4, 1), (F5, 1), (F3, 2)]:
-            checked = count_semi(field, genus, check_kernels=True).count
-            assert checked == count_semi(field, genus).count
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    def test_frobenius_mednykh_formula(self, genus):
+        # |Hom| = |G|^(2g-1) * sum over irreducible characters of chi(1)^(2-2g);
+        # Aff(1, F_q) has q - 1 characters of degree 1 and one of degree q - 1
+        for q in REFERENCE_GRID:
+            order = q * (q - 1)
+            character_sum = (q - 1) + Fraction(q - 1) ** (2 - 2 * genus)
+            expected = Fraction(order) ** (2 * genus - 1) * character_sum
+            assert count_semi(make_field(*prime_power(q)), genus).count == expected
 
-    def test_kernel_check_rejected_for_large_fields(self):
-        with pytest.raises(ValueError):
-            count_semi(make_field(7, 1), 1, check_kernels=True)
 
-    def test_parallel_partition_matches_sequential(self):
-        sequential = count_semi(F5, 2).count
-        parallel = count_semi(F5, 2, workers=2).count
-        assert parallel == sequential
+class TestCommutatorDistribution:
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+    def test_matches_group_law(self, q):
+        field = make_field(*prime_power(q))
+        by_translation = {e: 0 for e in field.elements()}
+        for x, y in itertools.product(aff_elements(field), repeat=2):
+            by_translation[commutator(x, y).b] += 1
+        n0, n1 = commutator_distribution(field)
+        assert by_translation.pop(field.zero()) == n0 == count_naive(field, 1).count
+        assert set(by_translation.values()) == {n1}
 
 
 class TestClosedForm:
@@ -155,9 +171,7 @@ class TestEngineAgreement:
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
     def test_semi_matches_closed_on_reference_grid(self, genus):
-        from affrep.interpolate import prime_power
-
-        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19):
+        for q in REFERENCE_GRID:
             field = make_field(*prime_power(q))
             assert count_semi(field, genus).count == count_closed(q, genus)
 

@@ -111,6 +111,14 @@ class TestEPoly:
         code, _, err = run_cli(capsys, ["epoly", "--genus", "1", "--counts", str(path)])
         assert code == 1
 
+    def test_csv_bad_row_after_header_fails(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("q,count\n2,4\nx3,18\n3,18\n4,48\n5,100\n")
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "1", "--counts", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "line 3" in err
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, ["epoly", "--genus", "1", "--output", "csv"])
         assert code == 0
@@ -221,16 +229,17 @@ class TestPretty:
         assert "representation variety" in out
 
 
-class TestThreads:
-    def test_env_var_sets_the_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("AFFREP_THREADS", "2")
-        code, out, _ = run_cli(capsys, ["count", "--field", "5", "--genus", "2"])
-        assert code == 0
-        assert json.loads(out)["count"] == "32500"
-
-    def test_explicit_threads_flag(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["count", "--field", "2^2", "--genus", "2", "--threads", "2"]
-        )
-        assert code == 0
-        assert json.loads(out)["count"] == "5376"
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--field", "2^2", "--genus", "2", "--threads", "2"],
+            ["count", "--field", "2^2", "--genus", "2", "--guard", "0"],
+            ["table", "--guard", "-5"],
+        ],
+    )
+    def test_rejected_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 import pytest
 
-from affrep.affcount import count_semi
+from affrep.affcount import commutator_distribution, count_semi
 from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible
 from affrep.finitefield import make_field
 from affrep.geomstrat import GenusOutOfRange, rep_class
@@ -46,6 +46,13 @@ class TestTransferData:
 
     def test_group_class(self, data):
         assert data.group_class == Q**2 - Q
+
+    def test_normalized_matrix_is_the_commutator_distribution(self, data):
+        normalized = data.matrix.exact_div_scalar(data.group_class)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19):
+            n0, n1 = commutator_distribution(make_field(*prime_power(q)))
+            evaluated = [[normalized.entry(i, j)(q) for j in range(2)] for i in range(2)]
+            assert evaluated == [[n0, (q - 1) * n1], [n1, n0 + (q - 2) * n1]]
 
 
 class TestApplyTransfer:
