@@ -31,7 +31,8 @@ for q, (p, n) in [(2, (2, 1)), (3, (3, 1)), (4, (2, 2)), (5, (5, 1))]:
     marker = "ok" if naive == semi == closed else "MISMATCH"
     print(f"  q={q}: naive={naive} semi={semi} closed={closed}  [{marker}]")
 
-# the structured engine reaches cells the naive sweep cannot: it enumerates
+# naive is the exhaustive sweep over the group-law table, all (q(q-1))^2g
+# tuples; the structured engine reaches cells that sweep cannot: it enumerates
 # the scaling pairs of one handle and chains the handles by a 2x2 recurrence
 f19 = make_field(19, 1)
 record = count_semi(f19, 3)

@@ -4,15 +4,17 @@ A representation of the genus-g surface group is a tuple (A_1, ..., A_2g)
 of group elements whose product of commutators [A_1,A_2]...[A_2g-1,A_2g] is
 the identity.  Three independent engines count them:
 
-* ``count_naive``  -- exhaustive enumeration of group-element tuples,
+* ``count_naive``  -- the exhaustive sweep over the group-law table: the
+  table is built from :class:`AffElem` products and every tuple of element
+  indices is tested by :func:`count_group_generic`,
 * ``count_semi``   -- one handle at a time: the scaling coordinates of a
   handle are enumerated and its translation coordinates counted as
   solutions of a linear form, and the g handles are chained by a 2x2
   integer recurrence over the translation subgroup,
 * ``count_closed`` -- direct evaluation of the closed-form polynomial.
 
-The naive engine works on raw group elements and the semi engine works on
-the shifted linear-form model (a |-> a - 1 folded into its coordinates), so
+The naive engine works on the group law and the semi engine works on the
+shifted linear-form model (a |-> a - 1 folded into its coordinates), so
 agreement between them is a genuine cross-check, not a tautology.
 """
 
@@ -124,35 +126,28 @@ def _record(field: FieldSpec, genus: int, count: int, engine: str, t0: float) ->
     )
 
 
-def count_naive(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> CountRecord:
-    """Exhaustively enumerate group-element tuples and test the relation.
+def _check_sweep_budget(order: int, genus: int, guard: int) -> None:
+    tuples = order ** (2 * genus)
+    if tuples > guard:
+        raise BudgetExceeded(
+            f"exhaustive sweep needs {tuples} tuples, |G|^2g with |G| = {order} (guard {guard})"
+        )
 
-    Visits all (q(q-1))^2g tuples; raises :class:`BudgetExceeded` when that
-    exceeds ``guard``.  Commutators are memoised per ordered pair, which
-    changes nothing about the enumeration itself.
+
+def count_naive(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> CountRecord:
+    """The exhaustive sweep over the group-law table of Aff(1, F_q).
+
+    Builds :func:`aff_group_table` from :class:`AffElem` products and runs
+    :func:`count_group_generic` on it, which visits all (q(q-1))^2g tuples.
+    Raises :class:`BudgetExceeded` when that exceeds ``guard``, before the
+    table is built.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     t0 = time.perf_counter()
-    order = field.order * (field.order - 1)
-    if order ** (2 * genus) > guard:
-        raise BudgetExceeded(
-            f"naive enumeration needs {order ** (2 * genus)} tuples (guard {guard})"
-        )
-    elems = aff_elements(field)
-    pair_comms = [commutator(x, y) for x in elems for y in elems]
-    ident = aff_identity(field)
-    if genus == 1:
-        total = sum(1 for c in pair_comms if c == ident)
-        return _record(field, genus, total, "naive", t0)
-    total = 0
-    for combo in itertools.product(pair_comms, repeat=genus):
-        prod = combo[0]
-        for c in combo[1:]:
-            prod = prod * c
-        if prod == ident:
-            total += 1
-    return _record(field, genus, total, "naive", t0)
+    _check_sweep_budget(field.order * (field.order - 1), genus, guard)
+    table, ident = aff_group_table(field)
+    return _record(field, genus, count_group_generic(table, ident, genus, guard), "naive", t0)
 
 
 def _admissible_alpha_indices(field: FieldSpec) -> list[int]:
@@ -227,8 +222,11 @@ def count_closed(q: int, genus: int) -> int:
     return q ** (s - 1) * (q - 1) ** s + q**s - q ** (s - 1)
 
 
-def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> None:
-    """Check the table is a plausible group: identity, inverses, sampled associativity."""
+def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[int]:
+    """Check the table is a plausible group: identity, inverses, sampled associativity.
+
+    Returns the inverse of every element, as found by the inverse check.
+    """
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise InvalidGroupTable("table must be square and non-empty")
@@ -239,9 +237,12 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> None:
     for x in range(n):
         if table[identity][x] != x or table[x][identity] != x:
             raise InvalidGroupTable(f"index {identity} is not a two-sided identity")
+    inv = []
     for x in range(n):
-        if not any(table[x][y] == identity and table[y][x] == identity for y in range(n)):
+        y = next((y for y in range(n) if table[x][y] == identity == table[y][x]), None)
+        if y is None:
             raise InvalidGroupTable(f"element {x} has no inverse")
+        inv.append(y)
     if n**3 <= 1000:
         triples = itertools.product(range(n), repeat=3)
     else:
@@ -250,6 +251,7 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> None:
     for x, y, z in triples:
         if table[table[x][y]][z] != table[x][table[y][z]]:
             raise InvalidGroupTable(f"associativity fails on ({x}, {y}, {z})")
+    return inv
 
 
 def count_group_generic(
@@ -265,18 +267,12 @@ def count_group_generic(
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    validate_group_table(table, identity)
+    inv = validate_group_table(table, identity)
     n = len(table)
-    if n ** (2 * genus) > guard:
-        raise BudgetExceeded(f"generic enumeration needs {n ** (2 * genus)} tuples (guard {guard})")
-    inv = [0] * n
-    for x in range(n):
-        inv[x] = next(y for y in range(n) if table[x][y] == identity and table[y][x] == identity)
+    _check_sweep_budget(n, genus, guard)
     pair_comms = [
         table[table[table[x][y]][inv[x]]][inv[y]] for x in range(n) for y in range(n)
     ]
-    if genus == 1:
-        return sum(1 for c in pair_comms if c == identity)
     total = 0
     for combo in itertools.product(pair_comms, repeat=genus):
         prod = combo[0]
@@ -305,15 +301,11 @@ def count_points(
     guard: int = DEFAULT_GUARD,
 ) -> CountRecord:
     """Run the selected engine and wrap the result in a :class:`CountRecord`."""
-    if engine == "naive":
-        return count_naive(field, genus, guard)
+    if engine in ("naive", "generic"):
+        return dataclasses.replace(count_naive(field, genus, guard), engine=engine)
     if engine == "semi":
         return count_semi(field, genus, guard)
     if engine == "closed":
         t0 = time.perf_counter()
         return _record(field, genus, count_closed(field.order, genus), "closed", t0)
-    if engine == "generic":
-        t0 = time.perf_counter()
-        table, ident = aff_group_table(field)
-        return _record(field, genus, count_group_generic(table, ident, genus, guard), "generic", t0)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

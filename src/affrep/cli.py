@@ -10,9 +10,9 @@ Subcommands::
     verify   cross-check the three methods against each other
 
 Output is JSON on stdout (``--pretty`` for a human-readable rendering,
-``--output csv`` for tabular commands).  Counts serialize as decimal
-strings so 53-bit JSON consumers cannot truncate them.  Exit status is 0
-exactly when every reported check passes.
+``--output csv`` for the tabular commands count, epoly and table).  Counts
+serialize as decimal strings so 53-bit JSON consumers cannot truncate them.
+Exit status is 0 exactly when every reported check passes.
 """
 
 from __future__ import annotations
@@ -27,8 +27,16 @@ from csv import writer as csv_writer
 from importlib import resources
 
 from . import __version__
-from .affcount import DEFAULT_GUARD, CountRecord, count_closed, count_naive, count_points, count_semi
-from .exactpoly import IntPoly
+from .affcount import (
+    DEFAULT_GUARD,
+    ENGINES,
+    CountRecord,
+    count_closed,
+    count_naive,
+    count_points,
+    count_semi,
+)
+from .exactpoly import ONE, PolyMatrix
 from .finitefield import make_field, parse_descriptor
 from .geomstrat import character_class, moduli_class, rep_class
 from .interpolate import (
@@ -45,6 +53,7 @@ from .tqft import (
     close_surface,
     eigen_verify,
     reconstruct_transfer,
+    surface_class,
 )
 
 GOLDEN_SHA256 = "b92b7e5c8263bcf2b9cfb9f8b1b73ed2cd2ebb4c3b12641abe867e1a5b6f2579"
@@ -222,31 +231,30 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pretty", action="store_true", help="human-readable output")
         p.add_argument(
-            "--output", choices=("json", "csv"), default="json", help="output format"
-        )
-        p.add_argument(
             "--guard", type=_positive_int, default=DEFAULT_GUARD, help="enumeration budget"
+        )
+
+    def tabular(p: argparse.ArgumentParser) -> None:
+        common(p)
+        p.add_argument(
+            "--output", choices=("json", "csv"), default="json", help="output format"
         )
 
     p_count = sub.add_parser("count", help="count points over one finite field")
     p_count.add_argument("--field", required=True, help="field descriptor p^n, e.g. 3^2")
     p_count.add_argument("--genus", type=_positive_int, required=True)
-    p_count.add_argument(
-        "--engine", choices=("naive", "semi", "closed", "generic"), default="semi"
-    )
+    p_count.add_argument("--engine", choices=ENGINES, default="semi")
     p_count.add_argument(
         "--show-modulus", action="store_true", help="include the field modulus in the output"
     )
-    common(p_count)
+    tabular(p_count)
 
     p_epoly = sub.add_parser("epoly", help="counting polynomial via exact interpolation")
     p_epoly.add_argument("--genus", type=_positive_int, required=True)
     p_epoly.add_argument("--plan", help="comma-separated prime powers, e.g. 2,3,4,5")
-    p_epoly.add_argument(
-        "--engine", choices=("naive", "semi", "closed", "generic"), default="semi"
-    )
+    p_epoly.add_argument("--engine", choices=ENGINES, default="semi")
     p_epoly.add_argument("--counts", help="CSV file of q,count samples instead of counting")
-    common(p_epoly)
+    tabular(p_epoly)
 
     p_tqft = sub.add_parser("tqft", help="transfer-matrix virtual class")
     p_tqft.add_argument("--genus", type=_positive_int, required=True)
@@ -262,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="recompute and check the reference count table")
     p_table.add_argument("--extend", action="store_true", help="also fill the blank cells")
     p_table.add_argument("--golden", help="path to an alternative golden CSV")
-    common(p_table)
+    tabular(p_table)
 
     p_verify = sub.add_parser("verify", help="cross-check the three methods")
     p_verify.add_argument("--genus-max", type=_positive_int, default=3)
@@ -361,14 +369,12 @@ def _run_tqft(args) -> int:
             close_surface(1, data), close_surface(2, data), close_surface(3, data)
         )
         payload["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
+        reconstructed = PolyMatrix.from_rows([[a, b], [ONE, d]])
         checks["reconstruction_roundtrip"] = all(
-            _reconstructed_class(a, b, d, g) == close_surface(g, data) for g in range(1, 7)
+            surface_class(reconstructed, g) == close_surface(g, data) for g in range(1, 7)
         )
     payload["checks"] = checks
     payload["caveat"] = LOCALIZATION_CAVEAT
-    if args.output == "csv":
-        print("tqft output is not tabular; use --output json", file=sys.stderr)
-        return 2
     if args.pretty:
         print(f"genus {args.genus}: {virtual_class}")
         for name, ok in checks.items():
@@ -378,14 +384,6 @@ def _run_tqft(args) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def _reconstructed_class(a: IntPoly, b: IntPoly, d: IntPoly, genus: int) -> IntPoly:
-    from .exactpoly import ONE, Q, PolyMatrix
-
-    matrix = PolyMatrix.from_rows([[a, b], [ONE, d]])
-    normalizer = (Q * (Q - ONE)) ** genus
-    return (matrix**genus).entry(0, 0).exact_div(normalizer)
-
-
 def _run_classes(args) -> int:
     payload = {
         "genus": args.genus,
@@ -393,9 +391,6 @@ def _run_classes(args) -> int:
         "moduli": str(moduli_class(args.genus)),
         "character": str(character_class(args.genus)),
     }
-    if args.output == "csv":
-        print("classes output is not tabular; use --output json", file=sys.stderr)
-        return 2
     if args.pretty:
         print(f"representation variety: {payload['representation']}")
         print(f"moduli space:           {payload['moduli']}")
@@ -406,7 +401,7 @@ def _run_classes(args) -> int:
 
 
 def _emit_report(report: Report, args) -> int:
-    if args.output == "csv" and report.command == "table":
+    if report.command == "table" and args.output == "csv":
         _emit_csv(report.results["cells"])
     elif args.pretty:
         for check in report.checks:

@@ -118,20 +118,25 @@ def apply_transfer(state: CircleState, data: TransferData) -> CircleState:
     )
 
 
-def close_surface(genus: int, data: TransferData | None = None) -> IntPoly:
-    """Virtual class of the genus-g representation variety.
+def surface_class(matrix: PolyMatrix, genus: int) -> IntPoly:
+    """Close the genus-g surface with a holed-torus matrix.
 
     Top-left entry of the g-th matrix power, divided exactly by the g-th
-    power of the group class (the normalization for the g + 1 basepoints
-    the decomposition introduces).  A division failure is fatal: it would
-    contradict the divisibility that makes the normalization meaningful.
+    power of the group class q(q-1) (the normalization for the g + 1
+    basepoints the decomposition introduces).  A division failure is fatal:
+    it would contradict the divisibility that makes the normalization
+    meaningful.
     """
+    return (matrix**genus).entry(0, 0).exact_div((Q * (Q - ONE)) ** genus)
+
+
+def close_surface(genus: int, data: TransferData | None = None) -> IntPoly:
+    """Virtual class of the genus-g representation variety, by :func:`surface_class`."""
     if genus < 1:
         raise GenusOutOfRange("genus must be >= 1")
     if data is None:
         data = build_transfer()
-    power = data.matrix**genus
-    return power.entry(0, 0).exact_div(data.group_class**genus)
+    return surface_class(data.matrix, genus)
 
 
 def reconstruct_transfer(

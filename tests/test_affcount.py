@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from affrep import affcount
 from affrep.affcount import (
     AffElem,
     BudgetExceeded,
@@ -98,7 +99,9 @@ class TestNaiveEngine:
     def test_reference_counts(self, field, genus, expected):
         assert count_naive(field, genus).count == expected
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        # the guard is checked before the group table is built
+        monkeypatch.setattr(affcount, "aff_group_table", lambda field: pytest.fail("built"))
         with pytest.raises(BudgetExceeded):
             count_naive(F5, 3, guard=10**6)
 
@@ -211,10 +214,11 @@ class TestGenericEngine:
         table, ident = _cyclic_table(m)
         assert count_group_generic(table, ident, 1) == m**2
 
-    def test_agrees_with_naive(self):
+    def test_agrees_with_semi_and_closed(self):
         for field, genus in [(F2, 1), (F3, 1), (F4, 1), (F2, 2), (F3, 2)]:
             table, ident = aff_group_table(field)
-            assert count_group_generic(table, ident, genus) == count_naive(field, genus).count
+            generic = count_group_generic(table, ident, genus)
+            assert generic == count_semi(field, genus).count == count_closed(field.order, genus)
 
     def test_budget(self):
         table, ident = aff_group_table(F5)

@@ -236,6 +236,8 @@ class TestUsageErrors:
             ["count", "--field", "2^2", "--genus", "2", "--threads", "2"],
             ["count", "--field", "2^2", "--genus", "2", "--guard", "0"],
             ["table", "--guard", "-5"],
+            ["verify", "--output", "csv"],
+            ["tqft", "--genus", "2", "--output", "csv"],
         ],
     )
     def test_rejected_by_the_parser(self, capsys, argv):
