@@ -5,7 +5,7 @@ of group elements whose product of commutators [A_1,A_2]...[A_2g-1,A_2g] is
 the identity.  Three independent engines count them:
 
 * ``count_naive``  -- the exhaustive sweep over the group-law table: the
-  table is built from :class:`AffElem` products and every tuple of element
+  table is built from the index tables of F_q and every tuple of element
   indices is tested by :func:`count_group_generic`,
 * ``count_semi``   -- one handle at a time: the scaling coordinates of a
   handle are enumerated and its translation coordinates counted as
@@ -137,10 +137,11 @@ def _check_sweep_budget(order: int, genus: int, guard: int) -> None:
 def count_naive(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> CountRecord:
     """The exhaustive sweep over the group-law table of Aff(1, F_q).
 
-    Builds :func:`aff_group_table` from :class:`AffElem` products and runs
-    :func:`count_group_generic` on it, which visits all (q(q-1))^2g tuples.
-    Raises :class:`BudgetExceeded` when that exceeds ``guard``, before the
-    table is built.
+    Builds :func:`aff_group_table` from the addition and multiplication
+    tables of F_q on enumeration indices and runs :func:`count_group_generic`
+    on it, which still visits all (q(q-1))^2g tuples.  Raises
+    :class:`BudgetExceeded` when that exceeds ``guard``, before the table is
+    built.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
@@ -239,9 +240,16 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
             raise InvalidGroupTable(f"index {identity} is not a two-sided identity")
     inv = []
     for x in range(n):
-        y = next((y for y in range(n) if table[x][y] == identity == table[y][x]), None)
-        if y is None:
-            raise InvalidGroupTable(f"element {x} has no inverse")
+        # the first y with x*y = identity = y*x: scan the row in C, resuming
+        # after any right inverse that is not also a left inverse
+        row, y = table[x], -1
+        while True:
+            try:
+                y = row.index(identity, y + 1)
+            except ValueError:
+                raise InvalidGroupTable(f"element {x} has no inverse") from None
+            if table[y][x] == identity:
+                break
         inv.append(y)
     if n**3 <= 1000:
         triples = itertools.product(range(n), repeat=3)
@@ -263,32 +271,50 @@ def count_group_generic(
     """Brute-force commutator-relation count using only a multiplication table.
 
     Independent of any affine structure: an oracle for cross-checking the
-    other engines on the same group fed back as an opaque table.
+    other engines on the same group fed back as an opaque table.  Every one
+    of the |G|^2g tuples is visited: the commutators of the first g-1
+    handles are folded into a prefix product, and the last handle's |G|^2
+    commutators are looked up in that product's row in one pass.  Raises
+    :class:`BudgetExceeded` when |G|^2g exceeds ``guard``, before the table
+    is validated.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    inv = validate_group_table(table, identity)
     n = len(table)
     _check_sweep_budget(n, genus, guard)
+    inv = validate_group_table(table, identity)
     pair_comms = [
         table[table[table[x][y]][inv[x]]][inv[y]] for x in range(n) for y in range(n)
     ]
     total = 0
-    for combo in itertools.product(pair_comms, repeat=genus):
-        prod = combo[0]
-        for c in combo[1:]:
+    for combo in itertools.product(pair_comms, repeat=genus - 1):
+        prod = identity
+        for c in combo:
             prod = table[prod][c]
-        if prod == identity:
-            total += 1
+        total += list(map(table[prod].__getitem__, pair_comms)).count(identity)
     return total
 
 
 def aff_group_table(field: FieldSpec) -> tuple[list[list[int]], int]:
-    """The multiplication table of Aff(1, F_q) in ``aff_elements`` order."""
-    elems = aff_elements(field)
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[x * y] for y in elems] for x in elems]
-    return table, index[aff_identity(field)]
+    """The multiplication table of Aff(1, F_q) in ``aff_elements`` order.
+
+    Built from the q x q addition and multiplication tables of F_q on
+    enumeration indices (2q^2 :class:`FqElem` operations), not from
+    :class:`AffElem` products.  The element (a, b) has index
+    (idx(a) - 1) * q + idx(b), since the zero of F_q has index 0, and row
+    (a1, b1), column (a2, b2) holds the index of (a1 a2, a1 b2 + b1).
+    """
+    q = field.order
+    elems = list(field.elements())  # elems[i].index() == i
+    add = [[(x + y).index() for y in elems] for x in elems]
+    mul = [[(x * y).index() for y in elems] for x in elems]
+    table = []
+    for a1 in range(1, q):
+        scale = [(mul[a1][a2] - 1) * q for a2 in range(1, q)]
+        for b1 in range(q):
+            shift = [add[m][b1] for m in mul[a1]]
+            table.append([s + t for s in scale for t in shift])
+    return table, (field.one().index() - 1) * q
 
 
 ENGINES = ("naive", "semi", "closed", "generic")

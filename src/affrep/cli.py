@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import io
 import json
 import sys
 from csv import writer as csv_writer
@@ -96,7 +95,9 @@ def load_golden_table(path: str | None = None) -> tuple[list[tuple[int, int, int
     """Load the golden (genus, q, count) cells; also report checksum validity.
 
     A checksum failure does not abort: the per-cell comparison still runs so
-    a tampered cell surfaces as its own failed check.
+    a tampered cell surfaces as its own failed check.  Blank lines are
+    skipped and only the first line may be a header; any other row that is
+    not three integers raises :class:`ValueError` naming its line.
     """
     if path is None:
         raw = resources.files("affrep").joinpath("data/table1.csv").read_bytes()
@@ -104,13 +105,17 @@ def load_golden_table(path: str | None = None) -> tuple[list[tuple[int, int, int
         with open(path, "rb") as fh:
             raw = fh.read()
     checksum_ok = hashlib.sha256(raw).hexdigest() == GOLDEN_SHA256
+    source = path or "packaged golden table"
     cells = []
-    for line in io.StringIO(raw.decode()).read().splitlines():
+    for line_num, line in enumerate(raw.decode().splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("genus"):
+        if not line or (line_num == 1 and line.startswith("genus")):
             continue
-        g, q, c = line.split(",")
-        cells.append((int(g), int(q), int(c)))
+        try:
+            g, q, c = map(int, line.split(","))
+        except ValueError:
+            raise ValueError(f"{source}, line {line_num}: malformed golden row {line!r}") from None
+        cells.append((g, q, c))
     return cells, checksum_ok
 
 

@@ -20,6 +20,7 @@ from affrep.affcount import (
     count_naive,
     count_points,
     count_semi,
+    validate_group_table,
 )
 from affrep.finitefield import FieldMismatch, make_field
 from affrep.interpolate import prime_power
@@ -199,6 +200,42 @@ def _cyclic_table(m):
     return [[(i + j) % m for j in range(m)] for i in range(m)], 0
 
 
+def _quaternion_table():
+    # Q8 = {+-1, +-i, +-j, +-k}: element 2*u + s is (-1)^s times unit u of (1, i, j, k),
+    # with ij = k, jk = i, ki = j, the reversed products negated and i^2 = j^2 = k^2 = -1
+    cyclic = {(1, 2): 3, (2, 3): 1, (3, 1): 2}
+
+    def unit_product(u, v):
+        if u == 0 or v == 0:
+            return u + v, 0
+        if u == v:
+            return 0, 1
+        if (u, v) in cyclic:
+            return cyclic[u, v], 0
+        return cyclic[v, u], 1
+
+    table = []
+    for x in range(8):
+        row = []
+        for y in range(8):
+            unit, sign = unit_product(x // 2, y // 2)
+            row.append(2 * unit + (sign + x + y) % 2)
+        table.append(row)
+    return table, 0
+
+
+class TestGroupTable:
+    @pytest.mark.parametrize("q", [q for q in range(2, 17) if prime_power(q)])
+    def test_matches_affelem_products(self, q):
+        # the table is built from F_q index tables; the group law is its reference
+        field = make_field(*prime_power(q))
+        elems = aff_elements(field)
+        index = {e: i for i, e in enumerate(elems)}  # elems.index, by hash
+        table, ident = aff_group_table(field)
+        assert table == [[index[x * y] for y in elems] for x in elems]
+        assert ident == index[aff_identity(field)]
+
+
 class TestGenericEngine:
     def test_trivial_group(self):
         for genus in (1, 2, 3):
@@ -224,6 +261,22 @@ class TestGenericEngine:
         table, ident = aff_group_table(F5)
         with pytest.raises(BudgetExceeded):
             count_group_generic(table, ident, 4, guard=10**6)
+
+    def test_budget_before_validation(self, monkeypatch):
+        # an over-budget call fails at once, without the O(n^2) table validation
+        monkeypatch.setattr(affcount, "validate_group_table", lambda *a: pytest.fail("validated"))
+        table, ident = aff_group_table(F5)
+        with pytest.raises(BudgetExceeded):
+            count_group_generic(table, ident, 4, guard=10**6)
+
+    @pytest.mark.parametrize("genus,expected", [(1, 40), (2, 2176), (3, 133120)])
+    def test_quaternion_group(self, genus, expected):
+        # Frobenius-Mednykh: |G| * sum over characters of (|G|/chi(1))^(2g-2);
+        # Q8 has four characters of degree 1 and one of degree 2
+        table, ident = _quaternion_table()
+        assert validate_group_table(table, ident) == [0, 1, 3, 2, 5, 4, 7, 6]
+        assert 8 * (4 * 8 ** (2 * genus - 2) + 4 ** (2 * genus - 2)) == expected
+        assert count_group_generic(table, ident, genus) == expected
 
     def test_rejects_non_square_table(self):
         with pytest.raises(InvalidGroupTable):

@@ -186,6 +186,15 @@ class TestTable:
         assert not by_name["cell_g2_q5"]
         assert by_name["cell_g2_q4"]
 
+    @pytest.mark.parametrize("row", ["1,3", "1,x,18"])
+    def test_malformed_golden_row_fails(self, capsys, tmp_path, row):
+        path = tmp_path / "golden.csv"
+        path.write_text(f"genus,q,count\n1,2,4\n{row}\n")
+        code, out, err = run_cli(capsys, ["table", "--golden", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}, line 3: malformed golden row {row!r}\n"
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, ["table", "--output", "csv"])
         assert code == 0
