@@ -2,9 +2,9 @@
 
 The genus-g representation variety has dimension at most 4g - 1, so its
 counting polynomial is pinned down by exact counts at 4g prime powers.
-Interpolation runs over the rationals and must come out integral; a
-corrupted count or an undersized degree bound raises instead of producing
-a wrong polynomial.
+Interpolation runs on integers (Newton divided differences), and every
+division must be exact; a corrupted count or an undersized degree bound
+raises instead of producing a wrong polynomial.
 """
 
 from affrep import (

@@ -5,7 +5,7 @@ Three independent methods are implemented and cross-verified: stratification
 closed forms (:mod:`affrep.geomstrat`), finite-field point counting with
 exact interpolation (:mod:`affrep.affcount`, :mod:`affrep.interpolate`), and
 a transfer-matrix computation (:mod:`affrep.tqft`).  All arithmetic is exact
-(arbitrary-precision integers and rationals); nothing here rounds.
+(arbitrary-precision integers); nothing here rounds.
 """
 
 from .affcount import (
@@ -32,7 +32,6 @@ from .exactpoly import (
     IntPoly,
     NotDivisible,
     PolyMatrix,
-    RatPoly,
 )
 from .finitefield import (
     FieldMismatch,

@@ -231,7 +231,7 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise InvalidGroupTable("table must be square and non-empty")
-    if any(not 0 <= x < n for row in table for x in row):
+    if min(map(min, table)) < 0 or max(map(max, table)) >= n:
         raise InvalidGroupTable("table entries must be element indices")
     if not 0 <= identity < n:
         raise InvalidGroupTable("identity index out of range")
@@ -254,8 +254,8 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
     if n**3 <= 1000:
         triples = itertools.product(range(n), repeat=3)
     else:
-        rng = random.Random(0)
-        triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(1000))
+        picks = random.Random(0).choices(range(n), k=3000)
+        triples = zip(picks[0::3], picks[1::3], picks[2::3])
     for x, y, z in triples:
         if table[table[x][y]][z] != table[x][table[y][z]]:
             raise InvalidGroupTable(f"associativity fails on ({x}, {y}, {z})")

@@ -29,6 +29,7 @@ from . import __version__
 from .affcount import (
     DEFAULT_GUARD,
     ENGINES,
+    BudgetExceeded,
     CountRecord,
     count_closed,
     count_naive,
@@ -335,7 +336,13 @@ def _run_epoly(args) -> int:
                 CountRecord(p=p, n=k, q=q, genus=args.genus, count=c, engine="csv", elapsed=0.0)
             )
     else:
-        plan = plan_from_text(args.genus, args.plan) if args.plan else default_plan(args.genus)
+        if args.plan:
+            try:
+                plan = plan_from_text(args.genus, args.plan)
+            except ValueError as exc:
+                raise ValueError(f"--plan {args.plan!r}: {exc}") from None
+        else:
+            plan = default_plan(args.genus)
         result = epoly_from_counts(args.genus, plan, engine=args.engine, guard=args.guard)
         epoly, records = result.epoly, result.records
         plan_powers = list(plan.prime_powers)
@@ -357,7 +364,17 @@ def _run_epoly(args) -> int:
     return 0
 
 
+def _check_polynomial_budget(genus: int, guard: int) -> None:
+    products = (4 * genus) ** 2
+    if products > guard:
+        raise BudgetExceeded(
+            f"genus {genus} needs {products} coefficient products, (4g)^2 for one product "
+            f"of two degree-4g polynomials (guard {guard})"
+        )
+
+
 def _run_tqft(args) -> int:
+    _check_polynomial_budget(args.genus, args.guard)
     data = build_transfer()
     virtual_class = close_surface(args.genus, data)
     checks: dict = {}
@@ -390,6 +407,7 @@ def _run_tqft(args) -> int:
 
 
 def _run_classes(args) -> int:
+    _check_polynomial_budget(args.genus, args.guard)
     payload = {
         "genus": args.genus,
         "representation": str(rep_class(args.genus)),

@@ -1,9 +1,8 @@
 """Exact univariate polynomial and polynomial-matrix arithmetic.
 
-Polynomials live in Z[q] (or Q[q] for :class:`RatPoly`) with a dense
-coefficient list, index i holding the coefficient of q^i.  Coefficients are
-Python ints / Fractions, so there is no overflow and no rounding anywhere;
-every operation here is exact or raises.
+Polynomials live in Z[q] with a dense coefficient list, index i holding
+the coefficient of q^i.  Coefficients are Python ints, so there is no
+overflow and no rounding anywhere; every operation here is exact or raises.
 
 The zero polynomial stores an empty coefficient tuple and its ``degree`` is
 ``None`` rather than an integer, so a degree of -1 can never be confused
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 
@@ -171,9 +169,6 @@ class IntPoly:
             raise NotDivisible(f"({self}) is not divisible by ({d})")
         return IntPoly(quot)
 
-    def to_rational(self) -> RatPoly:
-        return RatPoly(Fraction(c) for c in self.coeffs)
-
     def __str__(self) -> str:
         return _render(self.coeffs)
 
@@ -188,74 +183,6 @@ def _as_poly(x: IntPoly | int) -> IntPoly:
 ZERO = IntPoly()
 ONE = IntPoly([1])
 Q = IntPoly([0, 1])
-
-
-@dataclasses.dataclass(frozen=True, init=False)
-class RatPoly:
-    """A polynomial with exact rational coefficients.
-
-    Intermediate form for interpolation; ``Fraction`` keeps every
-    coefficient in lowest terms with a positive denominator.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: RatPoly) -> RatPoly:
-        return RatPoly(
-            a + b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=Fraction(0))
-        )
-
-    def __neg__(self) -> RatPoly:
-        return RatPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: RatPoly) -> RatPoly:
-        return self + (-other)
-
-    def __mul__(self, other: RatPoly | Fraction | int) -> RatPoly:
-        if isinstance(other, (Fraction, int)):
-            return RatPoly(c * other for c in self.coeffs)
-        if not self.coeffs or not other.coeffs:
-            return RatPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x: int | Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def to_integer(self) -> IntPoly:
-        """Convert to :class:`IntPoly`; raises if any coefficient is non-integral."""
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"coefficient {c} is not an integer")
-        return IntPoly(c.numerator for c in self.coeffs)
-
-    def __str__(self) -> str:
-        return _render(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"RatPoly({str(self)!r})"
 
 
 @dataclasses.dataclass(frozen=True, init=False)

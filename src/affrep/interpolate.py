@@ -3,22 +3,22 @@
 The genus-g representation variety sits inside a (4g)-fold product of the
 three-dimensional group, so its counting polynomial has degree at most
 4g - 1 and is pinned down by counts at 4g distinct prime powers.  The
-interpolation runs in exact rational arithmetic and then asserts two
-consistency conditions that would fail if the data were not produced by a
-single integer polynomial: integrality of the coefficients and agreement at
-every surplus sample point.
+interpolation runs on integers, by Newton divided differences with exact
+division, and asserts two consistency conditions that would fail if the
+data were not produced by a single integer polynomial: integrality of the
+coefficients and agreement at every surplus sample point.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-from fractions import Fraction
+import itertools
 from typing import Sequence
 
 from .affcount import DEFAULT_GUARD, CountRecord, count_points
-from .exactpoly import IntPoly, RatPoly
-from .finitefield import make_field
+from .exactpoly import IntPoly
+from .finitefield import DEFAULT_MAX_ORDER, make_field
 
 
 class DuplicateAbscissa(ValueError):
@@ -42,9 +42,14 @@ class DegreeMismatch(ValueError):
 def lagrange_interpolate(points: Sequence[tuple[int, int]], degree_bound: int) -> IntPoly:
     """The unique integer polynomial of degree <= ``degree_bound`` through the points.
 
-    Interpolates the first ``degree_bound + 1`` points exactly over the
-    rationals, then checks integrality and that every remaining point lies
-    on the result.
+    Takes the divided differences of the first ``degree_bound + 1`` points
+    on plain ints, expands that Newton form into the monomial basis, then
+    checks that every remaining point lies on the result.
+
+    Every division is exact or raises :class:`NonIntegerCoefficients`, and
+    that is the integrality test: an integer polynomial has integer divided
+    differences at integer nodes, and a Newton form with integer nodes and
+    integer divided differences has integer coefficients.
     """
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
@@ -53,30 +58,29 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], degree_bound: int) -
         raise DuplicateAbscissa(f"abscissae {xs} are not pairwise distinct")
     if len(points) < degree_bound + 1:
         raise ValueError(f"need at least {degree_bound + 1} points, got {len(points)}")
-    base = points[: degree_bound + 1]
-    acc = RatPoly()
-    for i, (xi, yi) in enumerate(base):
-        basis = RatPoly([1])
-        denom = 1
-        for j, (xj, _) in enumerate(base):
-            if j == i:
-                continue
-            basis = basis * RatPoly([-xj, 1])
-            denom *= xi - xj
-        acc = acc + basis * Fraction(yi, denom)
-    try:
-        result = acc.to_integer()
-    except ValueError as exc:
-        raise NonIntegerCoefficients(str(exc)) from None
+    nodes = xs[: degree_bound + 1]
+    # after step j, diffs[i] = f[x_{i-j}, ..., x_i] for i >= j
+    diffs = [y for _, y in points[: degree_bound + 1]]
+    for j in range(1, degree_bound + 1):
+        for i in range(degree_bound, j - 1, -1):
+            num, den = diffs[i] - diffs[i - 1], nodes[i] - nodes[i - j]
+            quot, rem = divmod(num, den)
+            if rem:
+                raise NonIntegerCoefficients(
+                    f"divided difference {num}/{den} is not an integer"
+                )
+            diffs[i] = quot
+    # Horner on the Newton form: coeffs <- coeffs * (q - x_k) + f[x_0, ..., x_k]
+    coeffs = [diffs[degree_bound]]
+    for k in range(degree_bound - 1, -1, -1):
+        coeffs = [lo - nodes[k] * hi for lo, hi in zip([diffs[k]] + coeffs, coeffs + [0])]
+    result = IntPoly(coeffs)
     for x, y in points[degree_bound + 1 :]:
         if result(x) != y:
             raise ExtraPointMismatch(
                 f"interpolant gives {result(x)} at {x}, sample says {y}"
             )
     return result
-
-
-_SMALL_PRIMES_LIMIT = 1000
 
 
 def prime_power(m: int) -> tuple[int, int] | None:
@@ -92,16 +96,20 @@ def prime_power(m: int) -> tuple[int, int] | None:
 
 
 def smallest_prime_powers(count: int) -> tuple[int, ...]:
-    """The ``count`` smallest prime powers >= 2: 2, 3, 4, 5, 7, 8, 9, 11, ..."""
-    out = []
-    m = 2
-    while len(out) < count:
-        if prime_power(m) is not None:
-            out.append(m)
-        m += 1
-        if m > _SMALL_PRIMES_LIMIT:
-            raise ValueError("prime-power search bound exhausted")
-    return tuple(out)
+    """The ``count`` smallest prime powers >= 2: 2, 3, 4, 5, 7, 8, 9, 11, ...
+
+    Searches up to :data:`DEFAULT_MAX_ORDER`, the largest order
+    :func:`make_field` builds; raises :class:`ValueError` when fewer than
+    ``count`` prime powers lie within it.
+    """
+    candidates = (m for m in range(2, DEFAULT_MAX_ORDER + 1) if prime_power(m))
+    out = tuple(itertools.islice(candidates, count))
+    if len(out) < count:
+        raise ValueError(
+            f"{count} prime powers needed, only {len(out)} are <= {DEFAULT_MAX_ORDER}, "
+            "the largest field order"
+        )
+    return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,7 +143,11 @@ def default_plan(genus: int) -> SamplePlan:
     """The 4g smallest prime powers; for genus 3 this is 2, 3, 4, ..., 19."""
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    return SamplePlan(genus, smallest_prime_powers(4 * genus))
+    try:
+        powers = smallest_prime_powers(4 * genus)
+    except ValueError as exc:
+        raise ValueError(f"no default plan for genus {genus}: {exc}") from None
+    return SamplePlan(genus, powers)
 
 
 @dataclasses.dataclass
@@ -219,6 +231,14 @@ def samples_from_csv(path: str) -> list[tuple[int, int]]:
 
 
 def plan_from_text(genus: int, text: str) -> SamplePlan:
-    """Parse a comma-separated prime-power list into a plan."""
-    powers = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    return SamplePlan(genus, powers)
+    """Parse a comma-separated prime-power list into a plan.
+
+    A token that is not an integer raises :class:`ValueError` naming it.
+    """
+    powers = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            powers.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{tok.strip()!r} is not an integer") from None
+    return SamplePlan(genus, tuple(powers))

@@ -300,6 +300,27 @@ class TestGenericEngine:
         with pytest.raises(InvalidGroupTable):
             count_group_generic(table, 0, 1)
 
+    def test_rejects_non_associative_sampled(self):
+        # x*y = x + y + xy(x + y) mod 12: commutative, identity 0, inverse -x,
+        # and 532 of the 1728 triples fail associativity, so 1000 sampled
+        # triples (order 12 > 10) all miss with probability 0.69^1000
+        n = 12
+        table = [[(x + y + x * y * (x + y)) % n for y in range(n)] for x in range(n)]
+        failing = sum(
+            table[table[x][y]][z] != table[x][table[y][z]]
+            for x, y, z in itertools.product(range(n), repeat=3)
+        )
+        assert failing == 532
+        with pytest.raises(InvalidGroupTable, match="associativity"):
+            count_group_generic(table, 0, 1)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_rejects_out_of_range_entry(self, bad):
+        table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+        table[3][4] = bad
+        with pytest.raises(InvalidGroupTable, match="element indices"):
+            count_group_generic(table, 0, 1)
+
 
 class TestDispatch:
     def test_engine_selection(self):

@@ -1,10 +1,16 @@
 """Command-line interface: JSON shapes, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import affrep
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
+from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
 
 
@@ -119,6 +125,19 @@ class TestEPoly:
         assert out == ""
         assert err.startswith("error: ") and "line 3" in err
 
+    def test_bad_plan_token(self, capsys):
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "1", "--plan", "2,3,x"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --plan") and "'x'" in err
+
+    def test_default_plan_beyond_the_largest_field(self, capsys):
+        # 800 prime powers needed, about 600 lie within the field-order bound
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "200", "--engine", "closed"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "genus 200" in err and str(DEFAULT_MAX_ORDER) in err
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, ["epoly", "--genus", "1", "--output", "csv"])
         assert code == 0
@@ -144,6 +163,20 @@ class TestTqft:
         assert all(payload["checks"].values())
         assert payload["reconstructed"]["c"] == "1"
         assert "caveat" in payload
+
+    @pytest.mark.parametrize("command", ["tqft", "classes"])
+    def test_guard(self, capsys, command):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, [command, "--genus", "100000", "--guard", "1"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "160000000000" in err and "guard 1)" in err
+
+    def test_default_guard_admits_genus_240(self, capsys):
+        code, out, _ = run_cli(capsys, ["tqft", "--genus", "240"])
+        assert code == 0
+        assert json.loads(out)["virtual_class"] == str(rep_class(240))
 
 
 class TestClasses:
@@ -254,3 +287,16 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+def test_startup_leaves_out_fractions_and_decimal():
+    # every CLI command pays for what importing the CLI loads
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import affrep.cli; "
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    src = str(Path(affrep.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

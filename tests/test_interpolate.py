@@ -1,5 +1,7 @@
 """Exact interpolation of counting polynomials."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +25,22 @@ from affrep.interpolate import (
 )
 
 
+def _fraction_lagrange(points):
+    """Test oracle: the Lagrange sum over Fractions, monomial coefficients
+    from the constant term up, trailing zeros dropped."""
+    acc = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, denom = [Fraction(1)], 1
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = [lo - xj * hi for lo, hi in zip([0] + basis, basis + [0])]
+                denom *= xi - xj
+        acc = [a + b * Fraction(yi, denom) for a, b in zip(acc, basis)]
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
 class TestLagrange:
     def test_genus_one_reference_counts(self):
         points = [(2, 4), (3, 18), (4, 48), (5, 100)]
@@ -42,7 +60,7 @@ class TestLagrange:
 
     def test_non_integer_coefficients(self):
         # the line through (0,0) and (2,1) is q/2
-        with pytest.raises(NonIntegerCoefficients):
+        with pytest.raises(NonIntegerCoefficients, match="1/2"):
             lagrange_interpolate([(0, 0), (2, 1)], 1)
 
     def test_extra_point_mismatch(self):
@@ -63,13 +81,33 @@ class TestLagrange:
         assert lagrange_interpolate(base, 3) == lagrange_interpolate(extended, 3)
 
     @given(
-        st.lists(st.integers(-50, 50), min_size=1, max_size=7),
-        st.integers(min_value=6, max_value=8),
+        st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=9),
+        st.lists(st.integers(-30, 30), min_size=12, max_size=14, unique=True),
+        st.integers(min_value=0, max_value=3),
     )
-    def test_round_trip_property(self, coeffs, degree_bound):
+    def test_round_trip_property(self, coeffs, xs, slack):
         p = IntPoly(coeffs)
-        samples = [(x, p(x)) for x in range(degree_bound + 1)]
+        degree_bound = len(coeffs) - 1 + slack
+        samples = [(x, p(x)) for x in xs]
         assert lagrange_interpolate(samples, degree_bound) == p
+        assert _fraction_lagrange(samples[: degree_bound + 1]) == list(p.coeffs)
+
+    @given(
+        st.lists(st.integers(-(10**40), 10**40), max_size=7),
+        st.integers(-(10**20), 10**20).map(lambda c: 2 * c + 1),
+        st.lists(st.integers(-30, 30), min_size=10, max_size=12, unique=True),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_integer_valued_non_integer_polynomial_property(self, coeffs, c, xs, slack):
+        # p + c x(x-1)/2 takes integer values, but its q and q^2
+        # coefficients are halves when c is odd
+        p = IntPoly(coeffs)
+        degree_bound = max(2, len(coeffs) - 1) + slack
+        samples = [(x, p(x) + c * x * (x - 1) // 2) for x in xs]
+        reference = _fraction_lagrange(samples[: degree_bound + 1])
+        assert any(coeff.denominator != 1 for coeff in reference)
+        with pytest.raises(NonIntegerCoefficients):
+            lagrange_interpolate(samples, degree_bound)
 
 
 class TestPrimePowers:
