@@ -27,7 +27,7 @@ for genus in range(1, 6):
     print(f"  genus {genus}: {close_surface(genus, data)}")
 
 print("\neigen-identities of the normalized matrix:")
-for name, ok in eigen_verify(data).checks:
+for name, ok in eigen_verify(data):
     print(f"  {name}: {'pass' if ok else 'FAIL'}")
 
 # the whole matrix can be rebuilt from the three smallest closed surfaces

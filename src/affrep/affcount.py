@@ -127,10 +127,14 @@ def _record(field: FieldSpec, genus: int, count: int, engine: str, t0: float) ->
 
 
 def _check_sweep_budget(order: int, genus: int, guard: int) -> None:
-    tuples = order ** (2 * genus)
-    if tuples > guard:
+    # |G|^2g has at least (bits(|G|) - 1) * 2g bits, which settles a power
+    # far beyond the guard without building it; when it does not settle, the
+    # power has fewer than twice the guard's bits and is cheap to compare
+    min_bits = (order.bit_length() - 1) * 2 * genus
+    if min_bits >= guard.bit_length() or order ** (2 * genus) > guard:
         raise BudgetExceeded(
-            f"exhaustive sweep needs {tuples} tuples, |G|^2g with |G| = {order} (guard {guard})"
+            f"exhaustive sweep needs |G|^2g tuples with |G| = {order} and g = {genus}, "
+            f"more than the guard allows (guard {guard})"
         )
 
 
@@ -213,12 +217,23 @@ def count_semi(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> Coun
     return _record(field, genus, u, "semi", t0)
 
 
-def count_closed(q: int, genus: int) -> int:
-    """Evaluate the closed-form count q^(2g-1)(q-1)^2g + q^2g - q^(2g-1)."""
+def count_closed(q: int, genus: int, guard: int = DEFAULT_GUARD) -> int:
+    """Evaluate the closed-form count q^(2g-1)(q-1)^2g + q^2g - q^(2g-1).
+
+    The count is below q^4g, so it has at most 4g times the bits of q; raises
+    :class:`BudgetExceeded` when that bound exceeds ``guard``, before any
+    power is built.
+    """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     if q < 2:
         raise ValueError("q must be >= 2")
+    bits = 4 * genus * q.bit_length()
+    if bits > guard:
+        raise BudgetExceeded(
+            f"closed form needs a count of up to {bits} bits, 4g = {4 * genus} times the "
+            f"{q.bit_length()} bits of q = {q} (guard {guard})"
+        )
     s = 2 * genus
     return q ** (s - 1) * (q - 1) ** s + q**s - q ** (s - 1)
 
@@ -333,5 +348,5 @@ def count_points(
         return count_semi(field, genus, guard)
     if engine == "closed":
         t0 = time.perf_counter()
-        return _record(field, genus, count_closed(field.order, genus), "closed", t0)
+        return _record(field, genus, count_closed(field.order, genus, guard), "closed", t0)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

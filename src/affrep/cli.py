@@ -9,10 +9,11 @@ Subcommands::
     table    recompute the reference count table and compare cell by cell
     verify   cross-check the three methods against each other
 
-Output is JSON on stdout (``--pretty`` for a human-readable rendering,
-``--output csv`` for the tabular commands count, epoly and table).  Counts
-serialize as decimal strings so 53-bit JSON consumers cannot truncate them.
-Exit status is 0 exactly when every reported check passes.
+Every command returns one :class:`Report` (command, version, inputs,
+results, checks, caveat), printed as JSON on stdout; ``--pretty`` renders it
+as text and ``--output csv`` writes its rows (count, epoly and table).
+Counts serialize as decimal strings so 53-bit JSON consumers cannot
+truncate them.  Exit status is 0 exactly when every reported check passes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .affcount import (
     DEFAULT_GUARD,
     ENGINES,
     BudgetExceeded,
-    CountRecord,
     count_closed,
     count_naive,
     count_points,
@@ -64,12 +64,17 @@ EXTEND_CELLS = ((1, 7), (1, 8), (1, 9), (1, 11), (2, 13), (2, 16), (2, 17), (2, 
 
 @dataclasses.dataclass
 class Report:
-    """Machine-readable outcome of a command: inputs, results and checks."""
+    """Machine-readable outcome of a command: inputs, results and checks.
+
+    ``inputs`` holds the command's own parameters under names that no
+    result uses; ``rows`` is what ``--output csv`` writes.
+    """
 
     command: str
     inputs: dict
     results: dict
-    checks: list[dict]
+    checks: list[dict] = dataclasses.field(default_factory=list)
+    rows: list[dict] = dataclasses.field(default_factory=list)
     caveat: str = LOCALIZATION_CAVEAT
     version: str = __version__
 
@@ -78,14 +83,8 @@ class Report:
         return all(c["pass"] for c in self.checks)
 
     def as_json(self) -> dict:
-        return {
-            "command": self.command,
-            "version": self.version,
-            "inputs": self.inputs,
-            "results": self.results,
-            "checks": self.checks,
-            "caveat": self.caveat,
-        }
+        keys = ("command", "version", "inputs", "results", "checks", "caveat")
+        return {key: getattr(self, key) for key in keys}
 
 
 def _check(name: str, ok: bool, details: str = "") -> dict:
@@ -127,6 +126,116 @@ def _field_for_order(q: int):
     return make_field(*decomposition)
 
 
+def _check_polynomial_budget(genus: int, guard: int) -> None:
+    products = (4 * genus) ** 2
+    if products > guard:
+        raise BudgetExceeded(
+            f"genus {genus} needs {products} coefficient products, (4g)^2 for one product "
+            f"of two degree-4g polynomials (guard {guard})"
+        )
+
+
+def cmd_count(
+    field: str,
+    genus: int,
+    engine: str = "semi",
+    show_modulus: bool = False,
+    guard: int = DEFAULT_GUARD,
+) -> Report:
+    """One point count over the field named by a ``p^n`` descriptor."""
+    spec = make_field(*parse_descriptor(field))
+    results = count_points(spec, genus, engine=engine, guard=guard).as_json()
+    if show_modulus:
+        results["modulus"] = spec.modulus_text()
+    inputs = {"field": field, "genus": genus, "engine": engine, "guard": guard}
+    return Report("count", inputs, results, rows=[results])
+
+
+def cmd_epoly(
+    genus: int,
+    plan_text: str | None = None,
+    engine: str = "semi",
+    counts_file: str | None = None,
+    guard: int = DEFAULT_GUARD,
+) -> Report:
+    """Counting polynomial from a plan's point counts, or from a ``q,count`` CSV."""
+    if counts_file:
+        samples = samples_from_csv(counts_file)
+        for q, _ in samples:
+            if prime_power(q) is None:
+                raise ValueError(f"sample abscissa {q} is not a prime power")
+        epoly = epoly_from_samples(genus, samples)
+        counts = [{"q": q, "count": str(c), "engine": "csv"} for q, c in samples]
+    else:
+        if plan_text:
+            try:
+                plan = plan_from_text(genus, plan_text)
+            except ValueError as exc:
+                raise ValueError(f"--plan {plan_text!r}: {exc}") from None
+        else:
+            plan = default_plan(genus)
+        result = epoly_from_counts(genus, plan, engine=engine, guard=guard)
+        epoly, counts = result.epoly, [rec.as_json() for rec in result.records]
+    inputs = {
+        "genus": genus,
+        "plan_text": plan_text,
+        "engine": engine,
+        "counts_file": counts_file,
+        "guard": guard,
+    }
+    results = {
+        "plan": [row["q"] for row in counts],
+        "counts": counts,
+        "epoly": str(epoly),
+        "degree": epoly.degree,
+    }
+    rows = [{"q": row["q"], "count": row["count"]} for row in counts]
+    return Report("epoly", inputs, results, rows=rows)
+
+
+def cmd_tqft(
+    genus: int,
+    show_matrix: bool = False,
+    verify_eigen: bool = False,
+    reconstruct: bool = False,
+    guard: int = DEFAULT_GUARD,
+) -> Report:
+    """Transfer-matrix class of the genus-g surface, with optional identity checks."""
+    _check_polynomial_budget(genus, guard)
+    data = build_transfer()
+    results: dict = {"virtual_class": str(close_surface(genus, data))}
+    checks = []
+    if show_matrix:
+        results["matrix"] = [[str(e) for e in row] for row in data.matrix]
+    if verify_eigen:
+        checks += [_check(name, ok) for name, ok in eigen_verify(data)]
+    if reconstruct:
+        a, b, d = reconstruct_transfer(*(close_surface(g, data) for g in (1, 2, 3)))
+        results["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
+        rebuilt = PolyMatrix.from_rows([[a, b], [ONE, d]])
+        roundtrip = all(surface_class(rebuilt, g) == close_surface(g, data) for g in range(1, 7))
+        checks.append(_check("reconstruction_roundtrip", roundtrip, "genus 1-6 classes"))
+    inputs = {
+        "genus": genus,
+        "show_matrix": show_matrix,
+        "verify_eigen": verify_eigen,
+        "reconstruct": reconstruct,
+        "guard": guard,
+    }
+    return Report("tqft", inputs, results, checks)
+
+
+def cmd_classes(genus: int, guard: int = DEFAULT_GUARD) -> Report:
+    """Representation, moduli and character classes for one genus."""
+    _check_polynomial_budget(genus, guard)
+    results = {
+        "representation": str(rep_class(genus)),
+        "moduli": str(moduli_class(genus)),
+        "character": str(character_class(genus)),
+    }
+    return Report("classes", {"genus": genus, "guard": guard}, results)
+
+
 def cmd_table(
     extend: bool = False,
     golden_path: str | None = None,
@@ -134,88 +243,47 @@ def cmd_table(
 ) -> Report:
     """Recompute every filled reference cell and compare, cell by cell."""
     cells, checksum_ok = load_golden_table(golden_path)
-    checks = [
-        _check(
-            "golden_checksum",
-            checksum_ok,
-            "sha256 of the golden table file" + ("" if checksum_ok else " does not match"),
-        )
-    ]
-    computed_cells = []
-    for genus, q, expected in cells:
-        rec = count_semi(_field_for_order(q), genus, guard=guard)
-        ok = rec.count == expected
-        checks.append(
-            _check(
-                f"cell_g{genus}_q{q}",
-                ok,
-                f"expected {expected}, counted {rec.count}",
-            )
-        )
-        computed_cells.append(
-            {"genus": genus, "q": q, "expected": str(expected), "count": str(rec.count)}
-        )
+    checksum = "sha256 of the golden table file" + ("" if checksum_ok else " does not match")
+    checks = [_check("golden_checksum", checksum_ok, checksum)]
+    targets = [("cell", genus, q, count, "expected") for genus, q, count in cells]
     if extend:
-        for genus, q in EXTEND_CELLS:
-            rec = count_semi(_field_for_order(q), genus, guard=guard)
-            oracle = count_closed(q, genus)
-            checks.append(
-                _check(
-                    f"extend_g{genus}_q{q}",
-                    rec.count == oracle,
-                    f"closed form {oracle}, counted {rec.count}",
-                )
-            )
-            computed_cells.append(
-                {"genus": genus, "q": q, "expected": str(oracle), "count": str(rec.count)}
-            )
-    return Report(
-        command="table",
-        inputs={"extend": extend, "golden": golden_path or "packaged"},
-        results={"cells": computed_cells},
-        checks=checks,
-    )
+        targets += [("extend", g, q, count_closed(q, g), "closed form") for g, q in EXTEND_CELLS]
+    computed_cells = []
+    for kind, genus, q, expected, source in targets:
+        count = count_semi(_field_for_order(q), genus, guard=guard).count
+        details = f"{source} {expected}, counted {count}"
+        checks.append(_check(f"{kind}_g{genus}_q{q}", count == expected, details))
+        computed_cells.append(
+            {"genus": genus, "q": q, "expected": str(expected), "count": str(count)}
+        )
+    inputs = {"extend": extend, "golden": golden_path or "packaged", "guard": guard}
+    return Report("table", inputs, {"cells": computed_cells}, checks, rows=computed_cells)
 
 
 def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     """Cross-check the three methods up to the requested genus."""
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
+    _check_polynomial_budget(genus_max, guard)
     checks = []
     data = build_transfer()
     for g in range(1, genus_max + 1):
-        geometric = rep_class(g)
-        transfer = close_surface(g, data)
-        checks.append(
-            _check(
-                f"stratification_vs_transfer_g{g}",
-                geometric == transfer,
-                f"{geometric} vs {transfer}",
-            )
-        )
+        geometric, transfer = rep_class(g), close_surface(g, data)
+        details = f"{geometric} vs {transfer}"
+        checks.append(_check(f"stratification_vs_transfer_g{g}", geometric == transfer, details))
     for g in range(1, min(genus_max, 3) + 1):
         interp = epoly_from_counts(g, guard=guard).epoly
-        checks.append(
-            _check(
-                f"interpolation_vs_stratification_g{g}",
-                interp == rep_class(g),
-                f"interpolated {interp}",
-            )
-        )
+        name = f"interpolation_vs_stratification_g{g}"
+        checks.append(_check(name, interp == rep_class(g), f"interpolated {interp}"))
     for g in range(1, min(genus_max, 2) + 1):
         for q in (2, 3, 4, 5):
             field = _field_for_order(q)
             naive = count_naive(field, g, guard=guard).count
             semi = count_semi(field, g, guard=guard).count
-            checks.append(
-                _check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}")
-            )
-    return Report(
-        command="verify",
-        inputs={"genus_max": genus_max},
-        results={"rep_classes": {str(g): str(rep_class(g)) for g in range(1, genus_max + 1)}},
-        checks=checks,
-    )
+            checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
+    rep_classes = {str(g): str(rep_class(g)) for g in range(1, genus_max + 1)}
+    inputs = {"genus_max": genus_max, "guard": guard}
+    return Report("verify", inputs, {"rep_classes": rep_classes}, checks)
 
 
 def _positive_int(text: str) -> int:
@@ -285,13 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_json(payload: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload))
-
-
 def _emit_csv(rows: list[dict]) -> None:
     out = csv_writer(sys.stdout)
     if rows:
@@ -300,160 +361,46 @@ def _emit_csv(rows: list[dict]) -> None:
             out.writerow(row.values())
 
 
-def _run_count(args) -> int:
-    p, n = parse_descriptor(args.field)
-    field = make_field(p, n)
-    rec = count_points(field, args.genus, engine=args.engine, guard=args.guard)
-    payload = rec.as_json()
-    if args.show_modulus:
-        payload["modulus"] = field.modulus_text()
-    if args.output == "csv":
-        _emit_csv([payload])
-    elif args.pretty:
-        print(
-            f"|Hom| over F_{rec.q} (genus {rec.genus}, engine {rec.engine}): "
-            f"{rec.count}  [{payload['elapsed_ms']} ms]"
-        )
-        if args.show_modulus:
-            print(f"  modulus: {field.modulus_text()}")
-    else:
-        _emit_json(payload, pretty=False)
-    return 0
-
-
-def _run_epoly(args) -> int:
-    if args.counts:
-        samples = samples_from_csv(args.counts)
-        epoly = epoly_from_samples(args.genus, samples)
-        plan_powers = [q for q, _ in samples]
-        records = []
-        for q, c in samples:
-            decomposition = prime_power(q)
-            if decomposition is None:
-                raise ValueError(f"sample abscissa {q} is not a prime power")
-            p, k = decomposition
-            records.append(
-                CountRecord(p=p, n=k, q=q, genus=args.genus, count=c, engine="csv", elapsed=0.0)
-            )
-    else:
-        if args.plan:
-            try:
-                plan = plan_from_text(args.genus, args.plan)
-            except ValueError as exc:
-                raise ValueError(f"--plan {args.plan!r}: {exc}") from None
+def _emit_pretty(report: Report) -> None:
+    for key, value in report.results.items():
+        if isinstance(value, dict):
+            value = [f"{name}: {item}" for name, item in value.items()]
+        if isinstance(value, list) and value and not isinstance(value[0], int):
+            print(f"{key}:")
+            for item in value:
+                print(f"  {item if isinstance(item, str) else json.dumps(item)}")
         else:
-            plan = default_plan(args.genus)
-        result = epoly_from_counts(args.genus, plan, engine=args.engine, guard=args.guard)
-        epoly, records = result.epoly, result.records
-        plan_powers = list(plan.prime_powers)
-    payload = {
-        "genus": args.genus,
-        "plan": plan_powers,
-        "counts": [rec.as_json() for rec in records],
-        "epoly": str(epoly),
-        "degree": epoly.degree,
-    }
-    if args.output == "csv":
-        _emit_csv([{"q": rec.q, "count": str(rec.count)} for rec in records])
-    elif args.pretty:
-        print(f"genus {args.genus}: {epoly}  (degree {epoly.degree})")
-        for rec in records:
-            print(f"  q={rec.q}: {rec.count}")
-    else:
-        _emit_json(payload, pretty=False)
-    return 0
-
-
-def _check_polynomial_budget(genus: int, guard: int) -> None:
-    products = (4 * genus) ** 2
-    if products > guard:
-        raise BudgetExceeded(
-            f"genus {genus} needs {products} coefficient products, (4g)^2 for one product "
-            f"of two degree-4g polynomials (guard {guard})"
-        )
-
-
-def _run_tqft(args) -> int:
-    _check_polynomial_budget(args.genus, args.guard)
-    data = build_transfer()
-    virtual_class = close_surface(args.genus, data)
-    checks: dict = {}
-    payload: dict = {
-        "genus": args.genus,
-        "virtual_class": str(virtual_class),
-    }
-    if args.show_matrix:
-        payload["matrix"] = [[str(e) for e in row] for row in data.matrix]
-    if args.verify_eigen:
-        checks.update(eigen_verify(data).as_json())
-    if args.reconstruct:
-        a, b, d = reconstruct_transfer(
-            close_surface(1, data), close_surface(2, data), close_surface(3, data)
-        )
-        payload["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
-        reconstructed = PolyMatrix.from_rows([[a, b], [ONE, d]])
-        checks["reconstruction_roundtrip"] = all(
-            surface_class(reconstructed, g) == close_surface(g, data) for g in range(1, 7)
-        )
-    payload["checks"] = checks
-    payload["caveat"] = LOCALIZATION_CAVEAT
-    if args.pretty:
-        print(f"genus {args.genus}: {virtual_class}")
-        for name, ok in checks.items():
-            print(f"  {name}: {'pass' if ok else 'FAIL'}")
-    else:
-        _emit_json(payload, pretty=False)
-    return 0 if all(checks.values()) else 1
-
-
-def _run_classes(args) -> int:
-    _check_polynomial_budget(args.genus, args.guard)
-    payload = {
-        "genus": args.genus,
-        "representation": str(rep_class(args.genus)),
-        "moduli": str(moduli_class(args.genus)),
-        "character": str(character_class(args.genus)),
-    }
-    if args.pretty:
-        print(f"representation variety: {payload['representation']}")
-        print(f"moduli space:           {payload['moduli']}")
-        print(f"character variety:      {payload['character']}")
-    else:
-        _emit_json(payload, pretty=False)
-    return 0
+            print(f"{key}: {value}")
+    for check in report.checks:
+        status = "pass" if check["pass"] else "FAIL"
+        print(f"{status:4}  {check['name']}  {check['details']}")
+    print(f"{'all checks pass' if report.passed else 'FAILURES PRESENT'}")
 
 
 def _emit_report(report: Report, args) -> int:
-    if report.command == "table" and args.output == "csv":
-        _emit_csv(report.results["cells"])
+    if getattr(args, "output", "json") == "csv":
+        _emit_csv(report.rows)
     elif args.pretty:
-        for check in report.checks:
-            status = "pass" if check["pass"] else "FAIL"
-            print(f"{status:4}  {check['name']}  {check['details']}")
-        print(f"{'all checks pass' if report.passed else 'FAILURES PRESENT'}")
+        _emit_pretty(report)
     else:
-        _emit_json(report.as_json(), pretty=False)
+        print(json.dumps(report.as_json()))
     return 0 if report.passed else 1
+
+
+COMMANDS = {
+    "count": lambda a: cmd_count(a.field, a.genus, a.engine, a.show_modulus, a.guard),
+    "epoly": lambda a: cmd_epoly(a.genus, a.plan, a.engine, a.counts, a.guard),
+    "tqft": lambda a: cmd_tqft(a.genus, a.show_matrix, a.verify_eigen, a.reconstruct, a.guard),
+    "classes": lambda a: cmd_classes(a.genus, a.guard),
+    "table": lambda a: cmd_table(a.extend, a.golden, a.guard),
+    "verify": lambda a: cmd_verify(a.genus_max, a.guard),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "count":
-            return _run_count(args)
-        if args.command == "epoly":
-            return _run_epoly(args)
-        if args.command == "tqft":
-            return _run_tqft(args)
-        if args.command == "classes":
-            return _run_classes(args)
-        if args.command == "table":
-            report = cmd_table(extend=args.extend, golden_path=args.golden, guard=args.guard)
-            return _emit_report(report, args)
-        if args.command == "verify":
-            report = cmd_verify(args.genus_max, guard=args.guard)
-            return _emit_report(report, args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return _emit_report(COMMANDS[args.command](args), args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -65,16 +65,6 @@ class IntPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @staticmethod
-    def constant(c: int) -> IntPoly:
-        return IntPoly([c])
-
-    @staticmethod
-    def monomial(c: int, power: int) -> IntPoly:
-        if power < 0:
-            raise ValueError("monomial power must be non-negative")
-        return IntPoly([0] * power + [c])
-
     @property
     def degree(self) -> int | None:
         """Degree of the polynomial; ``None`` for the zero polynomial."""

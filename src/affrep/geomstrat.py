@@ -46,10 +46,13 @@ def rep_class(genus: int) -> IntPoly:
 
 
 def moduli_class(genus: int) -> IntPoly:
-    """Class of the moduli space of representations: (q-1)^2g.
+    """Class of the moduli space of representations, declared as (q-1)^2g.
 
-    Every representation degenerates to a diagonal one under the scaling
-    action, so the quotient is a torus of rank 2g.
+    The value is stated, not derived: no orbit count or quotient
+    construction stands behind it.  The paper's abstract finds the moduli
+    space and the character variety non-equivalent, and deriving both
+    quotient classes is an open roadmap item (item 3, "Derive the quotient
+    classes instead of declaring them").
     """
     if genus < 1:
         raise GenusOutOfRange("genus must be >= 1")
@@ -57,11 +60,13 @@ def moduli_class(genus: int) -> IntPoly:
 
 
 def character_class(genus: int) -> IntPoly:
-    """Class of the character variety: (q-1)^2g.
+    """Class of the character variety, declared as (q-1)^2g.
 
-    Built from traces of the 2g generator images; kept as a separate entry
-    point from :func:`moduli_class` because the two spaces arise from
-    different constructions and only turn out to be isomorphic.
+    Like :func:`moduli_class`, the value is stated, not derived, and the two
+    functions share one body.  The paper's abstract finds the two spaces
+    non-equivalent (the underlying group is not reductive); deriving this
+    class, for example by counting the image of the scaling coordinates, is
+    roadmap item 3.
     """
     if genus < 1:
         raise GenusOutOfRange("genus must be >= 1")

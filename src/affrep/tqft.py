@@ -161,21 +161,7 @@ def reconstruct_transfer(
     return a, b, d
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckReport:
-    """Named pass/fail results of a verification pass."""
-
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-    def as_json(self) -> dict:
-        return {name: ok for name, ok in self.checks}
-
-
-def eigen_verify(data: TransferData | None = None) -> CheckReport:
+def eigen_verify(data: TransferData | None = None) -> tuple[tuple[str, bool], ...]:
     """Verify the diagonalization of the normalized matrix as polynomial identities.
 
     The normalized matrix M (transfer matrix divided entry-wise by the
@@ -186,7 +172,7 @@ def eigen_verify(data: TransferData | None = None) -> CheckReport:
     genus-g count is |G|^(2g-1) sum_chi chi(1)^(2-2g), a sum of g-th powers
     of exactly these values.  Checking the eigenvector identities plus trace
     and determinant avoids inverting the eigenbasis over Z[q], which would
-    need denominators.
+    need denominators.  Returns the (name, passed) pair of each identity.
     """
     if data is None:
         data = build_transfer()
@@ -203,7 +189,7 @@ def eigen_verify(data: TransferData | None = None) -> CheckReport:
 
     got1 = apply(qm1, -ONE)
     got2 = apply(ONE, ONE)
-    checks = (
+    return (
         ("eigenvector_scaling", got1 == (lam1 * qm1, lam1 * -ONE)),
         ("eigenvector_diagonal", got2 == (lam2 * ONE, lam2 * ONE)),
         ("trace", m.trace() == lam1 + lam2),
@@ -212,4 +198,3 @@ def eigen_verify(data: TransferData | None = None) -> CheckReport:
             m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0) == lam1 * lam2,
         ),
     )
-    return CheckReport(checks)

@@ -106,6 +106,12 @@ class TestNaiveEngine:
         with pytest.raises(BudgetExceeded):
             count_naive(F5, 3, guard=10**6)
 
+    @pytest.mark.parametrize("field,genus,tuples", [(F2, 4, 2**8), (F5, 2, 20**4)])
+    def test_budget_boundary(self, field, genus, tuples):
+        assert count_naive(field, genus, guard=tuples).count == count_closed(field.order, genus)
+        with pytest.raises(BudgetExceeded, match=rf"g = {genus}, .*\(guard {tuples - 1}\)"):
+            count_naive(field, genus, guard=tuples - 1)
+
     def test_record_fields(self):
         rec = count_naive(F4, 1)
         assert (rec.p, rec.n, rec.q, rec.genus, rec.engine) == (2, 2, 4, 1, "naive")
@@ -161,6 +167,12 @@ class TestClosedForm:
     )
     def test_reference_values(self, q, genus, expected):
         assert count_closed(q, genus) == expected
+
+    def test_budget(self):
+        # 4g times the bits of q bounds the bits of the count: 4 * 2 * 5 for q = 16
+        assert count_closed(16, 2, guard=40) == 16**3 * (15**4 + 15)
+        with pytest.raises(BudgetExceeded, match=r"\(guard 39\)"):
+            count_closed(16, 2, guard=39)
 
 
 class TestEngineAgreement:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, m
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
 
+ROOT = Path(__file__).resolve().parents[1]
 
 def run_cli(capsys, argv):
     code = main(argv)
@@ -32,10 +34,10 @@ class TestCount:
     def test_semi_engine_json(self, capsys):
         code, out, _ = run_cli(capsys, ["count", "--field", "3^2", "--genus", "2"])
         assert code == 0
-        payload = json.loads(out)
-        assert payload["count"] == "2991816"
-        assert isinstance(payload["count"], str)
-        assert (payload["p"], payload["n"], payload["q"]) == (3, 2, 9)
+        results = json.loads(out)["results"]
+        assert results["count"] == "2991816"
+        assert isinstance(results["count"], str)
+        assert (results["p"], results["n"], results["q"]) == (3, 2, 9)
 
     @pytest.mark.parametrize("engine", ["naive", "semi", "closed", "generic"])
     def test_engines_agree(self, capsys, engine):
@@ -43,7 +45,7 @@ class TestCount:
             capsys, ["count", "--field", "3", "--genus", "1", "--engine", engine]
         )
         assert code == 0
-        assert json.loads(out)["count"] == "18"
+        assert json.loads(out)["results"]["count"] == "18"
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
@@ -59,7 +61,7 @@ class TestCount:
             capsys, ["count", "--field", "2^3", "--genus", "1", "--show-modulus"]
         )
         assert code == 0
-        assert json.loads(out)["modulus"] == "X^3 + X^2 + 1"
+        assert json.loads(out)["results"]["modulus"] == "X^3 + X^2 + 1"
 
     def test_bad_field_descriptor(self, capsys):
         code, _, err = run_cli(capsys, ["count", "--field", "x", "--genus", "1"])
@@ -77,6 +79,25 @@ class TestCount:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "field,genus,engine,named",
+        [
+            ("2^12", "1000000000", "naive", "|G| = 16773120 and g = 1000000000"),
+            ("2^12", "20000", "naive", "|G| = 16773120 and g = 20000"),
+            ("3", "100000000", "closed", "4g = 400000000"),
+        ],
+    )
+    def test_guard_without_building_the_bound(self, capsys, field, genus, engine, named):
+        # the guard decides before it builds |G|^2g or the closed-form count
+        t0 = time.perf_counter()
+        argv = ["count", "--field", field, "--genus", genus, "--engine", engine]
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err and "(guard 100000000)" in err
+        assert len(err.splitlines()) == 1
+
     def test_determinism(self, capsys):
         argv = ["count", "--field", "2^2", "--genus", "2"]
         _, out1, _ = run_cli(capsys, argv)
@@ -89,27 +110,27 @@ class TestEPoly:
     def test_genus_one_default_plan(self, capsys):
         code, out, _ = run_cli(capsys, ["epoly", "--genus", "1"])
         assert code == 0
-        payload = json.loads(out)
-        assert payload["epoly"] == "q^3 - q^2"
-        assert payload["degree"] == 3
-        assert payload["plan"] == [2, 3, 4, 5]
-        assert [c["count"] for c in payload["counts"]] == ["4", "18", "48", "100"]
+        results = json.loads(out)["results"]
+        assert results["epoly"] == "q^3 - q^2"
+        assert results["degree"] == 3
+        assert results["plan"] == [2, 3, 4, 5]
+        assert [c["count"] for c in results["counts"]] == ["4", "18", "48", "100"]
 
     def test_explicit_plan(self, capsys):
         code, out, _ = run_cli(
             capsys, ["epoly", "--genus", "1", "--plan", "2,3,4,5,7"]
         )
         assert code == 0
-        assert json.loads(out)["epoly"] == "q^3 - q^2"
+        assert json.loads(out)["results"]["epoly"] == "q^3 - q^2"
 
     def test_csv_ingestion(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("q,count\n2,4\n3,18\n4,48\n5,100\n")
         code, out, _ = run_cli(capsys, ["epoly", "--genus", "1", "--counts", str(path)])
         assert code == 0
-        payload = json.loads(out)
-        assert payload["epoly"] == "q^3 - q^2"
-        assert all(c["engine"] == "csv" for c in payload["counts"])
+        results = json.loads(out)["results"]
+        assert results["epoly"] == "q^3 - q^2"
+        assert all(c["engine"] == "csv" for c in results["counts"])
 
     def test_corrupted_csv_counts_fail(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
@@ -124,6 +145,16 @@ class TestEPoly:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "line 3" in err
+
+    def test_csv_abscissa_not_a_prime_power_fails(self, capsys, tmp_path):
+        # q^3 - q^2 fits these rows, so only the prime-power check can reject them
+        path = tmp_path / "counts.csv"
+        path.write_text("2,4\n3,18\n4,48\n6,180\n")
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "1", "--counts", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "6" in err and "prime power" in err
+        assert len(err.splitlines()) == 1
 
     def test_bad_plan_token(self, capsys):
         code, out, err = run_cli(capsys, ["epoly", "--genus", "1", "--plan", "2,3,x"])
@@ -150,7 +181,7 @@ class TestTqft:
     def test_genus_four_matches_stratification(self, capsys):
         code, out, _ = run_cli(capsys, ["tqft", "--genus", "4"])
         assert code == 0
-        assert json.loads(out)["virtual_class"] == str(rep_class(4))
+        assert json.loads(out)["results"]["virtual_class"] == str(rep_class(4))
 
     def test_checks_and_matrix(self, capsys):
         code, out, _ = run_cli(
@@ -159,33 +190,42 @@ class TestTqft:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["matrix"][0][0] == "q^5 - 2q^4 + q^3"
-        assert all(payload["checks"].values())
-        assert payload["reconstructed"]["c"] == "1"
+        assert payload["results"]["matrix"][0][0] == "q^5 - 2q^4 + q^3"
+        assert all(c["pass"] for c in payload["checks"])
+        assert [c["name"] for c in payload["checks"]] == [
+            "eigenvector_scaling",
+            "eigenvector_diagonal",
+            "trace",
+            "determinant",
+            "reconstruction_roundtrip",
+        ]
+        assert payload["results"]["reconstructed"]["c"] == "1"
         assert "caveat" in payload
 
-    @pytest.mark.parametrize("command", ["tqft", "classes"])
+    @pytest.mark.parametrize("command", ["tqft", "classes", "verify"])
     def test_guard(self, capsys, command):
+        genus_flag = "--genus-max" if command == "verify" else "--genus"
         t0 = time.perf_counter()
-        code, out, err = run_cli(capsys, [command, "--genus", "100000", "--guard", "1"])
+        code, out, err = run_cli(capsys, [command, genus_flag, "100000", "--guard", "1"])
         assert time.perf_counter() - t0 < 1
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "160000000000" in err and "guard 1)" in err
+        assert len(err.splitlines()) == 1
 
     def test_default_guard_admits_genus_240(self, capsys):
         code, out, _ = run_cli(capsys, ["tqft", "--genus", "240"])
         assert code == 0
-        assert json.loads(out)["virtual_class"] == str(rep_class(240))
+        assert json.loads(out)["results"]["virtual_class"] == str(rep_class(240))
 
 
 class TestClasses:
     def test_genus_one(self, capsys):
         code, out, _ = run_cli(capsys, ["classes", "--genus", "1"])
         assert code == 0
-        payload = json.loads(out)
-        assert payload["representation"] == "q^3 - q^2"
-        assert payload["moduli"] == payload["character"] == "q^2 - 2q + 1"
+        results = json.loads(out)["results"]
+        assert results["representation"] == "q^3 - q^2"
+        assert results["moduli"] == results["character"] == "q^2 - 2q + 1"
 
 
 class TestTable:
@@ -268,7 +308,71 @@ class TestPretty:
     def test_pretty_table_lines(self, capsys):
         code, out, _ = run_cli(capsys, ["classes", "--genus", "2", "--pretty"])
         assert code == 0
-        assert "representation variety" in out
+        assert out.splitlines() == [
+            "representation: q^7 - 4q^6 + 6q^5 - 3q^4",
+            "moduli: q^4 - 4q^3 + 6q^2 - 4q + 1",
+            "character: q^4 - 4q^3 + 6q^2 - 4q + 1",
+            "all checks pass",
+        ]
+
+    def test_pretty_nested_results_and_checks(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["tqft", "--genus", "1", "--show-matrix", "--reconstruct", "--pretty"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["virtual_class: q^3 - q^2", "matrix:"]
+        assert lines[2] == '  ["q^5 - 2q^4 + q^3", "q^6 - 4q^5 + 5q^4 - 2q^3"]'
+        assert "reconstructed:" in lines and "  c: 1" in lines
+        assert lines[-2].startswith("pass  reconstruction_roundtrip")
+        assert lines[-1] == "all checks pass"
+
+    def test_pretty_rows(self, capsys):
+        code, out, _ = run_cli(capsys, ["epoly", "--genus", "1", "--engine", "closed", "--pretty"])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["plan: [2, 3, 4, 5]", "counts:"]
+        assert lines[2].startswith('  {"p": 2, "n": 1, "q": 2, "genus": 1, "count": "4"')
+        assert "epoly: q^3 - q^2" in lines and "degree: 3" in lines
+
+
+def _load_benchmark_checker() -> types.ModuleType:
+    # executed from its source, so nothing is written next to it
+    path = ROOT / "perfbench" / "checker.py"
+    module = types.ModuleType("benchmark_checker")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestOneReportSchema:
+    """Every subcommand's JSON passes the benchmark's own output checker."""
+
+    @pytest.fixture(scope="class")
+    def checker(self):
+        module = _load_benchmark_checker()
+        return module.Checker(module.load_golden(ROOT))
+
+    # the benchmark workloads' argv, tqft shrunk from genus 240
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--engine", "naive", "--genus", "1", "--field", "7"],
+            ["epoly", "--genus", "14", "--engine", "closed"],
+            ["epoly", "--genus", "1", "--engine", "closed", "--plan", "2048,2187,3125,4096"],
+            ["tqft", "--genus", "24", "--verify-eigen", "--reconstruct"],
+            ["classes", "--genus", "240"],
+            ["table", "--extend"],
+            ["verify", "--genus-max", "2"],
+        ],
+        ids=["count", "epoly", "epoly-plan", "tqft", "classes", "table", "verify"],
+    )
+    def test_checker_accepts(self, capsys, checker, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert checker.problems(argv, code, out) == []
+        payload = json.loads(out)
+        assert set(payload) == {"command", "version", "inputs", "results", "checks", "caveat"}
+        assert payload["command"] == argv[0]
+        assert err == ""
 
 
 class TestUsageErrors:
