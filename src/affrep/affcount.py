@@ -20,12 +20,12 @@ agreement between them is a genuine cross-check, not a tautology.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import time
 from typing import Sequence
 
+from .exactpoly import Immutable
 from .finitefield import FieldMismatch, FieldSpec, FqElem
 
 DEFAULT_GUARD = 10**8
@@ -39,18 +39,28 @@ class InvalidGroupTable(ValueError):
     """The supplied multiplication table is not a group."""
 
 
-@dataclasses.dataclass(frozen=True)
-class AffElem:
+class AffElem(Immutable):
     """The affine map x |-> a*x + b with a nonzero, as a pair (a, b)."""
 
+    __slots__ = ("a", "b")
     a: FqElem
     b: FqElem
 
-    def __post_init__(self):
-        if self.a.field != self.b.field:
+    def __init__(self, a: FqElem, b: FqElem):
+        if a.field != b.field:
             raise FieldMismatch("components of an affine element must share a field")
-        if self.a.is_zero():
+        if a.is_zero():
             raise ValueError("the scaling component of an affine element must be nonzero")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not AffElem:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self):
+        return hash((self.a, self.b))
 
     @property
     def field(self) -> FieldSpec:
@@ -83,23 +93,28 @@ def aff_elements(field: FieldSpec) -> list[AffElem]:
     return [AffElem(a, b) for a in elems if not a.is_zero() for b in elems]
 
 
-@dataclasses.dataclass
 class CountRecord:
     """One point count, tagged with the field, genus and engine that produced it."""
 
-    p: int
-    n: int
-    q: int
-    genus: int
-    count: int
-    engine: str
-    elapsed: float
+    __slots__ = ("p", "n", "q", "genus", "count", "engine", "elapsed")
 
-    def __post_init__(self):
-        if self.q != self.p**self.n:
+    def __init__(
+        self, p: int, n: int, q: int, genus: int, count: int, engine: str, elapsed: float
+    ):
+        if q != p**n:
             raise ValueError("q must equal p^n")
-        if self.count < 0:
+        if count < 0:
             raise ValueError("count must be non-negative")
+        self.p, self.n, self.q = p, n, q
+        self.genus, self.count, self.engine, self.elapsed = genus, count, engine, elapsed
+
+    def __eq__(self, other):
+        if other.__class__ is not CountRecord:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def _fields(self) -> tuple:
+        return (self.p, self.n, self.q, self.genus, self.count, self.engine, self.elapsed)
 
     def as_json(self) -> dict:
         # count as a decimal string: consumers with 53-bit doubles must not truncate it
@@ -343,7 +358,9 @@ def count_points(
 ) -> CountRecord:
     """Run the selected engine and wrap the result in a :class:`CountRecord`."""
     if engine in ("naive", "generic"):
-        return dataclasses.replace(count_naive(field, genus, guard), engine=engine)
+        record = count_naive(field, genus, guard)
+        record.engine = engine
+        return record
     if engine == "semi":
         return count_semi(field, genus, guard)
     if engine == "closed":

@@ -19,7 +19,6 @@ truncate them.  Exit status is 0 exactly when every reported check passes.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -36,7 +35,7 @@ from .affcount import (
     count_points,
     count_semi,
 )
-from .exactpoly import ONE, PolyMatrix
+from .exactpoly import ONE, PolyMatrix, power_charge
 from .finitefield import make_field, parse_descriptor
 from .geomstrat import character_class, moduli_class, rep_class
 from .interpolate import (
@@ -62,7 +61,6 @@ GOLDEN_SHA256 = "b92b7e5c8263bcf2b9cfb9f8b1b73ed2cd2ebb4c3b12641abe867e1a5b6f257
 EXTEND_CELLS = ((1, 7), (1, 8), (1, 9), (1, 11), (2, 13), (2, 16), (2, 17), (2, 19))
 
 
-@dataclasses.dataclass
 class Report:
     """Machine-readable outcome of a command: inputs, results and checks.
 
@@ -70,13 +68,27 @@ class Report:
     result uses; ``rows`` is what ``--output csv`` writes.
     """
 
-    command: str
-    inputs: dict
-    results: dict
-    checks: list[dict] = dataclasses.field(default_factory=list)
-    rows: list[dict] = dataclasses.field(default_factory=list)
-    caveat: str = LOCALIZATION_CAVEAT
-    version: str = __version__
+    __slots__ = ("command", "inputs", "results", "checks", "rows", "caveat", "version")
+
+    def __init__(
+        self,
+        command: str,
+        inputs: dict,
+        results: dict,
+        checks: list[dict] | None = None,
+        rows: list[dict] | None = None,
+        caveat: str = LOCALIZATION_CAVEAT,
+        version: str = __version__,
+    ):
+        self.command, self.inputs, self.results = command, inputs, results
+        self.checks = [] if checks is None else checks
+        self.rows = [] if rows is None else rows
+        self.caveat, self.version = caveat, version
+
+    def __eq__(self, other):
+        if other.__class__ is not Report:
+            return NotImplemented
+        return (self.rows, self.as_json()) == (other.rows, other.as_json())
 
     @property
     def passed(self) -> bool:
@@ -119,19 +131,29 @@ def load_golden_table(path: str | None = None) -> tuple[list[tuple[int, int, int
     return cells, checksum_ok
 
 
-def _field_for_order(q: int):
-    decomposition = prime_power(q)
+def _field_for_order(q: int, guard: int = DEFAULT_GUARD):
+    decomposition = prime_power(q, guard)
     if decomposition is None:
         raise ValueError(f"{q} is not a prime power")
     return make_field(*decomposition)
 
 
-def _check_polynomial_budget(genus: int, guard: int) -> None:
-    products = (4 * genus) ** 2
-    if products > guard:
+# power_charge parameters (entry products, lowest power, degree, coefficient
+# bits) of the 2x2 holed-torus matrix, whose entries span q^3..q^6 with
+# coefficients of at most 3 bits, and of q - 1
+TRANSFER_POWER = (8, 3, 6, 3)
+SCALING_POWER = (1, 0, 1, 1)
+
+
+def _one_power_charge(exponent: int, power: tuple[int, int, int, int]) -> int:
+    return power_charge(exponent, *power) - power_charge(exponent - 1, *power)
+
+
+def _check_polynomial_budget(genus: int, charge: int, powers: str, guard: int) -> None:
+    if charge > guard:
         raise BudgetExceeded(
-            f"genus {genus} needs {products} coefficient products, (4g)^2 for one product "
-            f"of two degree-4g polynomials (guard {guard})"
+            f"genus {genus} needs {charge} coefficient products, weighted by 64-bit words, "
+            f"for {powers} (guard {guard})"
         )
 
 
@@ -162,14 +184,14 @@ def cmd_epoly(
     if counts_file:
         samples = samples_from_csv(counts_file)
         for q, _ in samples:
-            if prime_power(q) is None:
+            if prime_power(q, guard) is None:
                 raise ValueError(f"sample abscissa {q} is not a prime power")
         epoly = epoly_from_samples(genus, samples)
         counts = [{"q": q, "count": str(c), "engine": "csv"} for q, c in samples]
     else:
         if plan_text:
             try:
-                plan = plan_from_text(genus, plan_text)
+                plan = plan_from_text(genus, plan_text, guard)
             except ValueError as exc:
                 raise ValueError(f"--plan {plan_text!r}: {exc}") from None
         else:
@@ -201,7 +223,8 @@ def cmd_tqft(
     guard: int = DEFAULT_GUARD,
 ) -> Report:
     """Transfer-matrix class of the genus-g surface, with optional identity checks."""
-    _check_polynomial_budget(genus, guard)
+    charge = _one_power_charge(genus, TRANSFER_POWER)
+    _check_polynomial_budget(genus, charge, "the transfer-matrix power M^g", guard)
     data = build_transfer()
     results: dict = {"virtual_class": str(close_surface(genus, data))}
     checks = []
@@ -227,7 +250,8 @@ def cmd_tqft(
 
 def cmd_classes(genus: int, guard: int = DEFAULT_GUARD) -> Report:
     """Representation, moduli and character classes for one genus."""
-    _check_polynomial_budget(genus, guard)
+    charge = 3 * _one_power_charge(2 * genus, SCALING_POWER)
+    _check_polynomial_budget(genus, charge, "three powers (q - 1)^2g", guard)
     results = {
         "representation": str(rep_class(genus)),
         "moduli": str(moduli_class(genus)),
@@ -250,7 +274,7 @@ def cmd_table(
         targets += [("extend", g, q, count_closed(q, g), "closed form") for g, q in EXTEND_CELLS]
     computed_cells = []
     for kind, genus, q, expected, source in targets:
-        count = count_semi(_field_for_order(q), genus, guard=guard).count
+        count = count_semi(_field_for_order(q, guard), genus, guard=guard).count
         details = f"{source} {expected}, counted {count}"
         checks.append(_check(f"{kind}_g{genus}_q{q}", count == expected, details))
         computed_cells.append(
@@ -264,7 +288,8 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     """Cross-check the three methods up to the requested genus."""
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
-    _check_polynomial_budget(genus_max, guard)
+    charge = power_charge(genus_max, *TRANSFER_POWER)
+    _check_polynomial_budget(genus_max, charge, "the transfer-matrix powers M^1 to M^g", guard)
     checks = []
     data = build_transfer()
     for g in range(1, genus_max + 1):

@@ -11,7 +11,6 @@ with a valid degree.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Iterable, Iterator
 
@@ -22,6 +21,29 @@ class NotDivisible(ArithmeticError):
 
 class DimensionMismatch(ValueError):
     """Matrix shapes are incompatible for the requested operation."""
+
+
+class Immutable:
+    """Base of the value classes whose fields are set once, in ``__init__``.
+
+    Subclasses declare ``__slots__`` and assign each field through
+    ``object.__setattr__``; any later assignment or deletion raises
+    :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the fields through here, past __setattr__
+        _, fields = state
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
 def _render(coeffs, var: str = "q") -> str:
@@ -47,8 +69,7 @@ def _render(coeffs, var: str = "q") -> str:
     return "".join(parts)
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class IntPoly:
+class IntPoly(Immutable):
     """A polynomial in q with arbitrary-precision integer coefficients.
 
     >>> IntPoly([-1, 0, 1])
@@ -57,6 +78,7 @@ class IntPoly:
     IntPoly('q^3 - q')
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -64,6 +86,14 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __eq__(self, other):
+        if other.__class__ is not IntPoly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int | None:
@@ -175,10 +205,10 @@ ONE = IntPoly([1])
 Q = IntPoly([0, 1])
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class PolyMatrix:
+class PolyMatrix(Immutable):
     """A rows x cols matrix over :class:`IntPoly`, stored row-major."""
 
+    __slots__ = ("rows", "cols", "entries")
     rows: int
     cols: int
     entries: tuple[IntPoly, ...]
@@ -194,6 +224,14 @@ class PolyMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", es)
+
+    def __eq__(self, other):
+        if other.__class__ is not PolyMatrix:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[IntPoly | int]]) -> PolyMatrix:
@@ -262,3 +300,41 @@ class PolyMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self) + "]"
+
+
+def power_charge(n: int, entry_products: int, low: int, degree: int, bits: int) -> int:
+    """Weighted coefficient products of computing x**1, x**2, ..., x**n, summed.
+
+    Follows the repeated squaring of :meth:`IntPoly.__pow__` and
+    :meth:`PolyMatrix.__pow__`: for exponent e, step j (k = 2^j <= e) first
+    multiplies x^r by x^k when bit j of e is set (r = e mod k, x^0 being the
+    identity), then squares x^k.  The nonzero coefficients of x lie in
+    q^low..q^degree and have at most ``bits`` bits; those of x^k are taken to
+    lie in q^(k low)..q^(k degree) with at most k * bits bits.  Multiplying
+    x^a by x^b makes ``entry_products`` polynomial products (1 for a
+    polynomial, 8 for a 2x2 matrix), each of (a (degree - low) + 1)(b degree + 1)
+    coefficient products, as :meth:`IntPoly.__mul__` skips the zero
+    coefficients of its left factor only.  Each coefficient product is
+    weighted by the 64-bit words of its wider factor: up to about a thousand
+    bits, an integer product inside that loop measures about that many times
+    a word-sized one, as the loop, not the multiplication, dominates.
+
+    Each step is summed over every exponent up to n in closed form, so the
+    charge for one exponent e is ``power_charge(e, ...) - power_charge(e - 1, ...)``.
+    """
+    span = degree - low
+
+    def left_terms(count: int) -> int:
+        # sum of r * span + 1 over r < count: coefficient counts of x^r
+        return span * count * (count - 1) // 2 + count
+
+    total, k = 0, 1
+    while k <= n:
+        # x^k is squared for every e >= k, and multiplies x^r for every e with
+        # bit j set: e = 2km + k + r, so each full block of 2k exponents in
+        # 0..n gives r = 0..k-1 once and the partial block gives r < rest - k
+        full, rest = divmod(n + 1, 2 * k)
+        lefts = (n - k + 1) * (k * span + 1) + full * left_terms(k) + left_terms(max(0, rest - k))
+        total += entry_products * (k * degree + 1) * -(-k * bits // 64) * lefts
+        k *= 2
+    return total

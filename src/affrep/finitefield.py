@@ -10,10 +10,11 @@ checked by exhaustive trial division.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from math import isqrt
 from typing import Iterator, Sequence
+
+from .exactpoly import Immutable, _render
 
 DEFAULT_MAX_ORDER = 4096
 
@@ -66,17 +67,30 @@ def _is_irreducible(poly: Sequence[int], p: int) -> bool:
     return True
 
 
-@dataclasses.dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Immutable):
     """The field F_{p^n} presented as F_p[X] modulo a monic irreducible polynomial.
 
     ``modulus`` is a low-to-high coefficient tuple of length n + 1 with
     leading coefficient 1.
     """
 
+    __slots__ = ("p", "n", "modulus")
     p: int
     n: int
     modulus: tuple[int, ...]
+
+    def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.p == other.p and self.n == other.n and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash((self.p, self.n, self.modulus))
 
     @property
     def order(self) -> int:
@@ -87,8 +101,6 @@ class FieldSpec:
         return f"{self.p}^{self.n}"
 
     def modulus_text(self) -> str:
-        from .exactpoly import _render
-
         return _render(self.modulus, var="X")
 
     def element(self, coeffs: Sequence[int]) -> FqElem:
@@ -130,14 +142,17 @@ def make_field(
     """Build F_{p^n}, picking the lex-smallest irreducible modulus by default.
 
     An explicit ``modulus`` (low-to-high, monic, degree n) may be supplied;
-    it is validated for irreducibility.
+    it is validated for irreducibility.  The order bound is checked before
+    primality, so a huge p is refused without trial division; as p^n >= 2^n,
+    an n beyond the bit length of ``max_order`` is refused without building
+    p^n.
     """
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**n > max_order:
+    if p >= 2 and (n > max_order.bit_length() or p**n > max_order):
         raise OrderTooLarge(f"{p}^{n} exceeds the enumeration bound {max_order}")
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if modulus is not None:
         mod = tuple(c % p for c in modulus)
         if len(mod) != n + 1 or mod[-1] != 1:
@@ -173,18 +188,33 @@ def parse_descriptor(text: str) -> tuple[int, int]:
     return p, n
 
 
-@dataclasses.dataclass(frozen=True)
-class FqElem:
+class FqElem(Immutable):
     """An element of a :class:`FieldSpec`, as n residues modulo p."""
 
+    __slots__ = ("field", "coeffs")
     field: FieldSpec
     coeffs: tuple[int, ...]
+
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not FqElem:
+            return NotImplemented
+        # the field test is the costlier one, and an identical field skips it
+        return self.coeffs == other.coeffs and (
+            self.field is other.field or self.field == other.field
+        )
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def _check(self, other: FqElem) -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(
                 f"elements of F_{self.field.descriptor()} and F_{other.field.descriptor()}"
             )
@@ -242,8 +272,6 @@ class FqElem:
         return k
 
     def __str__(self) -> str:
-        from .exactpoly import _render
-
         return _render(self.coeffs, var="t")
 
     def __repr__(self) -> str:

@@ -12,12 +12,12 @@ coefficients and agreement at every surplus sample point.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import itertools
+from math import isqrt
 from typing import Sequence
 
-from .affcount import DEFAULT_GUARD, CountRecord, count_points
-from .exactpoly import IntPoly
+from .affcount import DEFAULT_GUARD, BudgetExceeded, CountRecord, count_points
+from .exactpoly import Immutable, IntPoly
 from .finitefield import DEFAULT_MAX_ORDER, make_field
 
 
@@ -83,11 +83,21 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], degree_bound: int) -
     return result
 
 
-def prime_power(m: int) -> tuple[int, int] | None:
-    """Decompose m as p^k for prime p, or return None."""
+def prime_power(m: int, guard: int = DEFAULT_GUARD) -> tuple[int, int] | None:
+    """Decompose m as p^k for prime p, or return None.
+
+    The smallest prime factor is found by trial division up to isqrt(m);
+    raises :class:`BudgetExceeded` naming m when those isqrt(m) - 1
+    divisions exceed ``guard``.
+    """
     if m < 2:
         return None
-    p = next((d for d in range(2, m + 1) if m % d == 0), m)
+    divisions = isqrt(m) - 1
+    if divisions > guard:
+        raise BudgetExceeded(
+            f"abscissa {m} needs up to {divisions} trial divisions to factor (guard {guard})"
+        )
+    p = next((d for d in range(2, divisions + 2) if m % d == 0), m)
     k = 0
     while m % p == 0:
         m //= p
@@ -112,25 +122,38 @@ def smallest_prime_powers(count: int) -> tuple[int, ...]:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class SamplePlan:
-    """Which prime powers to count over for a given genus."""
+class SamplePlan(Immutable):
+    """Which prime powers to count over for a given genus.
 
+    ``guard`` bounds the trial division that checks each prime power.
+    """
+
+    __slots__ = ("genus", "prime_powers")
     genus: int
     prime_powers: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.genus < 1:
+    def __init__(self, genus: int, prime_powers: tuple[int, ...], guard: int = DEFAULT_GUARD):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "prime_powers", prime_powers)
+        if genus < 1:
             raise ValueError("genus must be >= 1")
-        if len(set(self.prime_powers)) != len(self.prime_powers):
+        if len(set(prime_powers)) != len(prime_powers):
             raise DuplicateAbscissa("plan prime powers must be pairwise distinct")
-        if len(self.prime_powers) < self.degree_bound + 1:
+        if len(prime_powers) < self.degree_bound + 1:
             raise ValueError(
-                f"plan needs at least {self.degree_bound + 1} prime powers for genus {self.genus}"
+                f"plan needs at least {self.degree_bound + 1} prime powers for genus {genus}"
             )
-        for m in self.prime_powers:
-            if prime_power(m) is None:
+        for m in prime_powers:
+            if prime_power(m, guard) is None:
                 raise ValueError(f"{m} is not a prime power")
+
+    def __eq__(self, other):
+        if other.__class__ is not SamplePlan:
+            return NotImplemented
+        return (self.genus, self.prime_powers) == (other.genus, other.prime_powers)
+
+    def __hash__(self):
+        return hash((self.genus, self.prime_powers))
 
     @property
     def degree_bound(self) -> int:
@@ -150,14 +173,19 @@ def default_plan(genus: int) -> SamplePlan:
     return SamplePlan(genus, powers)
 
 
-@dataclasses.dataclass
 class EPolyResult:
     """Counting polynomial recovered from a plan's point counts."""
 
-    genus: int
-    plan: SamplePlan
-    records: list[CountRecord]
-    epoly: IntPoly
+    __slots__ = ("genus", "plan", "records", "epoly")
+
+    def __init__(self, genus: int, plan: SamplePlan, records: list[CountRecord], epoly: IntPoly):
+        self.genus, self.plan, self.records, self.epoly = genus, plan, records, epoly
+
+    def __eq__(self, other):
+        if other.__class__ is not EPolyResult:
+            return NotImplemented
+        mine = (self.genus, self.plan, self.records, self.epoly)
+        return mine == (other.genus, other.plan, other.records, other.epoly)
 
 
 def epoly_from_samples(genus: int, samples: Sequence[tuple[int, int]]) -> IntPoly:
@@ -195,7 +223,7 @@ def epoly_from_counts(
         raise ValueError(f"plan is for genus {plan.genus}, not {genus}")
     records = []
     for m in plan.prime_powers:
-        p, k = prime_power(m)  # plan validation guarantees this decomposes
+        p, k = prime_power(m, guard)  # plan validation guarantees this decomposes
         field = make_field(p, k)
         records.append(count_points(field, genus, engine=engine, guard=guard))
     samples = [(rec.q, rec.count) for rec in records]
@@ -230,10 +258,11 @@ def samples_from_csv(path: str) -> list[tuple[int, int]]:
     return out
 
 
-def plan_from_text(genus: int, text: str) -> SamplePlan:
+def plan_from_text(genus: int, text: str, guard: int = DEFAULT_GUARD) -> SamplePlan:
     """Parse a comma-separated prime-power list into a plan.
 
-    A token that is not an integer raises :class:`ValueError` naming it.
+    A token that is not an integer raises :class:`ValueError` naming it;
+    ``guard`` bounds the prime-power checks as in :class:`SamplePlan`.
     """
     powers = []
     for tok in filter(str.strip, text.split(",")):
@@ -241,4 +270,4 @@ def plan_from_text(genus: int, text: str) -> SamplePlan:
             powers.append(int(tok))
         except ValueError:
             raise ValueError(f"{tok.strip()!r} is not an integer") from None
-    return SamplePlan(genus, tuple(powers))
+    return SamplePlan(genus, tuple(powers), guard)

@@ -15,9 +15,7 @@ q and q - 1 in the Grothendieck ring (see :data:`LOCALIZATION_CAVEAT`).
 
 from __future__ import annotations
 
-import dataclasses
-
-from .exactpoly import ONE, Q, IntPoly, PolyMatrix
+from .exactpoly import ONE, Q, Immutable, IntPoly, PolyMatrix
 from .geomstrat import GenusOutOfRange
 
 LOCALIZATION_CAVEAT = (
@@ -34,24 +32,77 @@ class ReconstructionError(ValueError):
     """The genus 1-3 data is inconsistent with a rank-2 transfer matrix."""
 
 
-@dataclasses.dataclass(frozen=True)
-class CircleState:
+class CircleState(Immutable):
     """Coordinates of a circle state over the two module generators."""
 
+    __slots__ = ("c_i", "c_j")
     c_i: IntPoly  # coefficient of the generator supported at the identity
     c_j: IntPoly  # coefficient of the generator on the punctured translations
 
+    def __init__(self, c_i: IntPoly, c_j: IntPoly):
+        object.__setattr__(self, "c_i", c_i)
+        object.__setattr__(self, "c_j", c_j)
 
-@dataclasses.dataclass(frozen=True)
-class TransferData:
+    def __eq__(self, other):
+        if other.__class__ is not CircleState:
+            return NotImplemented
+        return (self.c_i, self.c_j) == (other.c_i, other.c_j)
+
+    def __hash__(self):
+        return hash((self.c_i, self.c_j))
+
+
+class TransferData(Immutable):
     """The transfer matrix together with the fiber classes that assemble it."""
 
+    __slots__ = (
+        "matrix",
+        "group_class",
+        "fiber_identity",
+        "fiber_generic",
+        "fiber_identity_twisted",
+        "fiber_generic_twisted",
+    )
     matrix: PolyMatrix
     group_class: IntPoly
     fiber_identity: IntPoly  # commutator-map fiber over the identity
     fiber_generic: IntPoly  # commutator-map fiber over a nonzero translation
     fiber_identity_twisted: IntPoly  # same two fibers for the once-shifted map
     fiber_generic_twisted: IntPoly
+
+    def __init__(
+        self,
+        matrix: PolyMatrix,
+        group_class: IntPoly,
+        fiber_identity: IntPoly,
+        fiber_generic: IntPoly,
+        fiber_identity_twisted: IntPoly,
+        fiber_generic_twisted: IntPoly,
+    ):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "group_class", group_class)
+        object.__setattr__(self, "fiber_identity", fiber_identity)
+        object.__setattr__(self, "fiber_generic", fiber_generic)
+        object.__setattr__(self, "fiber_identity_twisted", fiber_identity_twisted)
+        object.__setattr__(self, "fiber_generic_twisted", fiber_generic_twisted)
+
+    def _fields(self) -> tuple:
+        return (
+            self.matrix,
+            self.group_class,
+            self.fiber_identity,
+            self.fiber_generic,
+            self.fiber_identity_twisted,
+            self.fiber_generic_twisted,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not TransferData:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 def build_transfer() -> TransferData:

@@ -98,6 +98,16 @@ class TestCount:
         assert err.startswith("error: ") and named in err and "(guard 100000000)" in err
         assert len(err.splitlines()) == 1
 
+    def test_huge_characteristic_is_refused_before_trial_division(self, capsys):
+        t0 = time.perf_counter()
+        argv = ["count", "--field", "1000000000000000003", "--genus", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and str(DEFAULT_MAX_ORDER) in err
+        assert len(err.splitlines()) == 1
+
     def test_determinism(self, capsys):
         argv = ["count", "--field", "2^2", "--genus", "2"]
         _, out1, _ = run_cli(capsys, argv)
@@ -156,6 +166,41 @@ class TestEPoly:
         assert err.startswith("error: ") and "6" in err and "prime power" in err
         assert len(err.splitlines()) == 1
 
+    def test_huge_plan_abscissa_fails_fast(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "1", "--plan", "2,3,4,1000000007"])
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "1000000007" in err
+        assert len(err.splitlines()) == 1
+
+    def test_csv_huge_prime_abscissa(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("".join(f"{q},{q**3 - q**2}\n" for q in (2, 3, 4, 1000000007)))
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["epoly", "--genus", "1", "--counts", str(path)])
+        assert time.perf_counter() - t0 < 1
+        assert code == 0
+        assert json.loads(out)["results"]["epoly"] == "q^3 - q^2"
+
+    @pytest.mark.parametrize("source", ["--plan", "--counts"])
+    def test_abscissa_over_the_guard(self, capsys, tmp_path, source):
+        # factoring 1000000007 takes up to isqrt(1000000007) - 1 = 31621 trial divisions
+        path = tmp_path / "counts.csv"
+        path.write_text("".join(f"{q},{q**3 - q**2}\n" for q in (2, 3, 4, 1000000007)))
+        value = "2,3,4,1000000007" if source == "--plan" else str(path)
+        argv = ["epoly", "--genus", "1", source, value, "--guard", "31620"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "abscissa 1000000007" in err and "31621" in err
+        assert len(err.splitlines()) == 1
+        # admitted one division later: the counts interpolate, while the plan
+        # goes on to fail on the field order bound
+        argv[-1] = "31621"
+        assert run_cli(capsys, argv)[0] == (1 if source == "--plan" else 0)
+
     def test_bad_plan_token(self, capsys):
         code, out, err = run_cli(capsys, ["epoly", "--genus", "1", "--plan", "2,3,x"])
         assert code == 1
@@ -204,14 +249,41 @@ class TestTqft:
 
     @pytest.mark.parametrize("command", ["tqft", "classes", "verify"])
     def test_guard(self, capsys, command):
+        # weighted coefficient products of M^g, three (q - 1)^2g, and M^1 to M^g
+        charge = {
+            "tqft": "3182856477638952",
+            "classes": "176827058624871",
+            "verify": "106277800614926786104",
+        }[command]
         genus_flag = "--genus-max" if command == "verify" else "--genus"
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, [command, genus_flag, "100000", "--guard", "1"])
         assert time.perf_counter() - t0 < 1
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "160000000000" in err and "guard 1)" in err
+        assert err.startswith("error: ") and charge in err and "guard 1)" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["tqft", "--genus", "800"], ["verify", "--genus-max", "400"]]
+    )
+    def test_default_guard_refuses(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "(guard 100000000)" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["classes", "--genus", "240"], ["verify", "--genus-max", "2"], ["verify"]]
+    )
+    def test_default_guard_admits(self, capsys, argv):
+        # these run in the benchmark's workloads, as does tqft at genus 240
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert json.loads(out)["command"] == argv[0]
 
     def test_default_guard_admits_genus_240(self, capsys):
         code, out, _ = run_cli(capsys, ["tqft", "--genus", "240"])
@@ -393,11 +465,11 @@ class TestUsageErrors:
         assert "usage:" in capsys.readouterr().err
 
 
-def test_startup_leaves_out_fractions_and_decimal():
+def test_startup_leaves_out_fractions_decimal_dataclasses_and_inspect():
     # every CLI command pays for what importing the CLI loads
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import affrep.cli; "
-        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & set(sys.modules)))"
     )
     src = str(Path(affrep.__file__).resolve().parents[1])
     out = subprocess.run(

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affrep.exactpoly import ONE, Q, ZERO, DimensionMismatch, IntPoly, NotDivisible, PolyMatrix
+from affrep.exactpoly import (
+    ONE,
+    Q,
+    ZERO,
+    DimensionMismatch,
+    IntPoly,
+    NotDivisible,
+    PolyMatrix,
+    power_charge,
+)
 
 QM1 = Q - ONE
 
@@ -174,6 +183,46 @@ class TestMatrices:
     def test_entry_count_checked(self):
         with pytest.raises(DimensionMismatch):
             PolyMatrix(2, 2, [ONE])
+
+
+def _schedule_charge(e, entry_products, low, degree, bits):
+    # power_charge's terms for one exponent, step by step as __pow__ runs them
+    charge, r, k = 0, 0, 1
+    while e:
+        words = -(-k * bits // 64)
+        if e & 1:
+            charge += entry_products * (r * (degree - low) + 1) * (k * degree + 1) * words
+            r += k
+        charge += entry_products * (k * (degree - low) + 1) * (k * degree + 1) * words
+        k, e = 2 * k, e >> 1
+    return charge
+
+
+class TestPowerCharge:
+    @pytest.mark.parametrize("power", [(8, 3, 6, 3), (1, 0, 1, 1), (2, 1, 5, 40)])
+    def test_closed_form_sums_the_schedule(self, power):
+        assert power_charge(0, *power) == 0
+        running = 0
+        for n in range(1, 140):
+            running += _schedule_charge(n, *power)
+            assert power_charge(n, *power) == running
+
+    def test_counts_the_coefficient_products_performed(self, monkeypatch):
+        # (q - 1)^e has no zero coefficient and, for e < 64, every weight is 1, so
+        # its charge is exactly what IntPoly.__mul__ runs: for each nonzero
+        # left coefficient, one product per right coefficient
+        performed = []
+        mul = IntPoly.__mul__
+
+        def counting_mul(self, other):
+            performed.append(sum(1 for c in self.coeffs if c) * len(other.coeffs))
+            return mul(self, other)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+        for e in range(1, 64):
+            performed.clear()
+            QM1**e
+            assert sum(performed) == power_charge(e, 1, 0, 1, 1) - power_charge(e - 1, 1, 0, 1, 1)
 
 
 class TestRendering:

@@ -1,6 +1,7 @@
 """Finite-field construction and exact arithmetic."""
 
 import itertools
+import time
 
 import pytest
 
@@ -47,6 +48,15 @@ class TestConstruction:
     def test_order_too_large(self):
         with pytest.raises(OrderTooLarge):
             make_field(2, 4, max_order=8)
+
+    def test_order_bound_before_primality(self):
+        # trial division of 10^18 + 3, or building 2^(10^9), would not finish
+        t0 = time.perf_counter()
+        with pytest.raises(OrderTooLarge):
+            make_field(10**18 + 3, 1)
+        with pytest.raises(OrderTooLarge):
+            make_field(2, 10**9)
+        assert time.perf_counter() - t0 < 1
 
     def test_explicit_reducible_modulus_rejected(self):
         with pytest.raises(ValueError):

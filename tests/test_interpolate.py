@@ -1,11 +1,13 @@
 """Exact interpolation of counting polynomials."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from affrep.affcount import BudgetExceeded
 from affrep.exactpoly import ONE, Q, IntPoly
 from affrep.geomstrat import rep_class
 from affrep.interpolate import (
@@ -117,6 +119,24 @@ class TestPrimePowers:
     )
     def test_decomposition(self, m, expected):
         assert prime_power(m) == expected
+
+    @pytest.mark.parametrize(
+        "m,expected",
+        [(1000000007, (1000000007, 1)), (3**30, (3, 30)), (1000003 * 1000033, None)],
+    )
+    def test_trial_division_stops_at_the_square_root(self, m, expected):
+        t0 = time.perf_counter()
+        assert prime_power(m) == expected
+        assert time.perf_counter() - t0 < 1
+
+    def test_guard_names_the_abscissa(self):
+        # factoring 10^18 + 3 would take up to 10^9 - 1 trial divisions
+        with pytest.raises(BudgetExceeded, match="abscissa 1000000000000000003 .* 999999999 "):
+            prime_power(10**18 + 3)
+        # isqrt(1009) - 1 = 30 divisions
+        with pytest.raises(BudgetExceeded, match="abscissa 1009 .* 30 .*guard 29"):
+            SamplePlan(1, (2, 3, 4, 1009), guard=29)
+        assert SamplePlan(1, (2, 3, 4, 1009), guard=30).prime_powers[-1] == 1009
 
     def test_smallest_prime_powers(self):
         assert smallest_prime_powers(12) == (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)

@@ -171,3 +171,29 @@ class TestEigenIdentities:
         det = m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
         assert trace == Q**2 + Q**2 * QM1**2
         assert det == Q**4 * QM1**2
+
+
+def _charge_shape(entries):
+    # lowest nonzero power, degree and widest coefficient over the entries
+    low = min(next(i for i, c in enumerate(e.coeffs) if c) for e in entries)
+    degree = max(e.degree for e in entries)
+    bits = max(abs(c).bit_length() for e in entries for c in e.coeffs)
+    return low, degree, bits
+
+
+class TestPolynomialGuardModel:
+    def test_parameters_match_the_powered_polynomials(self, data):
+        from affrep.cli import SCALING_POWER, TRANSFER_POWER
+
+        assert TRANSFER_POWER == (data.matrix.rows**3, *_charge_shape(data.matrix.entries))
+        assert SCALING_POWER == (1, *_charge_shape([QM1]))
+
+    def test_powers_stay_within_the_modelled_span_and_bits(self, data):
+        # power_charge takes x^k to span q^(k low)..q^(k degree) with k * bits bits
+        matrix, scaling = data.matrix, QM1
+        for k in range(1, 65):
+            low, degree, bits = _charge_shape(matrix.entries)
+            assert low >= 3 * k and degree <= 6 * k and bits <= 3 * k
+            low, degree, bits = _charge_shape([scaling])
+            assert low >= 0 and degree <= k and bits <= k
+            matrix, scaling = matrix @ data.matrix, scaling * QM1
