@@ -292,21 +292,22 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     _check_polynomial_budget(genus_max, charge, "the transfer-matrix powers M^1 to M^g", guard)
     checks = []
     data = build_transfer()
-    for g in range(1, genus_max + 1):
-        geometric, transfer = rep_class(g), close_surface(g, data)
-        details = f"{geometric} vs {transfer}"
-        checks.append(_check(f"stratification_vs_transfer_g{g}", geometric == transfer, details))
+    geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
+    for g, expected in geometric.items():
+        transfer = close_surface(g, data)
+        details = f"{expected} vs {transfer}"
+        checks.append(_check(f"stratification_vs_transfer_g{g}", expected == transfer, details))
     for g in range(1, min(genus_max, 3) + 1):
         interp = epoly_from_counts(g, guard=guard).epoly
         name = f"interpolation_vs_stratification_g{g}"
-        checks.append(_check(name, interp == rep_class(g), f"interpolated {interp}"))
+        checks.append(_check(name, interp == geometric[g], f"interpolated {interp}"))
     for g in range(1, min(genus_max, 2) + 1):
         for q in (2, 3, 4, 5):
             field = _field_for_order(q)
             naive = count_naive(field, g, guard=guard).count
             semi = count_semi(field, g, guard=guard).count
             checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
-    rep_classes = {str(g): str(rep_class(g)) for g in range(1, genus_max + 1)}
+    rep_classes = {str(g): str(expected) for g, expected in geometric.items()}
     inputs = {"genus_max": genus_max, "guard": guard}
     return Report("verify", inputs, {"rep_classes": rep_classes}, checks)
 

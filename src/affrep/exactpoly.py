@@ -148,8 +148,9 @@ class IntPoly(Immutable):
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def __call__(self, x: int) -> int:
@@ -265,7 +266,11 @@ class PolyMatrix(Immutable):
         return PolyMatrix(self.rows, other.cols, out)
 
     def __pow__(self, e: int) -> PolyMatrix:
-        """Matrix power by repeated squaring; ``A ** 0`` is the identity."""
+        """Matrix power by repeated squaring; ``A ** 0`` is the identity.
+
+        Squares only while exponent bits remain, so ``A ** e`` makes
+        ``e.bit_length() - 1`` squarings and one product per set bit of e.
+        """
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be raised to a power")
         if e < 0:
@@ -275,8 +280,9 @@ class PolyMatrix(Immutable):
         while e:
             if e & 1:
                 result = result @ base
-            base = base @ base
             e >>= 1
+            if e:
+                base = base @ base
         return result
 
     def scale(self, f: IntPoly | int) -> PolyMatrix:
@@ -308,16 +314,17 @@ def power_charge(n: int, entry_products: int, low: int, degree: int, bits: int) 
     Follows the repeated squaring of :meth:`IntPoly.__pow__` and
     :meth:`PolyMatrix.__pow__`: for exponent e, step j (k = 2^j <= e) first
     multiplies x^r by x^k when bit j of e is set (r = e mod k, x^0 being the
-    identity), then squares x^k.  The nonzero coefficients of x lie in
-    q^low..q^degree and have at most ``bits`` bits; those of x^k are taken to
-    lie in q^(k low)..q^(k degree) with at most k * bits bits.  Multiplying
-    x^a by x^b makes ``entry_products`` polynomial products (1 for a
-    polynomial, 8 for a 2x2 matrix), each of (a (degree - low) + 1)(b degree + 1)
-    coefficient products, as :meth:`IntPoly.__mul__` skips the zero
-    coefficients of its left factor only.  Each coefficient product is
-    weighted by the 64-bit words of its wider factor: up to about a thousand
-    bits, an integer product inside that loop measures about that many times
-    a word-sized one, as the loop, not the multiplication, dominates.
+    identity), then squares x^k if e has a bit above j, that is if e >= 2k.
+    The nonzero coefficients of x lie in q^low..q^degree and have at most
+    ``bits`` bits; those of x^k are taken to lie in q^(k low)..q^(k degree)
+    with at most k * bits bits.  Multiplying x^a by x^b makes
+    ``entry_products`` polynomial products (1 for a polynomial, 8 for a 2x2
+    matrix), each of (a (degree - low) + 1)(b degree + 1) coefficient
+    products, as :meth:`IntPoly.__mul__` skips the zero coefficients of its
+    left factor only.  Each coefficient product is weighted by the 64-bit
+    words of its wider factor: up to about a thousand bits, an integer
+    product inside that loop measures about that many times a word-sized
+    one, as the loop, not the multiplication, dominates.
 
     Each step is summed over every exponent up to n in closed form, so the
     charge for one exponent e is ``power_charge(e, ...) - power_charge(e - 1, ...)``.
@@ -330,11 +337,12 @@ def power_charge(n: int, entry_products: int, low: int, degree: int, bits: int) 
 
     total, k = 0, 1
     while k <= n:
-        # x^k is squared for every e >= k, and multiplies x^r for every e with
+        # x^k is squared for every e >= 2k, and multiplies x^r for every e with
         # bit j set: e = 2km + k + r, so each full block of 2k exponents in
         # 0..n gives r = 0..k-1 once and the partial block gives r < rest - k
         full, rest = divmod(n + 1, 2 * k)
-        lefts = (n - k + 1) * (k * span + 1) + full * left_terms(k) + left_terms(max(0, rest - k))
+        squares = max(0, n - 2 * k + 1)
+        lefts = squares * (k * span + 1) + full * left_terms(k) + left_terms(max(0, rest - k))
         total += entry_products * (k * degree + 1) * -(-k * bits // 64) * lefts
         k *= 2
     return total

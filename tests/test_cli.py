@@ -251,9 +251,9 @@ class TestTqft:
     def test_guard(self, capsys, command):
         # weighted coefficient products of M^g, three (q - 1)^2g, and M^1 to M^g
         charge = {
-            "tqft": "3182856477638952",
-            "classes": "176827058624871",
-            "verify": "106277800614926786104",
+            "tqft": "1282885889302824",
+            "classes": "71272331739495",
+            "verify": "32494143743063872584",
         }[command]
         genus_flag = "--genus-max" if command == "verify" else "--genus"
         t0 = time.perf_counter()

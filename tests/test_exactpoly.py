@@ -185,6 +185,37 @@ class TestMatrices:
             PolyMatrix(2, 2, [ONE])
 
 
+# every power of two and its predecessor, where the top bit moves, plus all of 0..300
+SCHEDULE_EXPONENTS = sorted(set(range(301)) | {2**k + d for k in range(12) for d in (-1, 0)})
+
+
+def _expected_products(e):
+    # bit_length - 1 squarings, one product per set bit, none for e = 0
+    return max(0, e.bit_length() - 1) + bin(e).count("1")
+
+
+class TestPowerSchedule:
+    @pytest.mark.parametrize(
+        "base, product",
+        [(QM1, "__mul__"), (_transfer_matrix(), "__matmul__")],
+        ids=["polynomial", "matrix"],
+    )
+    def test_power_stops_squaring_at_the_top_bit(self, monkeypatch, base, product):
+        # only the schedule is counted, so each product returns its left factor
+        # instead of running M^2048 and the like
+        calls = []
+
+        def counting_product(self, other):
+            calls.append(1)
+            return self
+
+        monkeypatch.setattr(type(base), product, counting_product)
+        for e in SCHEDULE_EXPONENTS:
+            calls.clear()
+            base**e
+            assert len(calls) == _expected_products(e), e
+
+
 def _schedule_charge(e, entry_products, low, degree, bits):
     # power_charge's terms for one exponent, step by step as __pow__ runs them
     charge, r, k = 0, 0, 1
@@ -193,8 +224,10 @@ def _schedule_charge(e, entry_products, low, degree, bits):
         if e & 1:
             charge += entry_products * (r * (degree - low) + 1) * (k * degree + 1) * words
             r += k
-        charge += entry_products * (k * (degree - low) + 1) * (k * degree + 1) * words
-        k, e = 2 * k, e >> 1
+        e >>= 1
+        if e:
+            charge += entry_products * (k * (degree - low) + 1) * (k * degree + 1) * words
+        k *= 2
     return charge
 
 

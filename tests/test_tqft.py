@@ -85,6 +85,10 @@ class TestCloseSurface:
         for genus in range(1, 11):
             assert close_surface(genus, data) == rep_class(genus)
 
+    @pytest.mark.parametrize("genus", [31, 32, 33, 63, 64])
+    def test_matches_stratification_where_the_top_bit_moves(self, data, genus):
+        assert close_surface(genus, data) == rep_class(genus)
+
     def test_evaluations_match_point_counts(self, data):
         for genus, q in [(1, 4), (2, 5), (2, 9), (3, 8)]:
             field = make_field(*prime_power(q))
@@ -197,3 +201,23 @@ class TestPolynomialGuardModel:
             low, degree, bits = _charge_shape([scaling])
             assert low >= 0 and degree <= k and bits <= k
             matrix, scaling = matrix @ data.matrix, scaling * QM1
+
+    def test_matrix_charge_tracks_the_products_performed(self, data, monkeypatch):
+        # for k <= 16 every coefficient of M^k has at most 48 bits, so every
+        # word weight is 1 and the charge is a count of coefficient products;
+        # the identity's zero entries make it an overcount, by a bounded margin
+        from affrep.cli import TRANSFER_POWER, _one_power_charge
+
+        performed = []
+        mul = IntPoly.__mul__
+
+        def counting_mul(self, other):
+            performed.append(sum(1 for c in self.coeffs if c) * len(other.coeffs))
+            return mul(self, other)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+        for e in range(8, 22):
+            performed.clear()
+            data.matrix**e
+            charge = _one_power_charge(e, TRANSFER_POWER)
+            assert sum(performed) <= charge <= 1.15 * sum(performed), e
