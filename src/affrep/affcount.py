@@ -25,7 +25,7 @@ import random
 import time
 from typing import Sequence
 
-from .exactpoly import Immutable
+from .exactpoly import Immutable, Record
 from .finitefield import FieldMismatch, FieldSpec, FqElem
 
 DEFAULT_GUARD = 10**8
@@ -51,16 +51,7 @@ class AffElem(Immutable):
             raise FieldMismatch("components of an affine element must share a field")
         if a.is_zero():
             raise ValueError("the scaling component of an affine element must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __eq__(self, other):
-        if other.__class__ is not AffElem:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
+        super().__init__(a, b)
 
     @property
     def field(self) -> FieldSpec:
@@ -93,7 +84,7 @@ def aff_elements(field: FieldSpec) -> list[AffElem]:
     return [AffElem(a, b) for a in elems if not a.is_zero() for b in elems]
 
 
-class CountRecord:
+class CountRecord(Record):
     """One point count, tagged with the field, genus and engine that produced it."""
 
     __slots__ = ("p", "n", "q", "genus", "count", "engine", "elapsed")
@@ -105,16 +96,7 @@ class CountRecord:
             raise ValueError("q must equal p^n")
         if count < 0:
             raise ValueError("count must be non-negative")
-        self.p, self.n, self.q = p, n, q
-        self.genus, self.count, self.engine, self.elapsed = genus, count, engine, elapsed
-
-    def __eq__(self, other):
-        if other.__class__ is not CountRecord:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def _fields(self) -> tuple:
-        return (self.p, self.n, self.q, self.genus, self.count, self.engine, self.elapsed)
+        super().__init__(p, n, q, genus, count, engine, elapsed)
 
     def as_json(self) -> dict:
         # count as a decimal string: consumers with 53-bit doubles must not truncate it
@@ -153,6 +135,22 @@ def _check_sweep_budget(order: int, genus: int, guard: int) -> None:
         )
 
 
+def check_budget(q: int, genus: int, engine: str, guard: int = DEFAULT_GUARD) -> None:
+    """Raise :class:`BudgetExceeded` if ``engine`` at order q needs more than ``guard``."""
+    if engine in ("naive", "generic"):
+        _check_sweep_budget(q * (q - 1), genus, guard)
+    elif engine == "semi" and (q - 1) ** 2 + genus > guard:
+        raise BudgetExceeded(
+            f"semi count needs {(q - 1) ** 2 + genus} steps, (q-1)^2 scaling pairs plus "
+            f"{genus} handles (guard {guard})"
+        )
+    elif engine == "closed" and 4 * genus * q.bit_length() > guard:
+        raise BudgetExceeded(
+            f"closed form needs a count of up to {4 * genus * q.bit_length()} bits, "
+            f"4g = {4 * genus} times the {q.bit_length()} bits of q = {q} (guard {guard})"
+        )
+
+
 def count_naive(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> CountRecord:
     """The exhaustive sweep over the group-law table of Aff(1, F_q).
 
@@ -165,7 +163,7 @@ def count_naive(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> Cou
     if genus < 1:
         raise ValueError("genus must be >= 1")
     t0 = time.perf_counter()
-    _check_sweep_budget(field.order * (field.order - 1), genus, guard)
+    check_budget(field.order, genus, "naive", guard)
     table, ident = aff_group_table(field)
     return _record(field, genus, count_group_generic(table, ident, genus, guard), "naive", t0)
 
@@ -219,12 +217,7 @@ def count_semi(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> Coun
         raise ValueError("genus must be >= 1")
     t0 = time.perf_counter()
     q = field.order
-    work = (q - 1) ** 2 + genus
-    if work > guard:
-        raise BudgetExceeded(
-            f"semi count needs {work} steps, (q-1)^2 scaling pairs plus {genus} handles "
-            f"(guard {guard})"
-        )
+    check_budget(q, genus, "semi", guard)
     n0, n1 = commutator_distribution(field)
     u, v = 1, 0
     for _ in range(genus):
@@ -243,14 +236,24 @@ def count_closed(q: int, genus: int, guard: int = DEFAULT_GUARD) -> int:
         raise ValueError("genus must be >= 1")
     if q < 2:
         raise ValueError("q must be >= 2")
-    bits = 4 * genus * q.bit_length()
-    if bits > guard:
-        raise BudgetExceeded(
-            f"closed form needs a count of up to {bits} bits, 4g = {4 * genus} times the "
-            f"{q.bit_length()} bits of q = {q} (guard {guard})"
-        )
+    check_budget(q, genus, "closed", guard)
     s = 2 * genus
     return q ** (s - 1) * (q - 1) ** s + q**s - q ** (s - 1)
+
+
+def count_digits_bound(q: int, genus: int) -> int:
+    """An upper bound on the decimal digits of the genus-g count over F_q.
+
+    The count q^(2g-1)((q-1)^2g + q - 1) is at most 2 q^(2g-1) (q-1)^2g.
+    Each x in {q, q - 1} is at most 2^(m/64), m the bit length of x^64 - 1,
+    so the count is at most 2^B with B over its log2 by at most 1/64 bit per
+    factor, and 2^B has at most B log10(2) + 1 digits, where
+    log10(2) < 0.30103.  No power of degree g is built.
+    """
+    q_bits = (q**64 - 1).bit_length()
+    qm1_bits = ((q - 1) ** 64 - 1).bit_length()
+    bits = 1 + -(-((2 * genus - 1) * q_bits + 2 * genus * qm1_bits) // 64)
+    return bits * 30103 // 100000 + 1
 
 
 def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[int]:

@@ -30,12 +30,14 @@ from .affcount import (
     DEFAULT_GUARD,
     ENGINES,
     BudgetExceeded,
+    check_budget,
     count_closed,
+    count_digits_bound,
     count_naive,
     count_points,
     count_semi,
 )
-from .exactpoly import ONE, PolyMatrix, power_charge
+from .exactpoly import ONE, PolyMatrix, Record, power_charge
 from .finitefield import make_field, parse_descriptor
 from .geomstrat import character_class, moduli_class, rep_class
 from .interpolate import (
@@ -61,7 +63,7 @@ GOLDEN_SHA256 = "b92b7e5c8263bcf2b9cfb9f8b1b73ed2cd2ebb4c3b12641abe867e1a5b6f257
 EXTEND_CELLS = ((1, 7), (1, 8), (1, 9), (1, 11), (2, 13), (2, 16), (2, 17), (2, 19))
 
 
-class Report:
+class Report(Record):
     """Machine-readable outcome of a command: inputs, results and checks.
 
     ``inputs`` holds the command's own parameters under names that no
@@ -80,15 +82,9 @@ class Report:
         caveat: str = LOCALIZATION_CAVEAT,
         version: str = __version__,
     ):
-        self.command, self.inputs, self.results = command, inputs, results
-        self.checks = [] if checks is None else checks
-        self.rows = [] if rows is None else rows
-        self.caveat, self.version = caveat, version
-
-    def __eq__(self, other):
-        if other.__class__ is not Report:
-            return NotImplemented
-        return (self.rows, self.as_json()) == (other.rows, other.as_json())
+        checks = [] if checks is None else checks
+        rows = [] if rows is None else rows
+        super().__init__(command, inputs, results, checks, rows, caveat, version)
 
     @property
     def passed(self) -> bool:
@@ -157,6 +153,18 @@ def _check_polynomial_budget(genus: int, charge: int, powers: str, guard: int) -
         )
 
 
+def _check_printable(q: int, genus: int) -> None:
+    # a count is printed in decimal, which CPython refuses for an int of more
+    # than sys.get_int_max_str_digits() digits (0: no limit; absent before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = count_digits_bound(q, genus)
+    if limit and digits > limit:
+        raise ValueError(
+            f"the genus-{genus} count over F_{q} may have up to {digits} decimal digits, "
+            f"over Python's int-to-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
+        )
+
+
 def cmd_count(
     field: str,
     genus: int,
@@ -166,6 +174,8 @@ def cmd_count(
 ) -> Report:
     """One point count over the field named by a ``p^n`` descriptor."""
     spec = make_field(*parse_descriptor(field))
+    check_budget(spec.order, genus, engine, guard)
+    _check_printable(spec.order, genus)
     results = count_points(spec, genus, engine=engine, guard=guard).as_json()
     if show_modulus:
         results["modulus"] = spec.modulus_text()
@@ -196,6 +206,7 @@ def cmd_epoly(
                 raise ValueError(f"--plan {plan_text!r}: {exc}") from None
         else:
             plan = default_plan(genus)
+        _check_printable(max(plan.prime_powers), genus)
         result = epoly_from_counts(genus, plan, engine=engine, guard=guard)
         epoly, counts = result.epoly, [rec.as_json() for rec in result.records]
     inputs = {

@@ -12,6 +12,7 @@ with a valid degree.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter, matmul, mul
 from typing import Iterable, Iterator
 
 
@@ -23,15 +24,49 @@ class DimensionMismatch(ValueError):
     """Matrix shapes are incompatible for the requested operation."""
 
 
-class Immutable:
-    """Base of the value classes whose fields are set once, in ``__init__``.
+class Record:
+    """Base of the value classes: the fields are the ``__slots__``, in order.
 
-    Subclasses declare ``__slots__`` and assign each field through
-    ``object.__setattr__``; any later assignment or deletion raises
-    :class:`AttributeError`.
+    ``Cls(*values)`` sets each field in ``__slots__`` order, and two objects
+    are equal when they are of the same class and their fields are equal.  A
+    subclass whose constructor checks or normalises its arguments calls this
+    one with the final values.  A Record's fields may be reassigned, so it is
+    unhashable; :class:`Immutable` is the frozen, hashable kind.
     """
 
     __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            # the fields as a tuple, or the one field's value
+            cls._values = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, got {values}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+
+class Immutable(Record):
+    """A :class:`Record` whose fields are set once, in ``__init__``, and hashed.
+
+    Any later assignment or deletion raises :class:`AttributeError`; copy and
+    pickle restore the fields through ``__setstate__``.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot assign {name!r}")
@@ -44,6 +79,23 @@ class Immutable:
         _, fields = state
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+
+
+def power(base, e: int, one, product):
+    """``base ** e`` by repeated squaring, from the identity ``one`` and ``product``.
+
+    Squares only while exponent bits remain, so it makes
+    ``e.bit_length() - 1`` squarings and one product per set bit of e;
+    :func:`power_charge` models exactly this schedule.
+    """
+    result = one
+    while e:
+        if e & 1:
+            result = product(result, base)
+        e >>= 1
+        if e:
+            base = product(base, base)
+    return result
 
 
 def _render(coeffs, var: str = "q") -> str:
@@ -85,15 +137,8 @@ class IntPoly(Immutable):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
+        # set directly, past Record.__init__, which would cost a third more per sum
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __eq__(self, other):
-        if other.__class__ is not IntPoly:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     @property
     def degree(self) -> int | None:
@@ -143,15 +188,7 @@ class IntPoly(Immutable):
     def __pow__(self, e: int) -> IntPoly:
         if e < 0:
             raise ValueError("negative powers are not defined in Z[q]")
-        result = ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, ONE, mul)
 
     def __call__(self, x: int) -> int:
         """Evaluate at an integer point by Horner's rule, exactly."""
@@ -222,17 +259,7 @@ class PolyMatrix(Immutable):
             raise DimensionMismatch(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(es)}"
             )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", es)
-
-    def __eq__(self, other):
-        if other.__class__ is not PolyMatrix:
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        super().__init__(rows, cols, es)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[IntPoly | int]]) -> PolyMatrix:
@@ -266,24 +293,12 @@ class PolyMatrix(Immutable):
         return PolyMatrix(self.rows, other.cols, out)
 
     def __pow__(self, e: int) -> PolyMatrix:
-        """Matrix power by repeated squaring; ``A ** 0`` is the identity.
-
-        Squares only while exponent bits remain, so ``A ** e`` makes
-        ``e.bit_length() - 1`` squarings and one product per set bit of e.
-        """
+        """Matrix power by :func:`power`; ``A ** 0`` is the identity."""
         if self.rows != self.cols:
             raise DimensionMismatch("only square matrices can be raised to a power")
         if e < 0:
             raise ValueError("negative matrix powers are not defined over Z[q]")
-        result = PolyMatrix.identity(self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return result
+        return power(self, e, PolyMatrix.identity(self.rows), matmul)
 
     def scale(self, f: IntPoly | int) -> PolyMatrix:
         f = _as_poly(f)
@@ -311,10 +326,10 @@ class PolyMatrix(Immutable):
 def power_charge(n: int, entry_products: int, low: int, degree: int, bits: int) -> int:
     """Weighted coefficient products of computing x**1, x**2, ..., x**n, summed.
 
-    Follows the repeated squaring of :meth:`IntPoly.__pow__` and
-    :meth:`PolyMatrix.__pow__`: for exponent e, step j (k = 2^j <= e) first
-    multiplies x^r by x^k when bit j of e is set (r = e mod k, x^0 being the
-    identity), then squares x^k if e has a bit above j, that is if e >= 2k.
+    Follows the repeated squaring of :func:`power`: for exponent e, step j
+    (k = 2^j <= e) first multiplies x^r by x^k when bit j of e is set
+    (r = e mod k, x^0 being the identity), then squares x^k if e has a bit
+    above j, that is if e >= 2k.
     The nonzero coefficients of x lie in q^low..q^degree and have at most
     ``bits`` bits; those of x^k are taken to lie in q^(k low)..q^(k degree)
     with at most k * bits bits.  Multiplying x^a by x^b makes

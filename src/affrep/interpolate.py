@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Sequence
 
 from .affcount import DEFAULT_GUARD, BudgetExceeded, CountRecord, count_points
-from .exactpoly import Immutable, IntPoly
+from .exactpoly import Immutable, IntPoly, Record
 from .finitefield import DEFAULT_MAX_ORDER, make_field
 
 
@@ -133,8 +133,7 @@ class SamplePlan(Immutable):
     prime_powers: tuple[int, ...]
 
     def __init__(self, genus: int, prime_powers: tuple[int, ...], guard: int = DEFAULT_GUARD):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "prime_powers", prime_powers)
+        super().__init__(genus, prime_powers)
         if genus < 1:
             raise ValueError("genus must be >= 1")
         if len(set(prime_powers)) != len(prime_powers):
@@ -146,14 +145,6 @@ class SamplePlan(Immutable):
         for m in prime_powers:
             if prime_power(m, guard) is None:
                 raise ValueError(f"{m} is not a prime power")
-
-    def __eq__(self, other):
-        if other.__class__ is not SamplePlan:
-            return NotImplemented
-        return (self.genus, self.prime_powers) == (other.genus, other.prime_powers)
-
-    def __hash__(self):
-        return hash((self.genus, self.prime_powers))
 
     @property
     def degree_bound(self) -> int:
@@ -173,19 +164,14 @@ def default_plan(genus: int) -> SamplePlan:
     return SamplePlan(genus, powers)
 
 
-class EPolyResult:
+class EPolyResult(Record):
     """Counting polynomial recovered from a plan's point counts."""
 
     __slots__ = ("genus", "plan", "records", "epoly")
-
-    def __init__(self, genus: int, plan: SamplePlan, records: list[CountRecord], epoly: IntPoly):
-        self.genus, self.plan, self.records, self.epoly = genus, plan, records, epoly
-
-    def __eq__(self, other):
-        if other.__class__ is not EPolyResult:
-            return NotImplemented
-        mine = (self.genus, self.plan, self.records, self.epoly)
-        return mine == (other.genus, other.plan, other.records, other.epoly)
+    genus: int
+    plan: SamplePlan
+    records: list[CountRecord]
+    epoly: IntPoly
 
 
 def epoly_from_samples(genus: int, samples: Sequence[tuple[int, int]]) -> IntPoly:
@@ -228,7 +214,7 @@ def epoly_from_counts(
         records.append(count_points(field, genus, engine=engine, guard=guard))
     samples = [(rec.q, rec.count) for rec in records]
     epoly = epoly_from_samples(genus, samples)
-    return EPolyResult(genus=genus, plan=plan, records=records, epoly=epoly)
+    return EPolyResult(genus, plan, records, epoly)
 
 
 def samples_from_csv(path: str) -> list[tuple[int, int]]:

@@ -39,18 +39,6 @@ class CircleState(Immutable):
     c_i: IntPoly  # coefficient of the generator supported at the identity
     c_j: IntPoly  # coefficient of the generator on the punctured translations
 
-    def __init__(self, c_i: IntPoly, c_j: IntPoly):
-        object.__setattr__(self, "c_i", c_i)
-        object.__setattr__(self, "c_j", c_j)
-
-    def __eq__(self, other):
-        if other.__class__ is not CircleState:
-            return NotImplemented
-        return (self.c_i, self.c_j) == (other.c_i, other.c_j)
-
-    def __hash__(self):
-        return hash((self.c_i, self.c_j))
-
 
 class TransferData(Immutable):
     """The transfer matrix together with the fiber classes that assemble it."""
@@ -69,40 +57,6 @@ class TransferData(Immutable):
     fiber_generic: IntPoly  # commutator-map fiber over a nonzero translation
     fiber_identity_twisted: IntPoly  # same two fibers for the once-shifted map
     fiber_generic_twisted: IntPoly
-
-    def __init__(
-        self,
-        matrix: PolyMatrix,
-        group_class: IntPoly,
-        fiber_identity: IntPoly,
-        fiber_generic: IntPoly,
-        fiber_identity_twisted: IntPoly,
-        fiber_generic_twisted: IntPoly,
-    ):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "group_class", group_class)
-        object.__setattr__(self, "fiber_identity", fiber_identity)
-        object.__setattr__(self, "fiber_generic", fiber_generic)
-        object.__setattr__(self, "fiber_identity_twisted", fiber_identity_twisted)
-        object.__setattr__(self, "fiber_generic_twisted", fiber_generic_twisted)
-
-    def _fields(self) -> tuple:
-        return (
-            self.matrix,
-            self.group_class,
-            self.fiber_identity,
-            self.fiber_generic,
-            self.fiber_identity_twisted,
-            self.fiber_generic_twisted,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is not TransferData:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
 
 
 def build_transfer() -> TransferData:
@@ -151,12 +105,12 @@ def build_transfer() -> TransferData:
     if matrix != literal:
         raise TransferConsistencyError("assembled matrix disagrees with its closed form")
     return TransferData(
-        matrix=matrix,
-        group_class=group_class,
-        fiber_identity=fiber_identity,
-        fiber_generic=fiber_generic,
-        fiber_identity_twisted=fiber_identity_twisted,
-        fiber_generic_twisted=fiber_generic_twisted,
+        matrix,
+        group_class,
+        fiber_identity,
+        fiber_generic,
+        fiber_identity_twisted,
+        fiber_generic_twisted,
     )
 
 
@@ -164,8 +118,8 @@ def apply_transfer(state: CircleState, data: TransferData) -> CircleState:
     """One pass of the holed-torus matrix over a circle state."""
     m = data.matrix
     return CircleState(
-        c_i=m.entry(0, 0) * state.c_i + m.entry(0, 1) * state.c_j,
-        c_j=m.entry(1, 0) * state.c_i + m.entry(1, 1) * state.c_j,
+        m.entry(0, 0) * state.c_i + m.entry(0, 1) * state.c_j,
+        m.entry(1, 0) * state.c_i + m.entry(1, 1) * state.c_j,
     )
 
 

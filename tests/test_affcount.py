@@ -16,6 +16,7 @@ from affrep.affcount import (
     commutator,
     commutator_distribution,
     count_closed,
+    count_digits_bound,
     count_group_generic,
     count_naive,
     count_points,
@@ -173,6 +174,15 @@ class TestClosedForm:
         assert count_closed(16, 2, guard=40) == 16**3 * (15**4 + 15)
         with pytest.raises(BudgetExceeded, match=r"\(guard 39\)"):
             count_closed(16, 2, guard=39)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 17, 27, 243, 4093, 4096])
+    def test_digits_bound_is_tight(self, q):
+        # over the count's digits by at most one plus 0.5 %; compared with
+        # powers of ten, as the counts outgrow printing
+        for genus in (1, 2, 3, 10, 100, 1000):
+            bound = count_digits_bound(q, genus)
+            count = count_closed(q, genus)
+            assert 10 ** (bound - 2 - bound // 200) <= count < 10**bound, genus
 
 
 class TestEngineAgreement:

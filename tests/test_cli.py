@@ -1,6 +1,7 @@
 """Command-line interface: JSON shapes, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -97,6 +98,36 @@ class TestCount:
         assert out == ""
         assert err.startswith("error: ") and named in err and "(guard 100000000)" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv,digits",
+        [
+            (["--field", "2^12", "--genus", "300"], 4332),
+            (["--field", "2^12", "--genus", "1000", "--engine", "closed"], 14447),
+            (["--field", "2", "--genus", "7143"], 4301),
+        ],
+    )
+    def test_unprintable_count_is_refused_before_counting(self, capsys, argv, digits):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["count", *argv])
+        assert time.perf_counter() - t0 < 1
+        assert code == 1
+        assert out == ""
+        limit = f"int-to-str limit of {sys.get_int_max_str_digits()}"
+        assert err.startswith("error: ") and f"up to {digits} decimal" in err and limit in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv,digits",
+        [
+            (["--field", "2^12", "--genus", "250", "--engine", "closed"], 3609),
+            (["--field", "2", "--genus", "7142"], 4300),
+        ],
+    )
+    def test_printable_count_near_the_limit(self, capsys, argv, digits):
+        code, out, _ = run_cli(capsys, ["count", *argv])
+        assert code == 0
+        assert len(json.loads(out)["results"]["count"]) == digits
 
     def test_huge_characteristic_is_refused_before_trial_division(self, capsys):
         t0 = time.perf_counter()
@@ -220,6 +251,22 @@ class TestEPoly:
         lines = out.strip().splitlines()
         assert lines[0] == "q,count"
         assert lines[1:] == ["2,4", "3,18", "4,48", "5,100"]
+
+    def test_unprintable_counts_are_refused_before_counting(self):
+        # a genus-g plan needs 4g prime powers up to 4096, so no plan reaches
+        # the default 4300 digits; a lower limit is reached
+        src = str(Path(affrep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "640"}
+        argv = ["epoly", "--genus", "60", "--engine", "closed"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "affrep.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: the genus-60 count over F_1307 may have up to 746 decimal digits, "
+            "over Python's int-to-str limit of 640 (PYTHONINTMAXSTRDIGITS sets it)\n"
+        )
 
 
 class TestTqft:

@@ -14,6 +14,7 @@ from affrep.exactpoly import (
     PolyMatrix,
     power_charge,
 )
+from affrep.finitefield import make_field
 
 QM1 = Q - ONE
 
@@ -197,8 +198,12 @@ def _expected_products(e):
 class TestPowerSchedule:
     @pytest.mark.parametrize(
         "base, product",
-        [(QM1, "__mul__"), (_transfer_matrix(), "__matmul__")],
-        ids=["polynomial", "matrix"],
+        [
+            (QM1, "__mul__"),
+            (_transfer_matrix(), "__matmul__"),
+            (make_field(3, 2).from_int(5), "__mul__"),
+        ],
+        ids=["polynomial", "matrix", "field-element"],
     )
     def test_power_stops_squaring_at_the_top_bit(self, monkeypatch, base, product):
         # only the schedule is counted, so each product returns its left factor

@@ -62,6 +62,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_field(2, 2, modulus=(1, 0, 1))  # (X+1)^2 over F_2
 
+    def test_default_modulus_is_the_first_irreducible_one(self):
+        orders = [(p, n) for p in range(2, 257) if is_prime(p) for n in range(1, 9)]
+        for p, n in orders:
+            if p**n <= 256:
+                assert make_field(p, n).modulus == irreducible_moduli(p, n)[0], (p, n)
+
     def test_two_irreducible_cubics_over_f2(self):
         assert irreducible_moduli(2, 3) == [(1, 0, 1, 1), (1, 1, 0, 1)]
 

@@ -69,6 +69,16 @@ def test_copies_and_pickles_are_equal(name):
         assert clone == obj and hash(clone) == hash(obj)
 
 
+@pytest.mark.parametrize("name", FROZEN)
+def test_every_field_counts_in_equality(name):
+    make, _ = FROZEN[name]
+    obj = make()
+    for field in type(obj).__slots__:
+        changed = copy.copy(obj)
+        object.__setattr__(changed, field, object())
+        assert changed != obj and not changed == obj, field
+
+
 def test_examples():
     assert len({make_field(3, 2), make_field(3, 2)}) == 1
     assert IntPoly([1, 2]) == IntPoly([1, 2, 0])
