@@ -44,8 +44,10 @@ from .interpolate import (
     default_plan,
     epoly_from_counts,
     epoly_from_samples,
+    int_str_limit,
     plan_from_text,
     prime_power,
+    row_error,
     samples_from_csv,
 )
 from .tqft import (
@@ -105,7 +107,8 @@ def load_golden_table(path: str | None = None) -> tuple[list[tuple[int, int, int
     A checksum failure does not abort: the per-cell comparison still runs so
     a tampered cell surfaces as its own failed check.  Blank lines are
     skipped and only the first line may be a header; any other row that is
-    not three integers raises :class:`ValueError` naming its line.
+    not three integers raises the :class:`ValueError` of
+    :func:`~affrep.interpolate.row_error`, naming its line.
     """
     if path is None:
         raw = resources.files("affrep").joinpath("data/table1.csv").read_bytes()
@@ -119,10 +122,11 @@ def load_golden_table(path: str | None = None) -> tuple[list[tuple[int, int, int
         line = line.strip()
         if not line or (line_num == 1 and line.startswith("genus")):
             continue
+        parts = line.split(",")
         try:
-            g, q, c = map(int, line.split(","))
+            g, q, c = map(int, parts)
         except ValueError:
-            raise ValueError(f"{source}, line {line_num}: malformed golden row {line!r}") from None
+            raise row_error(f"{source}, line {line_num}", "golden", line, parts) from None
         cells.append((g, q, c))
     return cells, checksum_ok
 
@@ -155,8 +159,8 @@ def _check_polynomial_budget(genus: int, charge: int, powers: str, guard: int) -
 
 def _check_printable(q: int, genus: int) -> None:
     # a count is printed in decimal, which CPython refuses for an int of more
-    # than sys.get_int_max_str_digits() digits (0: no limit; absent before 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # than int_str_limit() digits
+    limit = int_str_limit()
     digits = count_digits_bound(q, genus)
     if limit and digits > limit:
         raise ValueError(
@@ -276,13 +280,19 @@ def cmd_table(
     golden_path: str | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> Report:
-    """Recompute every filled reference cell and compare, cell by cell."""
+    """Recompute every filled reference cell and compare, cell by cell.
+
+    A cell whose count may be too long to print is refused before any cell
+    is counted.
+    """
     cells, checksum_ok = load_golden_table(golden_path)
     checksum = "sha256 of the golden table file" + ("" if checksum_ok else " does not match")
     checks = [_check("golden_checksum", checksum_ok, checksum)]
     targets = [("cell", genus, q, count, "expected") for genus, q, count in cells]
     if extend:
         targets += [("extend", g, q, count_closed(q, g), "closed form") for g, q in EXTEND_CELLS]
+    for _, genus, q, _, _ in targets:
+        _check_printable(q, genus)
     computed_cells = []
     for kind, genus, q, expected, source in targets:
         count = count_semi(_field_for_order(q, guard), genus, guard=guard).count

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import sys
 from math import isqrt
 from typing import Sequence
 
@@ -217,12 +218,50 @@ def epoly_from_counts(
     return EPolyResult(genus, plan, records, epoly)
 
 
+def int_str_limit() -> int:
+    """CPython's limit on the digits of an int converted to or from a string.
+
+    ``PYTHONINTMAXSTRDIGITS`` sets it; 0 means no limit, as on an
+    interpreter older than 3.10.7.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+ECHO_CHARS = 60
+
+
+class CellTooLong(ValueError):
+    """A CSV cell has more digits than CPython converts from a string."""
+
+
+def row_error(where: str, kind: str, row: object, cells: Sequence[str]) -> ValueError:
+    """The error for a ``kind`` row whose ``cells`` do not all parse as integers.
+
+    A cell with more decimal digits than :func:`int_str_limit` gives
+    :class:`CellTooLong`; any other failure is "malformed".  The row is
+    echoed as its repr, cut to the first ``ECHO_CHARS`` characters and the
+    repr's length when longer.
+    """
+    echo = repr(row)
+    if len(echo) > ECHO_CHARS:
+        echo = f"{echo[:ECHO_CHARS]}... ({len(echo)} characters)"
+    limit = int_str_limit()
+    digits = max((sum(map(str.isdecimal, cell)) for cell in cells), default=0)
+    if limit and digits > limit:
+        return CellTooLong(
+            f"{where}: {kind} row {echo} has a cell of {digits} digits, over Python's "
+            f"int-from-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
+        )
+    return ValueError(f"{where}: malformed {kind} row {echo}")
+
+
 def samples_from_csv(path: str) -> list[tuple[int, int]]:
     """Read ``q,count`` rows; the first line may be a header.
 
     Blank lines are skipped.  Any other row whose first two cells are not
-    integers raises :class:`ValueError` naming its line, so a bad row is
-    never dropped.
+    integers raises the :class:`ValueError` of :func:`row_error`, naming its
+    line, so a bad row is never dropped.  A first line whose first cell is
+    too long to be an integer is an error, not a header.
     """
     out: list[tuple[int, int]] = []
     with open(path, newline="") as fh:
@@ -230,17 +269,18 @@ def samples_from_csv(path: str) -> list[tuple[int, int]]:
         for row in reader:
             if not row or not row[0].strip():
                 continue
-            malformed = ValueError(f"{path}, line {reader.line_num}: malformed sample row {row!r}")
+            where = f"{path}, line {reader.line_num}"
             try:
                 q = int(row[0])
             except ValueError:
-                if reader.line_num == 1:
+                error = row_error(where, "sample", row, row[:1])
+                if reader.line_num == 1 and not isinstance(error, CellTooLong):
                     continue  # header
-                raise malformed from None
+                raise error from None
             try:
                 out.append((q, int(row[1])))
             except (IndexError, ValueError):
-                raise malformed from None
+                raise row_error(where, "sample", row, row[1:2]) from None
     return out
 
 

@@ -1,6 +1,7 @@
 """The affine group and the counting engines."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
 F5 = make_field(5, 1)
+F7 = make_field(7, 1)
 
 REFERENCE_GRID = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
 
@@ -274,7 +276,7 @@ class TestGenericEngine:
         assert count_group_generic(table, ident, 1) == m**2
 
     def test_agrees_with_semi_and_closed(self):
-        for field, genus in [(F2, 1), (F3, 1), (F4, 1), (F2, 2), (F3, 2)]:
+        for field, genus in [(F2, 1), (F3, 1), (F4, 1), (F2, 2), (F3, 2), (F7, 2), (F4, 3)]:
             table, ident = aff_group_table(field)
             generic = count_group_generic(table, ident, genus)
             assert generic == count_semi(field, genus).count == count_closed(field.order, genus)
@@ -335,6 +337,21 @@ class TestGenericEngine:
         assert failing == 532
         with pytest.raises(InvalidGroupTable, match="associativity"):
             count_group_generic(table, 0, 1)
+
+    def test_rejects_row_with_two_identities_sampled(self):
+        # Z_32 with 5*4 set to the identity 0: row 5 holds it at 4 and at 27,
+        # 27 is still a two-sided inverse of 5, and the seeded sample of 1000
+        # triples (order 32 > 10) misses every triple that fails
+        # associativity, so only the row check is left to reject it; counting
+        # the last handles c with c = p^-1 would miscount such a table
+        n = 32
+        table, ident = _cyclic_table(n)
+        table[5][4] = ident
+        picks = random.Random(0).choices(range(n), k=3000)
+        sample = zip(picks[0::3], picks[1::3], picks[2::3])
+        assert all(table[table[x][y]][z] == table[x][table[y][z]] for x, y, z in sample)
+        with pytest.raises(InvalidGroupTable, match="row 5 holds the identity 2 times"):
+            count_group_generic(table, ident, 1)
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_rejects_out_of_range_entry(self, bad):

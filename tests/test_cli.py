@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import affrep
+from affrep import cli
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
@@ -386,6 +387,33 @@ class TestTable:
         assert code == 1
         assert out == ""
         assert err == f"error: {path}, line 3: malformed golden row {row!r}\n"
+
+    def test_too_long_golden_cell_fails(self, capsys, tmp_path):
+        path = tmp_path / "golden.csv"
+        path.write_text("genus,q,count\n1,2," + "9" * 5000 + "\n")
+        code, out, err = run_cli(capsys, ["table", "--golden", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {path}, line 2: golden row '1,2,{'9' * 55}... (5006 characters) has a "
+            f"cell of 5000 digits, over Python's int-from-str limit of "
+            f"{sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS sets it)\n"
+        )
+
+    def test_unprintable_golden_cell_is_refused_before_counting(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # the genus-7200 count over F_2 is 2^14400, of 4335 digits
+        monkeypatch.setattr(cli, "count_semi", lambda *a, **k: pytest.fail("counted"))
+        path = tmp_path / "golden.csv"
+        path.write_text("genus,q,count\n1,2,4\n7200,2,5\n")
+        code, out, err = run_cli(capsys, ["table", "--golden", str(path)])
+        assert code == 1
+        assert out == ""
+        limit = f"int-to-str limit of {sys.get_int_max_str_digits()}"
+        assert err.startswith("error: the genus-7200 count over F_2 may have up to ")
+        assert limit in err
+        assert len(err.splitlines()) == 1
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, ["table", "--output", "csv"])

@@ -1,5 +1,6 @@
 """Exact interpolation of counting polynomials."""
 
+import sys
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from affrep.affcount import BudgetExceeded
 from affrep.exactpoly import ONE, Q, IntPoly
 from affrep.geomstrat import rep_class
 from affrep.interpolate import (
+    CellTooLong,
     DegreeMismatch,
     DuplicateAbscissa,
     ExtraPointMismatch,
@@ -207,3 +209,16 @@ class TestCsvIngestion:
         path.write_text("2\n")
         with pytest.raises(ValueError):
             samples_from_csv(str(path))
+
+    def test_too_long_cell(self, tmp_path):
+        # int() fails on the digit limit too; the error says so and echoes
+        # only a prefix of the row
+        path = tmp_path / "counts.csv"
+        path.write_text("q,count\n2," + "9" * 5000 + "\n")
+        with pytest.raises(CellTooLong) as info:
+            samples_from_csv(str(path))
+        assert str(info.value) == (
+            f"{path}, line 2: sample row ['2', '{'9' * 53}... (5009 characters) has a cell "
+            f"of 5000 digits, over Python's int-from-str limit of "
+            f"{sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS sets it)"
+        )
