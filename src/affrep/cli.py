@@ -30,12 +30,14 @@ from .affcount import (
     DEFAULT_GUARD,
     ENGINES,
     BudgetExceeded,
+    aff_group_table,
     check_budget,
     count_closed,
     count_digits_bound,
     count_naive,
     count_points,
     count_semi,
+    handle_commutators,
 )
 from .exactpoly import ONE, PolyMatrix, Record, power_charge
 from .finitefield import make_field, parse_descriptor
@@ -328,6 +330,20 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
             naive = count_naive(field, g, guard=guard).count
             semi = count_semi(field, g, guard=guard).count
             checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
+    for q in (2, 3, 4, 5):
+        # semi and tqft assume one handle's commutator is a translation, equally
+        # often each nonzero one; the oracle's h, from the table alone, tests it
+        table, ident = aff_group_table(_field_for_order(q))
+        h = handle_commutators(table, ident)
+        translations = range(ident, ident + q)  # (1, b) has index ident + idx(b)
+        outside = sum(n for z, n in h.items() if z not in translations)
+        nonzero = sorted({h[t] for t in translations[1:]})
+        details = (
+            f"h = {h[ident]} at the identity, {nonzero} on the {q - 1} other "
+            f"translations, {outside} off the translation subgroup"
+        )
+        ok = outside == 0 and len(nonzero) == 1
+        checks.append(_check(f"handle_commutators_on_translations_q{q}", ok, details))
     rep_classes = {str(g): str(expected) for g, expected in geometric.items()}
     inputs = {"genus_max": genus_max, "guard": guard}
     return Report("verify", inputs, {"rep_classes": rep_classes}, checks)
@@ -340,7 +356,71 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pretty", action="store_true", help="human-readable output")
+    p.add_argument("--guard", type=_positive_int, default=DEFAULT_GUARD, help="enumeration budget")
+
+
+def _tabular(p: argparse.ArgumentParser) -> None:
+    _common(p)
+    p.add_argument("--output", choices=("json", "csv"), default="json", help="output format")
+
+
+def _count_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--field", required=True, help="field descriptor p^n, e.g. 3^2")
+    p.add_argument("--genus", type=_positive_int, required=True)
+    p.add_argument("--engine", choices=ENGINES, default="semi")
+    p.add_argument(
+        "--show-modulus", action="store_true", help="include the field modulus in the output"
+    )
+    _tabular(p)
+
+
+def _epoly_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genus", type=_positive_int, required=True)
+    p.add_argument("--plan", help="comma-separated prime powers, e.g. 2,3,4,5")
+    p.add_argument("--engine", choices=ENGINES, default="semi")
+    p.add_argument("--counts", help="CSV file of q,count samples instead of counting")
+    _tabular(p)
+
+
+def _tqft_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genus", type=_positive_int, required=True)
+    p.add_argument("--show-matrix", action="store_true")
+    p.add_argument("--verify-eigen", action="store_true")
+    p.add_argument("--reconstruct", action="store_true")
+    _common(p)
+
+
+def _classes_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genus", type=_positive_int, required=True)
+    _common(p)
+
+
+def _table_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--extend", action="store_true", help="also fill the blank cells")
+    p.add_argument("--golden", help="path to an alternative golden CSV")
+    _tabular(p)
+
+
+def _verify_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--genus-max", type=_positive_int, default=3)
+    _common(p)
+
+
+# each subcommand's help line and the function adding its options
+SUBPARSERS = {
+    "count": ("count points over one finite field", _count_options),
+    "epoly": ("counting polynomial via exact interpolation", _epoly_options),
+    "tqft": ("transfer-matrix virtual class", _tqft_options),
+    "classes": ("representation/moduli/character classes", _classes_options),
+    "table": ("recompute and check the reference count table", _table_options),
+    "verify": ("cross-check the three methods", _verify_options),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subparser of ``command``, or all six if it names none."""
     parser = argparse.ArgumentParser(
         prog="affrep",
         description="Exact classes and point counts of rank-one affine "
@@ -348,55 +428,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--pretty", action="store_true", help="human-readable output")
-        p.add_argument(
-            "--guard", type=_positive_int, default=DEFAULT_GUARD, help="enumeration budget"
-        )
-
-    def tabular(p: argparse.ArgumentParser) -> None:
-        common(p)
-        p.add_argument(
-            "--output", choices=("json", "csv"), default="json", help="output format"
-        )
-
-    p_count = sub.add_parser("count", help="count points over one finite field")
-    p_count.add_argument("--field", required=True, help="field descriptor p^n, e.g. 3^2")
-    p_count.add_argument("--genus", type=_positive_int, required=True)
-    p_count.add_argument("--engine", choices=ENGINES, default="semi")
-    p_count.add_argument(
-        "--show-modulus", action="store_true", help="include the field modulus in the output"
-    )
-    tabular(p_count)
-
-    p_epoly = sub.add_parser("epoly", help="counting polynomial via exact interpolation")
-    p_epoly.add_argument("--genus", type=_positive_int, required=True)
-    p_epoly.add_argument("--plan", help="comma-separated prime powers, e.g. 2,3,4,5")
-    p_epoly.add_argument("--engine", choices=ENGINES, default="semi")
-    p_epoly.add_argument("--counts", help="CSV file of q,count samples instead of counting")
-    tabular(p_epoly)
-
-    p_tqft = sub.add_parser("tqft", help="transfer-matrix virtual class")
-    p_tqft.add_argument("--genus", type=_positive_int, required=True)
-    p_tqft.add_argument("--show-matrix", action="store_true")
-    p_tqft.add_argument("--verify-eigen", action="store_true")
-    p_tqft.add_argument("--reconstruct", action="store_true")
-    common(p_tqft)
-
-    p_classes = sub.add_parser("classes", help="representation/moduli/character classes")
-    p_classes.add_argument("--genus", type=_positive_int, required=True)
-    common(p_classes)
-
-    p_table = sub.add_parser("table", help="recompute and check the reference count table")
-    p_table.add_argument("--extend", action="store_true", help="also fill the blank cells")
-    p_table.add_argument("--golden", help="path to an alternative golden CSV")
-    tabular(p_table)
-
-    p_verify = sub.add_parser("verify", help="cross-check the three methods")
-    p_verify.add_argument("--genus-max", type=_positive_int, default=3)
-    common(p_verify)
-
+    for name in [command] if command in SUBPARSERS else SUBPARSERS:
+        help_text, add_options = SUBPARSERS[name]
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -445,7 +479,9 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a command builds its own subparser only; help, --version and typos get all six
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return _emit_report(COMMANDS[args.command](args), args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

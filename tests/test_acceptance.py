@@ -75,7 +75,7 @@ def test_criterion_4_oracle_equivalence():
         oracle = count_naive(field, genus).count
         semi = count_semi(field, genus).count
         ok = ok and oracle == semi == count_closed(q, genus)
-    _report(4, "exhaustive table oracle, structured engine and closed form agree", ok)
+    _report(4, "table oracle, structured engine and closed form agree", ok)
 
 
 def test_criterion_5_transfer_matrix_identities():

@@ -2,7 +2,10 @@
 
 import itertools
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,7 @@ from affrep.affcount import (
     count_naive,
     count_points,
     count_semi,
+    handle_commutators,
     validate_group_table,
 )
 from affrep.finitefield import FieldMismatch, make_field
@@ -104,16 +108,17 @@ class TestNaiveEngine:
         assert count_naive(field, genus).count == expected
 
     def test_budget(self, monkeypatch):
-        # the guard is checked before the group table is built
+        # the guard is checked before the group table is built: (g + 1)|G|^2 = 4 * 20^2
         monkeypatch.setattr(affcount, "aff_group_table", lambda field: pytest.fail("built"))
-        with pytest.raises(BudgetExceeded):
-            count_naive(F5, 3, guard=10**6)
+        with pytest.raises(BudgetExceeded, match=r"\(g\+1\)\|G\|\^2 = 1600 "):
+            count_naive(F5, 3, guard=1599)
 
-    @pytest.mark.parametrize("field,genus,tuples", [(F2, 4, 2**8), (F5, 2, 20**4)])
-    def test_budget_boundary(self, field, genus, tuples):
-        assert count_naive(field, genus, guard=tuples).count == count_closed(field.order, genus)
-        with pytest.raises(BudgetExceeded, match=rf"g = {genus}, .*\(guard {tuples - 1}\)"):
-            count_naive(field, genus, guard=tuples - 1)
+    @pytest.mark.parametrize("field,genus,charge", [(F2, 4, 5 * 2**2), (F5, 2, 3 * 20**2)])
+    def test_budget_boundary(self, field, genus, charge):
+        # (g + 1)|G|^2: table entries, handle commutators and g - 1 fold steps
+        assert count_naive(field, genus, guard=charge).count == count_closed(field.order, genus)
+        with pytest.raises(BudgetExceeded, match=rf"g = {genus}, .*\(guard {charge - 1}\)"):
+            count_naive(field, genus, guard=charge - 1)
 
     def test_record_fields(self):
         rec = count_naive(F4, 1)
@@ -130,7 +135,7 @@ class TestSemiEngine:
         assert count_semi(f19, 3).count == 84217678403958
 
     def test_genus_four_against_naive_oracle(self):
-        # the group over F_2 has order 2, so the naive sweep is 2^8 tuples
+        # the group over F_2 has order 2 and is abelian, so all 2^8 tuples count
         assert count_semi(F2, 4).count == count_naive(F2, 4).count == 256
 
     def test_budget(self):
@@ -276,22 +281,26 @@ class TestGenericEngine:
         assert count_group_generic(table, ident, 1) == m**2
 
     def test_agrees_with_semi_and_closed(self):
-        for field, genus in [(F2, 1), (F3, 1), (F4, 1), (F2, 2), (F3, 2), (F7, 2), (F4, 3)]:
+        f9 = make_field(3, 2)
+        cases = [(F2, 1), (F3, 1), (F4, 1), (F2, 2), (F3, 2), (F5, 2), (F7, 2), (F4, 3), (F3, 4)]
+        for field, genus in cases + [(f9, 2), (f9, 60)]:
             table, ident = aff_group_table(field)
             generic = count_group_generic(table, ident, genus)
             assert generic == count_semi(field, genus).count == count_closed(field.order, genus)
 
     def test_budget(self):
+        # (g + 1)|G|^2 = 5 * 20^2 at genus 4
         table, ident = aff_group_table(F5)
-        with pytest.raises(BudgetExceeded):
-            count_group_generic(table, ident, 4, guard=10**6)
+        assert count_group_generic(table, ident, 4, guard=2000) == count_closed(5, 4)
+        with pytest.raises(BudgetExceeded, match=r"\(guard 1999\)"):
+            count_group_generic(table, ident, 4, guard=1999)
 
     def test_budget_before_validation(self, monkeypatch):
         # an over-budget call fails at once, without the O(n^2) table validation
         monkeypatch.setattr(affcount, "validate_group_table", lambda *a: pytest.fail("validated"))
         table, ident = aff_group_table(F5)
         with pytest.raises(BudgetExceeded):
-            count_group_generic(table, ident, 4, guard=10**6)
+            count_group_generic(table, ident, 4, guard=1999)
 
     @pytest.mark.parametrize("genus,expected", [(1, 40), (2, 2176), (3, 133120)])
     def test_quaternion_group(self, genus, expected):
@@ -359,6 +368,83 @@ class TestGenericEngine:
         table[3][4] = bad
         with pytest.raises(InvalidGroupTable, match="element indices"):
             count_group_generic(table, 0, 1)
+
+
+def _brute_force_count(table, identity, genus):
+    # every tuple of g handles, each handle's commutator x y x^-1 y^-1
+    # multiplied out in the table and the g commutators multiplied left to right
+    n = len(table)
+    inv = [row.index(identity) for row in table]
+    handles = [
+        table[table[table[x][y]][inv[x]]][inv[y]] for x in range(n) for y in range(n)
+    ]
+    count = 0
+    for combo in itertools.product(handles, repeat=genus):
+        prod = identity
+        for c in combo:
+            prod = table[prod][c]
+        count += prod == identity
+    return count
+
+
+def _small_tables():
+    # (name, table, identity) of Aff(1, F_q) for q = 2..5, Z_n and Q8
+    for q in (2, 3, 4, 5):
+        yield (f"aff{q}", *aff_group_table(make_field(*prime_power(q))))
+    for m in (1, 2, 3, 5, 8):
+        yield (f"z{m}", *_cyclic_table(m))
+    yield ("q8", *_quaternion_table())
+
+
+# every (table, genus) whose |G|^2g tuples number at most 10^5
+BRUTE_FORCE_CASES = [
+    pytest.param(table, ident, genus, id=f"{name}-g{genus}")
+    for name, table, ident in _small_tables()
+    for genus in range(1, 9)
+    if len(table) ** (2 * genus) <= 10**5
+]
+
+
+class TestFoldAgainstBruteForce:
+    @pytest.mark.parametrize("table,ident,genus", BRUTE_FORCE_CASES)
+    def test_fold_matches_tuple_enumeration(self, table, ident, genus):
+        assert count_group_generic(table, ident, genus) == _brute_force_count(table, ident, genus)
+
+    def test_handle_commutators_of_aff_f3(self):
+        # the translations (1, b) have indices ident + b; Aff(1, F_3) has
+        # N0 = 18 handles with commutator the identity and N1 = 9 for each other
+        table, ident = aff_group_table(F3)
+        h = handle_commutators(table, ident)
+        assert dict(h) == {ident: 18, ident + 1: 9, ident + 2: 9}
+        assert (h[ident], h[ident + 1]) == commutator_distribution(F3)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_genus_one_oracle_memory_at_q31(self):
+        # a fresh process, so the peak is the oracle's own: the 930^2-entry
+        # table at 8 bytes of pointer per entry is about 7 MB, while a table
+        # with an int object per entry and a transposed copy grew by 39 MB
+        probe = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from affrep.affcount import count_naive
+from affrep.finitefield import make_field
+
+def hwm_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+field = make_field(31, 1)
+before = hwm_kb()
+count = count_naive(field, 1).count
+print(count, hwm_kb() - before)
+"""
+        src = str(Path(affcount.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True
+        ).stdout
+        count, growth_kb = map(int, out.split())
+        assert count == count_closed(31, 1)
+        assert growth_kb < 16 * 1024
 
 
 class TestDispatch:

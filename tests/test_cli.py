@@ -86,11 +86,13 @@ class TestCount:
         [
             ("2^12", "1000000000", "naive", "|G| = 16773120 and g = 1000000000"),
             ("2^12", "20000", "naive", "|G| = 16773120 and g = 20000"),
+            # (g + 1)|G|^2 = 2 * 9312^2 is over 10^8: a table of 86.7 million entries
+            ("97", "1", "naive", "(g+1)|G|^2 = 173426688 steps with |G| = 9312 and g = 1"),
             ("3", "100000000", "closed", "4g = 400000000"),
         ],
     )
     def test_guard_without_building_the_bound(self, capsys, field, genus, engine, named):
-        # the guard decides before it builds |G|^2g or the closed-form count
+        # the guard decides before it builds the group table or the closed-form count
         t0 = time.perf_counter()
         argv = ["count", "--field", field, "--genus", genus, "--engine", engine]
         code, out, err = run_cli(capsys, argv)
@@ -432,6 +434,16 @@ class TestVerify:
         assert "interpolation_vs_stratification_g3" in names
         assert "naive_vs_semi_g2_q5" in names
 
+    def test_handle_commutators_on_translations(self):
+        checks = {c["name"]: c for c in cmd_verify(1).checks}
+        for q in (2, 3, 4, 5):
+            assert checks[f"handle_commutators_on_translations_q{q}"]["pass"]
+        details = checks["handle_commutators_on_translations_q5"]["details"]
+        assert details == (
+            "h = 100 at the identity, [75] on the 4 other translations, "
+            "0 off the translation subgroup"
+        )
+
     def test_polynomial_level_only_for_high_genus(self):
         report = cmd_verify(10)
         assert report.passed
@@ -538,6 +550,44 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+SUBCOMMAND_OPTIONS = {
+    "count": [
+        "--field", "--genus", "--engine", "--show-modulus", "--pretty", "--guard", "--output"
+    ],
+    "epoly": ["--genus", "--plan", "--engine", "--counts", "--pretty", "--guard", "--output"],
+    "tqft": ["--genus", "--show-matrix", "--verify-eigen", "--reconstruct", "--pretty", "--guard"],
+    "classes": ["--genus", "--pretty", "--guard"],
+    "table": ["--extend", "--golden", "--pretty", "--guard", "--output"],
+    "verify": ["--genus-max", "--pretty", "--guard"],
+}
+
+
+class TestHelp:
+    def _help(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_root_help_lists_every_subcommand(self, capsys):
+        out = self._help(capsys, ["--help"])
+        assert "{" + ",".join(SUBCOMMAND_OPTIONS) + "}" in out
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_OPTIONS))
+    def test_subcommand_help_lists_its_options(self, capsys, command):
+        out = self._help(capsys, [command, "--help"])
+        assert out.startswith(f"usage: affrep {command} ")
+        for option in SUBCOMMAND_OPTIONS[command]:
+            assert option in out
+
+    def test_a_command_builds_only_its_own_subparser(self):
+        every = "{" + ",".join(SUBCOMMAND_OPTIONS) + "}"
+        assert "{tqft}" in cli._build_parser("tqft").format_usage()
+        assert every in cli._build_parser("--help").format_usage()
+        assert every in cli._build_parser("cnt").format_usage()
+        assert every in cli._build_parser(None).format_usage()
 
 
 def test_startup_leaves_out_fractions_decimal_dataclasses_and_inspect():
