@@ -6,7 +6,9 @@ the identity.  Three independent engines count them:
 
 * ``count_naive``  -- the table oracle: the group-law table is composed from
   the index tables of F_q and :func:`count_group_generic` counts the
-  tuples on it, folding them by the value of their commutator product,
+  tuples on it, the commuting pairs at genus 1 and otherwise by folding
+  them by the value of their commutator product (:func:`oracle_counts`,
+  one sweep for every genus up to a bound),
 * ``count_semi``   -- one handle at a time: the scaling coordinates of a
   handle are enumerated and its translation coordinates counted as
   solutions of a linear form, and the g handles are chained by a 2x2
@@ -24,8 +26,8 @@ import itertools
 import random
 import time
 from collections import Counter, defaultdict
-from operator import itemgetter
-from typing import Iterator, Sequence
+from operator import eq, itemgetter
+from typing import Sequence
 
 from .exactpoly import Immutable, Record
 from .finitefield import FieldMismatch, FieldSpec, FqElem
@@ -158,15 +160,17 @@ def count_naive(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> Cou
 
     Builds :func:`aff_group_table` from the addition and multiplication
     tables of F_q on enumeration indices and runs :func:`count_group_generic`
-    on it, which folds the tuples by value: |G|^2 handle commutators, then
-    g - 1 steps over the commutators' support, with |G| = q(q - 1).  The
-    guard charges (g + 1)|G|^2 and raises :class:`BudgetExceeded` above
-    ``guard`` before the table is built; the default guard admits genus 1 up
-    to q = 83 and refuses q = 89 and q = 97.  Memory is the table: 8 bytes
-    of pointer per entry, as the entries share the int objects of
-    :func:`aff_group_table`'s translation rows.  At q = 47 (|G|^2 = 4.67
-    million entries) the whole ``count`` command peaks at 58 MB of VmHWM
-    and takes 1.5 s of CPU on a 2-core Xeon with CPython 3.11.7.
+    on it, with |G| = q(q - 1): at genus 1 it counts the commuting pairs,
+    |G|^2 / 2 comparisons of a row with its column, and at genus >= 2 it
+    folds the tuples by value, |G|^2 handle commutators and then g - 1
+    steps over the commutators' support.  The guard charges (g + 1)|G|^2
+    and raises :class:`BudgetExceeded` above ``guard`` before the table is
+    built; the default guard admits genus 1 up to q = 83 and refuses q = 89
+    and q = 97.  Memory is the table: 8 bytes of pointer per entry, as the
+    entries share the int objects of :func:`aff_group_table`'s translation
+    rows.  At q = 47 (|G|^2 = 4.67 million entries) the whole ``count``
+    command peaks at 58 MB of VmHWM and takes 0.9 s of CPU on a 2-core Xeon
+    with CPython 3.11.7.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
@@ -271,7 +275,7 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
     indices, ``identity`` is a two-sided identity, every element has a
     two-sided inverse, associativity on all triples (n^3 <= 1000) or on
     1000 seeded random ones, and every row holds the identity exactly once.
-    The last check is what :func:`count_group_generic` relies on: it counts
+    The last check is what :func:`oracle_counts` relies on: it counts
     the last handles that complete a prefix p as the commutators equal to
     p^-1, which equals the number of identities p*c only when p has one
     right inverse.  In a group that holds by associativity; the sample can
@@ -314,29 +318,70 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
     return inv
 
 
-def _commutator_rows(table: Sequence[Sequence[int]], inv: list[int]) -> Iterator[list[int]]:
-    # the commutators [x, y] = (x y)(x^-1 y^-1) of one x per row, read from
-    # the rows of x and x^-1 alone: the latter is gathered at the inverses
-    # once per row, in C (itemgetter of one index returns no tuple, hence
-    # the trivial group's own gather)
+def _commuting_pairs(table: Sequence[Sequence[int]]) -> int:
+    # the pairs with x y = y x: row x against column x above the diagonal,
+    # compared in C, doubled for the pairs below it, plus the |G| on it
+    upper = sum(
+        sum(map(eq, row[x + 1 :], map(itemgetter(x), table[x + 1 :])))
+        for x, row in enumerate(table)
+    )
+    return 2 * upper + len(table)
+
+
+def oracle_counts(
+    table: Sequence[Sequence[int]],
+    identity: int,
+    genus_max: int,
+    guard: int = DEFAULT_GUARD,
+) -> tuple[list[int], Counter]:
+    """The commutator-relation counts at genus 1 to ``genus_max`` in one sweep.
+
+    Returns the counts, in order of genus, and h: h[z] is the number of
+    handles (x, y) whose commutator x y x^-1 y^-1 is z, read from the table
+    alone.  The table is validated once (:func:`validate_group_table`) and h
+    tallied once; then d_0 = {identity: 1} and d_{k+1}[p c] += d_k[p] h[c]
+    fold the tuples of k handles by the value p of their commutator product,
+    and the genus-g count is the sum of d_{g-1}[p] h[p^-1], since p c is the
+    identity exactly when c = p^-1.  Every tuple is counted once, as a
+    weight, with its product taken left to right in the table.  The work is
+    |G|^2 commutators plus genus_max - 1 steps of |supp d| * |supp h| <=
+    |G|^2 products; the guard charges (genus_max + 1)|G|^2, the table's
+    entries included, and raises :class:`BudgetExceeded` above ``guard``
+    before the table is validated.
+    """
+    if genus_max < 1:
+        raise ValueError("genus must be >= 1")
+    _check_oracle_budget(len(table), genus_max, guard)
+    inv = validate_group_table(table, identity)
+    # [x, y] = (x y)(x^-1 y^-1) for one x per row, read from the rows of x and
+    # x^-1 alone: the latter is gathered at the inverses once per row, in C
+    # (itemgetter of one index returns no tuple, hence the trivial group's own)
     at_inverses = itemgetter(*inv) if len(inv) > 1 else lambda row: [row[inv[0]]]
-    for row, inv_x in zip(table, inv):
-        yield [table[xy][xiyi] for xy, xiyi in zip(row, at_inverses(table[inv_x]))]
-
-
-def _commutator_counts(table: Sequence[Sequence[int]], inv: list[int]) -> Counter:
     h: Counter = Counter()
-    for comms in _commutator_rows(table, inv):
-        h.update(comms)
-    return h
+    for row, inv_x in zip(table, inv):
+        h.update([table[xy][xiyi] for xy, xiyi in zip(row, at_inverses(table[inv_x]))])
+    counts, d = [], {identity: 1}
+    for genus in range(1, genus_max + 1):
+        counts.append(sum(weight * h[inv[p]] for p, weight in d.items()))
+        if genus < genus_max:
+            folded: defaultdict[int, int] = defaultdict(int)
+            for p, weight in d.items():
+                row = table[p]
+                for c, count in h.items():
+                    folded[row[c]] += weight * count
+            d = folded
+    return counts, h
 
 
-def handle_commutators(table: Sequence[Sequence[int]], identity: int) -> Counter:
+def handle_commutators(
+    table: Sequence[Sequence[int]], identity: int, guard: int = DEFAULT_GUARD
+) -> Counter:
     """h[z], the number of pairs (x, y) with x y x^-1 y^-1 = z, from the table alone.
 
-    Validates the table first (:func:`validate_group_table`).
+    The h of :func:`oracle_counts` at genus 1, which validates the table and
+    charges the guard first.
     """
-    return _commutator_counts(table, validate_group_table(table, identity))
+    return oracle_counts(table, identity, 1, guard)[1]
 
 
 def count_group_generic(
@@ -348,34 +393,23 @@ def count_group_generic(
     """Commutator-relation count using only a multiplication table.
 
     Independent of any affine structure: an oracle for cross-checking the
-    other engines on the same group fed back as an opaque table.  Tuples are
-    folded by value, not visited one by one: with h[z] the number of handles
-    whose commutator is z, d starts at the identity and each of the first
-    g - 1 handles is folded in by d'[p c] += d[p] h[c]; the count is then
-    the sum of d[p] h[p^-1], since p c is the identity exactly when
-    c = p^-1.  Every tuple is counted once, as a weight, with its product
-    taken left to right in the table.  At genus 1 that sum is h[identity],
-    counted row by row without building h.  The work is |G|^2 commutators
-    plus g - 1 steps of |supp d| * |supp h| <= |G|^2 products; the guard
-    charges (g + 1)|G|^2, the table's entries included, and raises
-    :class:`BudgetExceeded` above ``guard`` before the table is validated.
+    other engines on the same group fed back as an opaque table.  At genus 1
+    a handle (x, y) has commutator the identity exactly when x y = y x, so
+    the count is the commuting pairs, read off the validated table by
+    comparing each row with its column above the diagonal: |G|^2 / 2
+    comparisons in C and no commutator built.  At genus >= 2 it is the last
+    count of :func:`oracle_counts`, which folds the tuples by the value of
+    their commutator product.  The guard charges (g + 1)|G|^2 either way and
+    raises :class:`BudgetExceeded` above ``guard`` before the table is
+    validated.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
+    if genus > 1:
+        return oracle_counts(table, identity, genus, guard)[0][-1]
     _check_oracle_budget(len(table), genus, guard)
-    inv = validate_group_table(table, identity)
-    if genus == 1:
-        return sum(comms.count(identity) for comms in _commutator_rows(table, inv))
-    h = _commutator_counts(table, inv)
-    d = {identity: 1}
-    for _ in range(genus - 1):
-        folded: defaultdict[int, int] = defaultdict(int)
-        for p, weight in d.items():
-            row = table[p]
-            for c, count in h.items():
-                folded[row[c]] += weight * count
-        d = folded
-    return sum(weight * h[inv[p]] for p, weight in d.items())
+    validate_group_table(table, identity)
+    return _commuting_pairs(table)
 
 
 def _addition_rows(field: FieldSpec, elems: list[FqElem]) -> list[list[int]]:

@@ -34,10 +34,9 @@ from .affcount import (
     check_budget,
     count_closed,
     count_digits_bound,
-    count_naive,
     count_points,
     count_semi,
-    handle_commutators,
+    oracle_counts,
 )
 from .exactpoly import ONE, PolyMatrix, Record, power_charge
 from .finitefield import make_field, parse_descriptor
@@ -65,6 +64,9 @@ GOLDEN_SHA256 = "b92b7e5c8263bcf2b9cfb9f8b1b73ed2cd2ebb4c3b12641abe867e1a5b6f257
 
 # cells the reference table leaves blank, computable all the same
 EXTEND_CELLS = ((1, 7), (1, 8), (1, 9), (1, 11), (2, 13), (2, 16), (2, 17), (2, 19))
+
+# the fields over which verify checks the table oracle against semi
+ORACLE_ORDERS = (2, 3, 4, 5)
 
 
 class Report(Record):
@@ -196,8 +198,16 @@ def cmd_epoly(
     counts_file: str | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> Report:
-    """Counting polynomial from a plan's point counts, or from a ``q,count`` CSV."""
-    if counts_file:
+    """Counting polynomial from a plan's point counts, or from a ``q,count`` CSV.
+
+    A plan and a CSV exclude each other; an empty CSV path or plan is an
+    error, not a request for the default plan.
+    """
+    if counts_file is not None and plan_text is not None:
+        raise ValueError("--plan and --counts exclude each other; give one of them")
+    if counts_file == "":
+        raise ValueError("--counts needs a file name")
+    if counts_file is not None:
         samples = samples_from_csv(counts_file)
         for q, _ in samples:
             if prime_power(q, guard) is None:
@@ -205,7 +215,7 @@ def cmd_epoly(
         epoly = epoly_from_samples(genus, samples)
         counts = [{"q": q, "count": str(c), "engine": "csv"} for q, c in samples]
     else:
-        if plan_text:
+        if plan_text is not None:
             try:
                 plan = plan_from_text(genus, plan_text, guard)
             except ValueError as exc:
@@ -308,11 +318,22 @@ def cmd_table(
 
 
 def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
-    """Cross-check the three methods up to the requested genus."""
+    """Cross-check the three methods up to the requested genus.
+
+    Stratification is checked against the transfer matrix at every genus up
+    to ``genus_max``, interpolation at genus 1-3 and the table oracle against
+    ``semi`` at genus 1-2 over F_q, q = 2-5.  Each q's group table is built
+    and validated once: one :func:`~affrep.affcount.oracle_counts` sweep
+    gives both the oracle's counts and its handle commutators h.  The guard
+    charges every q's sweep before any table is built.
+    """
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
     charge = power_charge(genus_max, *TRANSFER_POWER)
     _check_polynomial_budget(genus_max, charge, "the transfer-matrix powers M^1 to M^g", guard)
+    oracle_genus = min(genus_max, 2)
+    for q in ORACLE_ORDERS:
+        check_budget(q, oracle_genus, "naive", guard)
     checks = []
     data = build_transfer()
     geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
@@ -324,17 +345,19 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         interp = epoly_from_counts(g, guard=guard).epoly
         name = f"interpolation_vs_stratification_g{g}"
         checks.append(_check(name, interp == geometric[g], f"interpolated {interp}"))
-    for g in range(1, min(genus_max, 2) + 1):
-        for q in (2, 3, 4, 5):
-            field = _field_for_order(q)
-            naive = count_naive(field, g, guard=guard).count
+    sweeps = {}
+    for q in ORACLE_ORDERS:
+        field = _field_for_order(q)
+        table, ident = aff_group_table(field)
+        sweeps[q] = (field, ident, *oracle_counts(table, ident, oracle_genus, guard))
+    for g in range(1, oracle_genus + 1):
+        for q, (field, _, naive_counts, _) in sweeps.items():
+            naive = naive_counts[g - 1]
             semi = count_semi(field, g, guard=guard).count
             checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
-    for q in (2, 3, 4, 5):
+    for q, (_, ident, _, h) in sweeps.items():
         # semi and tqft assume one handle's commutator is a translation, equally
         # often each nonzero one; the oracle's h, from the table alone, tests it
-        table, ident = aff_group_table(_field_for_order(q))
-        h = handle_commutators(table, ident)
         translations = range(ident, ident + q)  # (1, b) has index ident + idx(b)
         outside = sum(n for z, n in h.items() if z not in translations)
         nonzero = sorted({h[t] for t in translations[1:]})

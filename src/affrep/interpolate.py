@@ -287,11 +287,14 @@ def samples_from_csv(path: str) -> list[tuple[int, int]]:
 def plan_from_text(genus: int, text: str, guard: int = DEFAULT_GUARD) -> SamplePlan:
     """Parse a comma-separated prime-power list into a plan.
 
-    A token that is not an integer raises :class:`ValueError` naming it;
-    ``guard`` bounds the prime-power checks as in :class:`SamplePlan`.
+    A token that is empty or not an integer raises :class:`ValueError`
+    naming it, so no entry is dropped; ``guard`` bounds the prime-power
+    checks as in :class:`SamplePlan`.
     """
     powers = []
-    for tok in filter(str.strip, text.split(",")):
+    for position, tok in enumerate(text.split(","), start=1):
+        if not tok.strip():
+            raise ValueError(f"entry {position} is empty")
         try:
             powers.append(int(tok))
         except ValueError:

@@ -8,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affrep import affcount
 from affrep.affcount import (
@@ -26,6 +28,7 @@ from affrep.affcount import (
     count_points,
     count_semi,
     handle_commutators,
+    oracle_counts,
     validate_group_table,
 )
 from affrep.finitefield import FieldMismatch, make_field
@@ -445,6 +448,54 @@ print(count, hwm_kb() - before)
         count, growth_kb = map(int, out.split())
         assert count == count_closed(31, 1)
         assert growth_kb < 16 * 1024
+
+
+def _symmetric_table():
+    # S3 as the permutations of (0, 1, 2) in lexicographic order, x * y = x after y
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(x[y[k]] for k in range(3))] for y in perms] for x in perms]
+    return table, index[(0, 1, 2)]
+
+
+def _relabel(table, identity, perm):
+    # the same group with element x renamed perm[x]
+    relabelled = [[0] * len(table) for _ in table]
+    for x, row in enumerate(table):
+        for y, xy in enumerate(row):
+            relabelled[perm[x]][perm[y]] = perm[xy]
+    return relabelled, perm[identity]
+
+
+# Aff(1, F_q) for q <= 5, Z_n for n <= 12, Q8 and S3
+RELABELLING_GROUPS = (
+    [(f"aff{q}", aff_group_table(make_field(*prime_power(q)))) for q in (2, 3, 4, 5)]
+    + [(f"z{n}", _cyclic_table(n)) for n in range(1, 13)]
+    + [("q8", _quaternion_table()), ("s3", _symmetric_table())]
+)
+
+
+@st.composite
+def _relabelled_groups(draw):
+    name, (table, identity) = draw(st.sampled_from(RELABELLING_GROUPS))
+    perm = draw(st.permutations(range(len(table))))
+    return name, (table, identity), _relabel(table, identity, perm)
+
+
+class TestOracleOnRelabelledTables:
+    @settings(max_examples=60)
+    @given(_relabelled_groups())
+    def test_relabelling_keeps_every_count(self, group):
+        _, (table, identity), (relabelled, ident) = group
+        n = len(relabelled)
+        singles = [count_group_generic(relabelled, ident, genus) for genus in (1, 2, 3)]
+        for genus, count in enumerate(singles, start=1):
+            if n ** (2 * genus) <= 10**5:
+                assert count == _brute_force_count(relabelled, ident, genus)
+        assert oracle_counts(relabelled, ident, 3)[0] == singles
+        # the commuting pairs read row against column: the diagonal and the
+        # triangle's bounds must not depend on where the labels put them
+        assert singles[0] == count_group_generic(table, identity, 1)
 
 
 class TestDispatch:

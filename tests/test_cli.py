@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import affrep
-from affrep import cli
+from affrep import affcount, cli
+from affrep.affcount import BudgetExceeded
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
@@ -241,6 +242,27 @@ class TestEPoly:
         assert out == ""
         assert err.startswith("error: --plan") and "'x'" in err
 
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["--counts", ""], "--counts needs a file name"),
+            (["--plan", ""], "--plan '': entry 1 is empty"),
+            (["--plan", "2,,3,4,5"], "--plan '2,,3,4,5': entry 2 is empty"),
+            (["--plan", "2,3,4,5", "--counts", "COUNTS"], "exclude each other"),
+        ],
+        ids=["empty-counts", "empty-plan", "empty-token", "plan-and-counts"],
+    )
+    def test_ignored_input_is_refused(self, capsys, tmp_path, args, named):
+        # none of these may fall back to the default plan or drop a given input
+        path = tmp_path / "counts.csv"
+        path.write_text("2,4\n3,18\n4,48\n5,100\n")
+        argv = ["epoly", "--genus", "1"] + [str(path) if a == "COUNTS" else a for a in args]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert len(err.splitlines()) == 1
+
     def test_default_plan_beyond_the_largest_field(self, capsys):
         # 800 prime powers needed, about 600 lie within the field-order bound
         code, out, err = run_cli(capsys, ["epoly", "--genus", "200", "--engine", "closed"])
@@ -443,6 +465,36 @@ class TestVerify:
             "h = 100 at the identity, [75] on the 4 other translations, "
             "0 off the translation subgroup"
         )
+
+    def test_oracle_guard_boundary(self, monkeypatch):
+        # (g + 1)|G|^2 = 3 * 20^2 = 1200 at q = 5, genus 2: every field's sweep
+        # is charged before any group table is built
+        def no_table(field):
+            raise AssertionError("group table built before the guard decided")
+
+        monkeypatch.setattr(cli, "aff_group_table", no_table)
+        with pytest.raises(BudgetExceeded, match=r"= 1200 steps with \|G\| = 20 and g = 2"):
+            cmd_verify(2, guard=1199)
+        monkeypatch.undo()
+        assert cmd_verify(2, guard=1200).passed
+
+    def test_one_table_per_field(self, monkeypatch):
+        built, validated = [], []
+        table_of, validate = cli.aff_group_table, affcount.validate_group_table
+
+        def counted_table(field):
+            built.append(field.order)
+            return table_of(field)
+
+        def counted_validate(table, identity):
+            validated.append(len(table))
+            return validate(table, identity)
+
+        monkeypatch.setattr(cli, "aff_group_table", counted_table)
+        monkeypatch.setattr(affcount, "validate_group_table", counted_validate)
+        assert cmd_verify(5).passed
+        assert built == [2, 3, 4, 5]
+        assert validated == [2, 6, 12, 20]
 
     def test_polynomial_level_only_for_high_genus(self):
         report = cmd_verify(10)

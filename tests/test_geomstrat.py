@@ -2,8 +2,9 @@
 
 import pytest
 
-from affrep.affcount import count_closed
+from affrep.affcount import aff_group_table, count_semi, oracle_counts
 from affrep.exactpoly import ONE, Q
+from affrep.finitefield import make_field
 from affrep.geomstrat import (
     GenusOutOfRange,
     character_class,
@@ -12,6 +13,7 @@ from affrep.geomstrat import (
     xs_closed,
     xs_recursive,
 )
+from affrep.interpolate import prime_power
 
 
 class TestAuxiliaryClasses:
@@ -54,10 +56,15 @@ class TestRepClass:
         with pytest.raises(GenusOutOfRange):
             rep_class(0)
 
-    def test_matches_closed_count_on_a_grid(self):
-        for genus in range(1, 6):
-            for q in range(2, 20):
-                assert rep_class(genus)(q) == count_closed(q, genus)
+    def test_matches_semi_and_oracle_on_a_grid(self):
+        # the class evaluated at q against two point counts that never use it:
+        # semi's handle recurrence and the table oracle's one sweep per field
+        classes = [rep_class(genus) for genus in range(1, 6)]
+        for q in (2, 3, 4, 5, 7, 8, 9):
+            field = make_field(*prime_power(q))
+            oracle = oracle_counts(*aff_group_table(field), 5)[0]
+            semi = [count_semi(field, genus).count for genus in range(1, 6)]
+            assert [cls(q) for cls in classes] == semi == oracle
 
     def test_degree_and_leading_coefficient(self):
         for genus in range(1, 11):
