@@ -25,6 +25,6 @@ try:
 except NotDivisible as exc:
     print(f"as expected: {exc}")
 
-# polynomial matrices power exactly, entry by entry
+# polynomial matrices scale and take traces exactly, entry by entry
 fib = PolyMatrix.from_rows([[Q, ONE], [ONE, IntPoly()]])
-print(f"[[q, 1], [1, 0]]^5 top-left: {(fib ** 5).entry(0, 0)}")
+print(f"trace of (q - 1) [[q, 1], [1, 0]]: {fib.scale(Q - ONE).trace()}")

@@ -1,9 +1,11 @@
 """Closing surfaces with a 2x2 transfer matrix over Z[q].
 
 Cutting the genus-g surface into a disc, g holed tori and a cap reduces the
-class computation to the g-th power of one matrix, normalized by the g-th
-power of the group class.  The matrix is assembled from fiber classes and
-passes its eigen-identities as exact polynomial equalities.
+class computation to gluing: the disc's circle state passes through one
+matrix once per holed torus, and the cap keeps the identity coordinate,
+divided by the g-th power of the group class.  The matrix is assembled from
+fiber classes and passes its eigen-identities as exact polynomial
+equalities.
 """
 
 from affrep import (
@@ -37,9 +39,10 @@ a, b, d = reconstruct_transfer(
 print("\nreconstructed from genus 1-3 data (lower-left normalized to 1):")
 print(f"  a = {a}\n  b = {b}\n  d = {d}")
 
-# iterating the matrix on the identity generator and projecting agrees
-state = CircleState(ONE, ZERO)
+# gluing by hand: one pass of the matrix per holed torus, then the cap
+print()
+state = CircleState(ONE, ZERO)  # the disc
 for genus in range(1, 4):
-    state = apply_transfer(state, data)
+    state = apply_transfer(state, data.matrix)
     projected = state.c_i.exact_div(data.group_class**genus)
-    print(f"iterate-and-project, genus {genus}: {projected}")
+    print(f"glue and cap, genus {genus}: {projected}")

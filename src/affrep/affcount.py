@@ -69,9 +69,6 @@ class AffElem(Immutable):
         ainv = self.a.inv()
         return AffElem(ainv, -(ainv * self.b))
 
-    def is_identity(self) -> bool:
-        return self.a == self.field.one() and self.b.is_zero()
-
 
 def aff_identity(field: FieldSpec) -> AffElem:
     return AffElem(field.one(), field.zero())
@@ -371,17 +368,6 @@ def oracle_counts(
                     folded[row[c]] += weight * count
             d = folded
     return counts, h
-
-
-def handle_commutators(
-    table: Sequence[Sequence[int]], identity: int, guard: int = DEFAULT_GUARD
-) -> Counter:
-    """h[z], the number of pairs (x, y) with x y x^-1 y^-1 = z, from the table alone.
-
-    The h of :func:`oracle_counts` at genus 1, which validates the table and
-    charges the guard first.
-    """
-    return oracle_counts(table, identity, 1, guard)[1]
 
 
 def count_group_generic(

@@ -56,8 +56,9 @@ from .tqft import (
     build_transfer,
     close_surface,
     eigen_verify,
+    gluing_charges,
     reconstruct_transfer,
-    surface_class,
+    surface_classes,
 )
 
 GOLDEN_SHA256 = "b92b7e5c8263bcf2b9cfb9f8b1b73ed2cd2ebb4c3b12641abe867e1a5b6f2579"
@@ -142,15 +143,8 @@ def _field_for_order(q: int, guard: int = DEFAULT_GUARD):
     return make_field(*decomposition)
 
 
-# power_charge parameters (entry products, lowest power, degree, coefficient
-# bits) of the 2x2 holed-torus matrix, whose entries span q^3..q^6 with
-# coefficients of at most 3 bits, and of q - 1
-TRANSFER_POWER = (8, 3, 6, 3)
-SCALING_POWER = (1, 0, 1, 1)
-
-
-def _one_power_charge(exponent: int, power: tuple[int, int, int, int]) -> int:
-    return power_charge(exponent, *power) - power_charge(exponent - 1, *power)
+# power_charge parameters (lowest power, degree, coefficient bits) of q - 1
+SCALING_POWER = (0, 1, 1)
 
 
 def _check_polynomial_budget(genus: int, charge: int, powers: str, guard: int) -> None:
@@ -159,6 +153,20 @@ def _check_polynomial_budget(genus: int, charge: int, powers: str, guard: int) -
             f"genus {genus} needs {charge} coefficient products, weighted by 64-bit words, "
             f"for {powers} (guard {guard})"
         )
+
+
+def _check_gluing_budget(matrix: PolyMatrix, genus: int, powers: str, guard: int, each) -> None:
+    """Refuse gluing ``genus`` tori by ``matrix`` at the first genus the charge passes the guard.
+
+    Genus g adds a gluing and ``each(g, charge of capping at g)``; the total
+    only grows, so a genus far past the guard is refused at once.
+    """
+    charge = 0
+    for g, (glue, capping) in zip(range(1, genus + 1), gluing_charges(matrix)):
+        charge += glue + each(g, capping)
+        if charge > guard and g < genus:
+            _check_polynomial_budget(genus, charge, f"{powers} to genus {g} alone", guard)
+    _check_polynomial_budget(genus, charge, powers, guard)
 
 
 def _check_printable(q: int, genus: int) -> None:
@@ -194,17 +202,20 @@ def cmd_count(
 def cmd_epoly(
     genus: int,
     plan_text: str | None = None,
-    engine: str = "semi",
+    engine: str | None = None,
     counts_file: str | None = None,
     guard: int = DEFAULT_GUARD,
 ) -> Report:
     """Counting polynomial from a plan's point counts, or from a ``q,count`` CSV.
 
-    A plan and a CSV exclude each other; an empty CSV path or plan is an
-    error, not a request for the default plan.
+    A CSV excludes a plan and an engine, as nothing is counted; a plan is
+    counted by ``semi`` unless an engine is given.  An empty CSV path or
+    plan is an error, not a request for the default plan.
     """
     if counts_file is not None and plan_text is not None:
         raise ValueError("--plan and --counts exclude each other; give one of them")
+    if counts_file is not None and engine is not None:
+        raise ValueError("--engine and --counts exclude each other: a CSV is read, not counted")
     if counts_file == "":
         raise ValueError("--counts needs a file name")
     if counts_file is not None:
@@ -223,6 +234,7 @@ def cmd_epoly(
         else:
             plan = default_plan(genus)
         _check_printable(max(plan.prime_powers), genus)
+        engine = engine or "semi"
         result = epoly_from_counts(genus, plan, engine=engine, guard=guard)
         epoly, counts = result.epoly, [rec.as_json() for rec in result.records]
     inputs = {
@@ -250,9 +262,10 @@ def cmd_tqft(
     guard: int = DEFAULT_GUARD,
 ) -> Report:
     """Transfer-matrix class of the genus-g surface, with optional identity checks."""
-    charge = _one_power_charge(genus, TRANSFER_POWER)
-    _check_polynomial_budget(genus, charge, "the transfer-matrix power M^g", guard)
     data = build_transfer()
+    _check_gluing_budget(
+        data.matrix, genus, "gluing and capping", guard, lambda g, c: c if g == genus else 0
+    )
     results: dict = {"virtual_class": str(close_surface(genus, data))}
     checks = []
     if show_matrix:
@@ -260,10 +273,11 @@ def cmd_tqft(
     if verify_eigen:
         checks += [_check(name, ok) for name, ok in eigen_verify(data)]
     if reconstruct:
-        a, b, d = reconstruct_transfer(*(close_surface(g, data) for g in (1, 2, 3)))
+        classes = surface_classes(data.matrix, 6)
+        a, b, d = reconstruct_transfer(*classes[:3])
         results["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
         rebuilt = PolyMatrix.from_rows([[a, b], [ONE, d]])
-        roundtrip = all(surface_class(rebuilt, g) == close_surface(g, data) for g in range(1, 7))
+        roundtrip = surface_classes(rebuilt, 6) == classes
         checks.append(_check("reconstruction_roundtrip", roundtrip, "genus 1-6 classes"))
     inputs = {
         "genus": genus,
@@ -277,7 +291,7 @@ def cmd_tqft(
 
 def cmd_classes(genus: int, guard: int = DEFAULT_GUARD) -> Report:
     """Representation, moduli and character classes for one genus."""
-    charge = 3 * _one_power_charge(2 * genus, SCALING_POWER)
+    charge = 3 * power_charge(2 * genus, *SCALING_POWER)
     _check_polynomial_budget(genus, charge, "three powers (q - 1)^2g", guard)
     results = {
         "representation": str(rep_class(genus)),
@@ -321,24 +335,28 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     """Cross-check the three methods up to the requested genus.
 
     Stratification is checked against the transfer matrix at every genus up
-    to ``genus_max``, interpolation at genus 1-3 and the table oracle against
-    ``semi`` at genus 1-2 over F_q, q = 2-5.  Each q's group table is built
-    and validated once: one :func:`~affrep.affcount.oracle_counts` sweep
-    gives both the oracle's counts and its handle commutators h.  The guard
-    charges every q's sweep before any table is built.
+    to ``genus_max``, from one sweep of gluing, interpolation at genus 1-3
+    and the table oracle against ``semi`` at genus 1-2 over F_q, q = 2-5.
+    Each q's group table is built and validated once: one
+    :func:`~affrep.affcount.oracle_counts` sweep gives both the oracle's
+    counts and its handle commutators h.  The guard charges gluing, capping
+    and ``rep_class`` at every genus, and every sweep, before any runs.
     """
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
-    charge = power_charge(genus_max, *TRANSFER_POWER)
-    _check_polynomial_budget(genus_max, charge, "the transfer-matrix powers M^1 to M^g", guard)
+    data = build_transfer()
+
+    def each(g: int, capping: int) -> int:  # verify caps and builds rep_class at every genus
+        return capping + power_charge(2 * g, *SCALING_POWER)
+
+    _check_gluing_budget(data.matrix, genus_max, "gluing, capping and (q - 1)^2g", guard, each)
     oracle_genus = min(genus_max, 2)
     for q in ORACLE_ORDERS:
         check_budget(q, oracle_genus, "naive", guard)
     checks = []
-    data = build_transfer()
     geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
-    for g, expected in geometric.items():
-        transfer = close_surface(g, data)
+    transfers = surface_classes(data.matrix, genus_max)
+    for (g, expected), transfer in zip(geometric.items(), transfers):
         details = f"{expected} vs {transfer}"
         checks.append(_check(f"stratification_vs_transfer_g{g}", expected == transfer, details))
     for g in range(1, min(genus_max, 3) + 1):
@@ -402,7 +420,7 @@ def _count_options(p: argparse.ArgumentParser) -> None:
 def _epoly_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--genus", type=_positive_int, required=True)
     p.add_argument("--plan", help="comma-separated prime powers, e.g. 2,3,4,5")
-    p.add_argument("--engine", choices=ENGINES, default="semi")
+    p.add_argument("--engine", choices=ENGINES, help="counting engine of a plan (default semi)")
     p.add_argument("--counts", help="CSV file of q,count samples instead of counting")
     _tabular(p)
 

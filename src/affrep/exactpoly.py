@@ -12,7 +12,7 @@ with a valid degree.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter, matmul, mul
+from operator import attrgetter, mul
 from typing import Iterable, Iterator
 
 
@@ -268,37 +268,11 @@ class PolyMatrix(Immutable):
             raise DimensionMismatch("rows must be non-empty and of equal length")
         return PolyMatrix(len(rs), len(rs[0]), [e for r in rs for e in r])
 
-    @staticmethod
-    def identity(n: int) -> PolyMatrix:
-        return PolyMatrix(n, n, [ONE if i == j else ZERO for i in range(n) for j in range(n)])
-
     def entry(self, i: int, j: int) -> IntPoly:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[IntPoly, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __matmul__(self, other: PolyMatrix) -> PolyMatrix:
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + self.entry(i, k) * other.entry(k, j)
-                out.append(acc)
-        return PolyMatrix(self.rows, other.cols, out)
-
-    def __pow__(self, e: int) -> PolyMatrix:
-        """Matrix power by :func:`power`; ``A ** 0`` is the identity."""
-        if self.rows != self.cols:
-            raise DimensionMismatch("only square matrices can be raised to a power")
-        if e < 0:
-            raise ValueError("negative matrix powers are not defined over Z[q]")
-        return power(self, e, PolyMatrix.identity(self.rows), matmul)
 
     def scale(self, f: IntPoly | int) -> PolyMatrix:
         f = _as_poly(f)
@@ -323,41 +297,26 @@ class PolyMatrix(Immutable):
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self) + "]"
 
 
-def power_charge(n: int, entry_products: int, low: int, degree: int, bits: int) -> int:
-    """Weighted coefficient products of computing x**1, x**2, ..., x**n, summed.
+def power_charge(e: int, low: int, degree: int, bits: int) -> int:
+    """Weighted coefficient products of ``x ** e`` along :func:`power`'s schedule.
 
-    Follows the repeated squaring of :func:`power`: for exponent e, step j
-    (k = 2^j <= e) first multiplies x^r by x^k when bit j of e is set
-    (r = e mod k, x^0 being the identity), then squares x^k if e has a bit
-    above j, that is if e >= 2k.
-    The nonzero coefficients of x lie in q^low..q^degree and have at most
-    ``bits`` bits; those of x^k are taken to lie in q^(k low)..q^(k degree)
-    with at most k * bits bits.  Multiplying x^a by x^b makes
-    ``entry_products`` polynomial products (1 for a polynomial, 8 for a 2x2
-    matrix), each of (a (degree - low) + 1)(b degree + 1) coefficient
-    products, as :meth:`IntPoly.__mul__` skips the zero coefficients of its
-    left factor only.  Each coefficient product is weighted by the 64-bit
-    words of its wider factor: up to about a thousand bits, an integer
-    product inside that loop measures about that many times a word-sized
-    one, as the loop, not the multiplication, dominates.
-
-    Each step is summed over every exponent up to n in closed form, so the
-    charge for one exponent e is ``power_charge(e, ...) - power_charge(e - 1, ...)``.
+    The nonzero coefficients of x lie in q^low..q^degree with at most
+    ``bits`` bits, those of x^k in q^(k low)..q^(k degree) with k * bits.
+    Multiplying x^a by x^b makes (a (degree - low) + 1)(b degree + 1)
+    coefficient products, as :meth:`IntPoly.__mul__` skips only its left
+    factor's zeros.  Each is weighted by the 64-bit words of its wider
+    factor: up to about a thousand bits the loop, not the multiplication,
+    dominates, so a product costs about its words in word-sized ones.
     """
     span = degree - low
-
-    def left_terms(count: int) -> int:
-        # sum of r * span + 1 over r < count: coefficient counts of x^r
-        return span * count * (count - 1) // 2 + count
-
-    total, k = 0, 1
-    while k <= n:
-        # x^k is squared for every e >= 2k, and multiplies x^r for every e with
-        # bit j set: e = 2km + k + r, so each full block of 2k exponents in
-        # 0..n gives r = 0..k-1 once and the partial block gives r < rest - k
-        full, rest = divmod(n + 1, 2 * k)
-        squares = max(0, n - 2 * k + 1)
-        lefts = squares * (k * span + 1) + full * left_terms(k) + left_terms(max(0, rest - k))
-        total += entry_products * (k * degree + 1) * -(-k * bits // 64) * lefts
+    charge, r, k = 0, 0, 1
+    while e:
+        words = -(-k * bits // 64)
+        if e & 1:
+            charge += (r * span + 1) * (k * degree + 1) * words
+            r += k
+        e >>= 1
+        if e:
+            charge += (k * span + 1) * (k * degree + 1) * words
         k *= 2
-    return total
+    return charge

@@ -8,6 +8,9 @@ class supported at the identity and the class supported on the punctured
 translation subgroup; the matrix columns are the classes of the commutator
 map's fibers over those loci.
 
+The holed tori are glued onto the disc one at a time (:func:`glued_states`)
+and the surface is capped (:func:`cap`), so one sweep gives every genus.
+
 Everything stays in Z[q] with exact division instead of localizing away
 q and q - 1, so each step is checkable; results hold up to annihilators of
 q and q - 1 in the Grothendieck ring (see :data:`LOCALIZATION_CAVEAT`).
@@ -15,13 +18,18 @@ q and q - 1 in the Grothendieck ring (see :data:`LOCALIZATION_CAVEAT`).
 
 from __future__ import annotations
 
-from .exactpoly import ONE, Q, Immutable, IntPoly, PolyMatrix
+from itertools import count, islice
+from typing import Iterator
+
+from .exactpoly import ONE, Q, ZERO, Immutable, IntPoly, PolyMatrix
 from .geomstrat import GenusOutOfRange
 
 LOCALIZATION_CAVEAT = (
     "virtual classes obtained through transfer-matrix normalization hold up to "
     "annihilators of q and q-1 in the Grothendieck ring of varieties"
 )
+
+GROUP_CLASS = Q * (Q - ONE)  # of the affine group of the line
 
 
 class TransferConsistencyError(RuntimeError):
@@ -114,34 +122,63 @@ def build_transfer() -> TransferData:
     )
 
 
-def apply_transfer(state: CircleState, data: TransferData) -> CircleState:
-    """One pass of the holed-torus matrix over a circle state."""
-    m = data.matrix
+def apply_transfer(state: CircleState, matrix: PolyMatrix) -> CircleState:
+    """Glue one holed torus onto a circle state: one pass of ``matrix``."""
     return CircleState(
-        m.entry(0, 0) * state.c_i + m.entry(0, 1) * state.c_j,
-        m.entry(1, 0) * state.c_i + m.entry(1, 1) * state.c_j,
+        matrix.entry(0, 0) * state.c_i + matrix.entry(0, 1) * state.c_j,
+        matrix.entry(1, 0) * state.c_i + matrix.entry(1, 1) * state.c_j,
     )
 
 
-def surface_class(matrix: PolyMatrix, genus: int) -> IntPoly:
-    """Close the genus-g surface with a holed-torus matrix.
+def glued_states(matrix: PolyMatrix) -> Iterator[CircleState]:
+    """The disc state with 1, 2, 3, ... holed tori glued on, without end."""
+    state = CircleState(ONE, ZERO)
+    while True:
+        state = apply_transfer(state, matrix)
+        yield state
 
-    Top-left entry of the g-th matrix power, divided exactly by the g-th
-    power of the group class q(q-1) (the normalization for the g + 1
-    basepoints the decomposition introduces).  A division failure is fatal:
-    it would contradict the divisibility that makes the normalization
-    meaningful.
+
+def cap(state: CircleState, genus: int) -> IntPoly:
+    """The genus-g class: the identity coordinate of g glued tori over (q(q-1))^g.
+
+    The division normalizes for the g + 1 basepoints of the decomposition; a
+    remainder raises, as it would contradict the divisibility behind that.
     """
-    return (matrix**genus).entry(0, 0).exact_div((Q * (Q - ONE)) ** genus)
+    return state.c_i.exact_div(GROUP_CLASS**genus)
+
+
+def surface_classes(matrix: PolyMatrix, genus_max: int) -> list[IntPoly]:
+    """The classes of genus 1 to ``genus_max``, capped from one sweep of gluing."""
+    return [cap(state, g) for g, state in zip(range(1, genus_max + 1), glued_states(matrix))]
 
 
 def close_surface(genus: int, data: TransferData | None = None) -> IntPoly:
-    """Virtual class of the genus-g representation variety, by :func:`surface_class`."""
+    """Virtual class of the genus-g representation variety: glue g tori, cap once."""
     if genus < 1:
         raise GenusOutOfRange("genus must be >= 1")
     if data is None:
         data = build_transfer()
-    return surface_class(data.matrix, genus)
+    return cap(next(islice(glued_states(data.matrix), genus - 1, None)), genus)
+
+
+def gluing_charges(matrix: PolyMatrix) -> Iterator[tuple[int, int]]:
+    """Weighted coefficient products of gluing the g-th torus and of capping at g.
+
+    Yields the pair for g = 1, 2, ...; a state of k tori has at most k times
+    the matrix's degree and widest coefficient's bits.  Gluing multiplies each
+    nonzero entry coefficient by every state coefficient, capping each quotient
+    coefficient by every coefficient of :data:`GROUP_CLASS`^g, and a product
+    weighs the 64-bit words of its wider factor, as in :func:`~affrep.exactpoly.power_charge`.
+    """
+    nonzero = sum(1 for e in matrix.entries for c in e.coeffs if c)
+    degree = max(e.degree or 0 for e in matrix.entries)
+    bits = max(abs(c).bit_length() for e in matrix.entries for c in e.coeffs)
+    divisor = GROUP_CLASS.degree
+    for g in count(1):
+        # the first gluing's wider factor is the matrix's, later ones the state's
+        glue = nonzero * (degree * (g - 1) + 1) * -(-bits * max(g - 1, 1) // 64)
+        capping = ((degree - divisor) * g + 1) * (divisor * g + 1) * -(-bits * g // 64)
+        yield glue, capping
 
 
 def reconstruct_transfer(
@@ -156,12 +193,11 @@ def reconstruct_transfer(
         a = q(q-1) e1,  b = q^2 (q-1)^2 e2 - a^2,
         d = (q^3 (q-1)^3 e3 - a^3) / b - 2a    (exact division).
     """
-    group_class = Q * (Q - ONE)
-    a = group_class * e1
-    b = group_class**2 * e2 - a**2
+    a = GROUP_CLASS * e1
+    b = GROUP_CLASS**2 * e2 - a**2
     if b.is_zero():
         raise ReconstructionError("upper-right entry vanishes; genus data is degenerate")
-    numerator = group_class**3 * e3 - a**3
+    numerator = GROUP_CLASS**3 * e3 - a**3
     d = numerator.exact_div(b) - 2 * a
     return a, b, d
 

@@ -1,4 +1,4 @@
-"""Hypothesis settings shared by the suite.
+"""Hypothesis settings and test helpers shared by the suite.
 
 Under ``CI`` (set by GitHub Actions) the ``ci`` profile is loaded: examples
 are derived from each test's source rather than drawn at random, so a
@@ -9,9 +9,30 @@ reproduces it.  Run ``CI=true python -m pytest -q`` to get it locally.
 
 import os
 
+import pytest
 from hypothesis import settings
+
+from affrep.exactpoly import ONE, Q, ZERO
 
 settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session")
+def power_class():
+    """The genus-g class without gluing: top-left of M^g over (q(q-1))^g.
+
+    M^g is built by 2x2 products of IntPoly rows, so this route shares no
+    code with the gluing of :mod:`affrep.tqft`.
+    """
+
+    def power_class(matrix, genus):
+        m = [list(row) for row in matrix]
+        power = m
+        for _ in range(genus - 1):
+            power = [[sum((r[k] * m[k][j] for k in range(2)), ZERO) for j in range(2)] for r in power]
+        return power[0][0].exact_div((Q * (Q - ONE)) ** genus)
+
+    return power_class

@@ -177,6 +177,17 @@ class TestEPoly:
         assert results["epoly"] == "q^3 - q^2"
         assert all(c["engine"] == "csv" for c in results["counts"])
 
+    def test_engine_is_reported_for_a_plan_only(self, capsys, tmp_path):
+        # a plan is counted by semi unless --engine says otherwise; a CSV is not counted
+        path = tmp_path / "counts.csv"
+        path.write_text("2,4\n3,18\n4,48\n5,100\n")
+        engines = {}
+        for source in (["--plan", "2,3,4,5"], ["--counts", str(path)]):
+            code, out, _ = run_cli(capsys, ["epoly", "--genus", "1", *source])
+            assert code == 0
+            engines[source[0]] = json.loads(out)["inputs"]["engine"]
+        assert engines == {"--plan": "semi", "--counts": None}
+
     def test_corrupted_csv_counts_fail(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("2,4\n3,18\n4,48\n5,101\n")
@@ -249,8 +260,9 @@ class TestEPoly:
             (["--plan", ""], "--plan '': entry 1 is empty"),
             (["--plan", "2,,3,4,5"], "--plan '2,,3,4,5': entry 2 is empty"),
             (["--plan", "2,3,4,5", "--counts", "COUNTS"], "exclude each other"),
+            (["--counts", "COUNTS", "--engine", "naive"], "--engine and --counts exclude"),
         ],
-        ids=["empty-counts", "empty-plan", "empty-token", "plan-and-counts"],
+        ids=["empty-counts", "empty-plan", "empty-token", "plan-and-counts", "engine-and-counts"],
     )
     def test_ignored_input_is_refused(self, capsys, tmp_path, args, named):
         # none of these may fall back to the default plan or drop a given input
@@ -321,11 +333,15 @@ class TestTqft:
 
     @pytest.mark.parametrize("command", ["tqft", "classes", "verify"])
     def test_guard(self, capsys, command):
-        # weighted coefficient products of M^g, three (q - 1)^2g, and M^1 to M^g
-        charge = {
-            "tqft": "1282885889302824",
-            "classes": "71272331739495",
-            "verify": "32494143743063872584",
+        # weighted coefficient products of three (q - 1)^2g; a sweep of gluing
+        # stops at its first genus over the guard: one gluing for tqft, and
+        # for verify one gluing, one capping and (q - 1)^2
+        refusal = {
+            "tqft": "genus 100000 needs 14 coefficient products, weighted by 64-bit words, "
+            "for gluing and capping to genus 1 alone ",
+            "classes": "genus 100000 needs 71272331739495 ",
+            "verify": "genus 100000 needs 36 coefficient products, weighted by 64-bit words, "
+            "for gluing, capping and (q - 1)^2g to genus 1 alone ",
         }[command]
         genus_flag = "--genus-max" if command == "verify" else "--genus"
         t0 = time.perf_counter()
@@ -333,13 +349,21 @@ class TestTqft:
         assert time.perf_counter() - t0 < 1
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and charge in err and "guard 1)" in err
+        assert err.startswith("error: ") and refusal in err and "guard 1)" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "argv", [["tqft", "--genus", "800"], ["verify", "--genus-max", "400"]]
+        "argv",
+        [
+            ["tqft", "--genus", "800"],
+            ["verify", "--genus-max", "400"],
+            ["tqft", "--genus", "100000000"],
+            ["verify", "--genus-max", "100000000"],
+        ],
     )
     def test_default_guard_refuses(self, capsys, argv):
+        # the running charge passes the guard near the boundary, however far
+        # past it the genus is
         t0 = time.perf_counter()
         code, out, err = run_cli(capsys, argv)
         assert time.perf_counter() - t0 < 1
@@ -347,6 +371,37 @@ class TestTqft:
         assert out == ""
         assert err.startswith("error: ") and "(guard 100000000)" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv,first_work",
+        [
+            (["tqft", "--genus", "384"], "close_surface"),
+            (["verify", "--genus-max", "170"], "rep_class"),
+        ],
+    )
+    def test_default_guard_boundary(self, capsys, monkeypatch, argv, first_work):
+        # at the boundary the guard lets the command reach its first polynomial
+        # work, stubbed here to stop it; one genus past it no torus is glued
+        from affrep import tqft
+
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        def glued(*args):
+            raise AssertionError("a holed torus was glued before the guard decided")
+
+        monkeypatch.setattr(cli, first_work, admitted)
+        with pytest.raises(Admitted):
+            cli.COMMANDS[argv[0]](cli._build_parser(argv[0]).parse_args(argv))
+        monkeypatch.setattr(tqft, "apply_transfer", glued)
+        argv[-1] = str(int(argv[-1]) + 1)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: genus {argv[-1]} needs ") and "(guard 100000000)" in err
 
     @pytest.mark.parametrize(
         "argv", [["classes", "--genus", "240"], ["verify", "--genus-max", "2"], ["verify"]]

@@ -1,9 +1,12 @@
 """Transfer-matrix data, surface closing and reconstruction."""
 
+import itertools
+
 import pytest
 
+from affrep import tqft
 from affrep.affcount import commutator_distribution, count_semi
-from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible
+from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, PolyMatrix
 from affrep.finitefield import make_field
 from affrep.geomstrat import GenusOutOfRange, rep_class
 from affrep.interpolate import prime_power
@@ -12,9 +15,12 @@ from affrep.tqft import (
     ReconstructionError,
     apply_transfer,
     build_transfer,
+    cap,
     close_surface,
     eigen_verify,
+    glued_states,
     reconstruct_transfer,
+    surface_classes,
 )
 
 QM1 = Q - ONE
@@ -57,16 +63,16 @@ class TestTransferData:
 
 class TestApplyTransfer:
     def test_image_of_the_identity_generator(self, data):
-        out = apply_transfer(CircleState(ONE, ZERO), data)
+        out = apply_transfer(CircleState(ONE, ZERO), data.matrix)
         assert out.c_i == GROUP * (Q**3 - Q**2)
         assert out.c_j == GROUP * (Q**3 - 2 * Q**2)
 
     def test_linearity_at_zero(self, data):
-        out = apply_transfer(CircleState(ZERO, ZERO), data)
+        out = apply_transfer(CircleState(ZERO, ZERO), data.matrix)
         assert out.c_i == ZERO and out.c_j == ZERO
 
     def test_image_of_the_punctured_generator(self, data):
-        out = apply_transfer(CircleState(ZERO, ONE), data)
+        out = apply_transfer(CircleState(ZERO, ONE), data.matrix)
         assert out.c_i == data.fiber_identity_twisted
         assert out.c_j == data.fiber_generic_twisted
 
@@ -103,22 +109,48 @@ class TestCloseSurface:
             assert close_surface(genus, data)(q) == count
 
     def test_genus_zero_rejected(self, data):
+        from affrep.cli import cmd_tqft
+
         with pytest.raises(GenusOutOfRange):
             close_surface(0, data)
+        with pytest.raises(GenusOutOfRange):
+            cmd_tqft(0)
 
     def test_semigroup_law(self, data):
         state = CircleState(ONE, ZERO)
         for genus in range(1, 6):
-            state = apply_transfer(state, data)
+            state = apply_transfer(state, data.matrix)
             assert state.c_i == data.group_class**genus * close_surface(genus, data)
 
     def test_projection_law(self, data):
-        # closing by iterated transfer plus projection onto the identity
-        # coordinate agrees with the matrix-power route
+        # gluing by hand and projecting onto the identity coordinate agrees
+        # with close_surface
         state = CircleState(ONE, ZERO)
         for genus in range(1, 6):
-            state = apply_transfer(state, data)
+            state = apply_transfer(state, data.matrix)
             assert state.c_i.exact_div(data.group_class**genus) == close_surface(genus, data)
+
+    def test_gluing_matches_the_matrix_power(self, data, power_class):
+        # the route that does not glue: top-left of M^g from 2x2 products
+        for genus in range(1, 13):
+            assert close_surface(genus, data) == power_class(data.matrix, genus)
+
+    def test_one_sweep_gives_every_genus(self, data, monkeypatch):
+        glued = []
+        glue = tqft.apply_transfer
+
+        def counted_glue(state, matrix):
+            glued.append(1)
+            return glue(state, matrix)
+
+        monkeypatch.setattr(tqft, "apply_transfer", counted_glue)
+        assert surface_classes(data.matrix, 12) == [rep_class(g) for g in range(1, 13)]
+        assert len(glued) == 12
+
+    def test_failed_division_is_fatal(self, data):
+        # a state whose identity coordinate is not a multiple of q(q-1)
+        with pytest.raises(NotDivisible):
+            cap(CircleState(Q + ONE, ZERO), 1)
 
 
 class TestReconstruction:
@@ -130,16 +162,12 @@ class TestReconstruction:
         assert b == QM1**3 * (Q - 2) ** 2 * Q**6
         assert d == (Q**2 - 3 * Q + 3) * QM1 * Q**3
 
-    def test_reconstructed_matrix_reproduces_the_classes(self, data):
-        from affrep.exactpoly import PolyMatrix
-
-        a, b, d = reconstruct_transfer(
-            close_surface(1, data), close_surface(2, data), close_surface(3, data)
-        )
+    def test_reconstructed_matrix_reproduces_the_classes(self, data, power_class):
+        a, b, d = reconstruct_transfer(*surface_classes(data.matrix, 3))
         matrix = PolyMatrix.from_rows([[a, b], [ONE, d]])
         for genus in range(1, 7):
-            top_left = (matrix**genus).entry(0, 0)
-            assert top_left.exact_div(GROUP**genus) == close_surface(genus, data)
+            assert power_class(matrix, genus) == close_surface(genus, data)
+        assert surface_classes(matrix, 6) == surface_classes(data.matrix, 6)
 
     def test_zero_data_is_degenerate(self):
         with pytest.raises(ReconstructionError):
@@ -186,38 +214,58 @@ def _charge_shape(entries):
 
 
 class TestPolynomialGuardModel:
-    def test_parameters_match_the_powered_polynomials(self, data):
-        from affrep.cli import SCALING_POWER, TRANSFER_POWER
+    def test_parameters_match_the_powered_polynomials(self):
+        from affrep.cli import SCALING_POWER
 
-        assert TRANSFER_POWER == (data.matrix.rows**3, *_charge_shape(data.matrix.entries))
-        assert SCALING_POWER == (1, *_charge_shape([QM1]))
+        assert SCALING_POWER == _charge_shape([QM1])
 
     def test_powers_stay_within_the_modelled_span_and_bits(self, data):
-        # power_charge takes x^k to span q^(k low)..q^(k degree) with k * bits bits
-        matrix, scaling = data.matrix, QM1
-        for k in range(1, 65):
-            low, degree, bits = _charge_shape(matrix.entries)
+        # gluing_charges takes a state of k tori to degree 6k with 3k-bit
+        # coefficients, and power_charge takes (q - 1)^k to degree k with k bits
+        scaling = QM1
+        for k, state in zip(range(1, 65), glued_states(data.matrix)):
+            low, degree, bits = _charge_shape([state.c_i, state.c_j])
             assert low >= 3 * k and degree <= 6 * k and bits <= 3 * k
             low, degree, bits = _charge_shape([scaling])
             assert low >= 0 and degree <= k and bits <= k
-            matrix, scaling = matrix @ data.matrix, scaling * QM1
+            scaling = scaling * QM1
+
+    def test_charges_follow_the_matrix_shape(self, data):
+        # 14 nonzero entry coefficients, degree 6, 3-bit coefficients; a matrix
+        # with 80-bit coefficients weighs two words per product from the start
+        charges = list(itertools.islice(tqft.gluing_charges(data.matrix), 3))
+        assert charges == [(14, 5 * 3), (14 * 7, 9 * 5), (14 * 13, 13 * 7)]
+        wide = list(itertools.islice(tqft.gluing_charges(data.matrix.scale(2**77)), 2))
+        assert wide == [(14 * 2, 5 * 3 * 2), (14 * 7 * 2, 9 * 5 * 3)]
 
     def test_matrix_charge_tracks_the_products_performed(self, data, monkeypatch):
-        # for k <= 16 every coefficient of M^k has at most 48 bits, so every
-        # word weight is 1 and the charge is a count of coefficient products;
-        # the identity's zero entries make it an overcount, by a bounded margin
-        from affrep.cli import TRANSFER_POWER, _one_power_charge
+        # for g <= 16 every coefficient glued or divided has at most 48 bits, so
+        # every word weight is 1 and tqft's charge is a count of coefficient
+        # products: for each nonzero left coefficient one per right coefficient
+        # in IntPoly.__mul__, and one per divisor coefficient for each nonzero
+        # quotient coefficient in IntPoly.exact_div
+        from affrep.affcount import BudgetExceeded
+        from affrep.cli import cmd_tqft
 
         performed = []
-        mul = IntPoly.__mul__
+        mul, exact_div = IntPoly.__mul__, IntPoly.exact_div
 
         def counting_mul(self, other):
             performed.append(sum(1 for c in self.coeffs if c) * len(other.coeffs))
             return mul(self, other)
 
+        def counting_div(self, d):
+            quotient = exact_div(self, d)
+            performed.append(sum(1 for c in quotient.coeffs if c) * len(d.coeffs))
+            return quotient
+
         monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
-        for e in range(8, 22):
+        monkeypatch.setattr(IntPoly, "exact_div", counting_div)
+        for genus in range(8, 17):
             performed.clear()
-            data.matrix**e
-            charge = _one_power_charge(e, TRANSFER_POWER)
-            assert sum(performed) <= charge <= 1.15 * sum(performed), e
+            close_surface(genus, data)
+            # performed <= charge <= 1.15 performed: a guard one under the
+            # products performed refuses, and one of 1.15 times them admits
+            with pytest.raises(BudgetExceeded):
+                cmd_tqft(genus, guard=sum(performed) - 1)
+            cmd_tqft(genus, guard=int(1.15 * sum(performed)))
