@@ -38,9 +38,9 @@ from .affcount import (
     count_semi,
     oracle_counts,
 )
-from .exactpoly import ONE, PolyMatrix, Record, power_charge
+from .exactpoly import ONE, PolyMatrix, Record
 from .finitefield import make_field, parse_descriptor
-from .geomstrat import character_class, moduli_class, rep_class
+from .geomstrat import character_class, class_charge, moduli_class, rep_class
 from .interpolate import (
     default_plan,
     epoly_from_counts,
@@ -143,16 +143,14 @@ def _field_for_order(q: int, guard: int = DEFAULT_GUARD):
     return make_field(*decomposition)
 
 
-# power_charge parameters (lowest power, degree, coefficient bits) of q - 1
-SCALING_POWER = (0, 1, 1)
-
-
 def _check_polynomial_budget(genus: int, charge: int, powers: str, guard: int) -> None:
+    """Refuse a genus-g class whose charge passes the guard, or that may not print."""
     if charge > guard:
         raise BudgetExceeded(
             f"genus {genus} needs {charge} coefficient products, weighted by 64-bit words, "
             f"for {powers} (guard {guard})"
         )
+    _check_printable(genus)
 
 
 def _check_gluing_budget(matrix: PolyMatrix, genus: int, powers: str, guard: int, each) -> None:
@@ -169,14 +167,15 @@ def _check_gluing_budget(matrix: PolyMatrix, genus: int, powers: str, guard: int
     _check_polynomial_budget(genus, charge, powers, guard)
 
 
-def _check_printable(q: int, genus: int) -> None:
-    # a count is printed in decimal, which CPython refuses for an int of more
-    # than int_str_limit() digits
-    limit = int_str_limit()
-    digits = count_digits_bound(q, genus)
+def _check_printable(genus: int, q: int | None = None) -> None:
+    # a count over F_q, or with no q a coefficient of the genus-g class, prints
+    # in decimal, which CPython refuses for an int of more than int_str_limit()
+    # digits; a class coefficient is below 2^2g, the genus-g count over F_2
+    what = f"the genus-{genus} count over F_{q}" if q else f"a genus-{genus} class coefficient"
+    limit, digits = int_str_limit(), count_digits_bound(q or 2, genus)
     if limit and digits > limit:
         raise ValueError(
-            f"the genus-{genus} count over F_{q} may have up to {digits} decimal digits, "
+            f"{what} may have up to {digits} decimal digits, "
             f"over Python's int-to-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
         )
 
@@ -191,7 +190,7 @@ def cmd_count(
     """One point count over the field named by a ``p^n`` descriptor."""
     spec = make_field(*parse_descriptor(field))
     check_budget(spec.order, genus, engine, guard)
-    _check_printable(spec.order, genus)
+    _check_printable(genus, spec.order)
     results = count_points(spec, genus, engine=engine, guard=guard).as_json()
     if show_modulus:
         results["modulus"] = spec.modulus_text()
@@ -233,7 +232,7 @@ def cmd_epoly(
                 raise ValueError(f"--plan {plan_text!r}: {exc}") from None
         else:
             plan = default_plan(genus)
-        _check_printable(max(plan.prime_powers), genus)
+        _check_printable(genus, max(plan.prime_powers))
         engine = engine or "semi"
         result = epoly_from_counts(genus, plan, engine=engine, guard=guard)
         epoly, counts = result.epoly, [rec.as_json() for rec in result.records]
@@ -291,8 +290,7 @@ def cmd_tqft(
 
 def cmd_classes(genus: int, guard: int = DEFAULT_GUARD) -> Report:
     """Representation, moduli and character classes for one genus."""
-    charge = 3 * power_charge(2 * genus, *SCALING_POWER)
-    _check_polynomial_budget(genus, charge, "three powers (q - 1)^2g", guard)
+    _check_polynomial_budget(genus, 3 * class_charge(genus), "three classes", guard)
     results = {
         "representation": str(rep_class(genus)),
         "moduli": str(moduli_class(genus)),
@@ -318,7 +316,7 @@ def cmd_table(
     if extend:
         targets += [("extend", g, q, count_closed(q, g), "closed form") for g, q in EXTEND_CELLS]
     for _, genus, q, _, _ in targets:
-        _check_printable(q, genus)
+        _check_printable(genus, q)
     computed_cells = []
     for kind, genus, q, expected, source in targets:
         count = count_semi(_field_for_order(q, guard), genus, guard=guard).count
@@ -344,18 +342,17 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     """
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
-    data = build_transfer()
-
-    def each(g: int, capping: int) -> int:  # verify caps and builds rep_class at every genus
-        return capping + power_charge(2 * g, *SCALING_POWER)
-
-    _check_gluing_budget(data.matrix, genus_max, "gluing, capping and (q - 1)^2g", guard, each)
+    matrix = build_transfer().matrix
+    # verify caps, builds and prints rep_class at every genus
+    _check_gluing_budget(
+        matrix, genus_max, "gluing, capping and classes", guard, lambda g, c: c + class_charge(g)
+    )
     oracle_genus = min(genus_max, 2)
     for q in ORACLE_ORDERS:
         check_budget(q, oracle_genus, "naive", guard)
     checks = []
     geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
-    transfers = surface_classes(data.matrix, genus_max)
+    transfers = surface_classes(matrix, genus_max)
     for (g, expected), transfer in zip(geometric.items(), transfers):
         details = f"{expected} vs {transfer}"
         checks.append(_check(f"stratification_vs_transfer_g{g}", expected == transfer, details))

@@ -85,8 +85,7 @@ def power(base, e: int, one, product):
     """``base ** e`` by repeated squaring, from the identity ``one`` and ``product``.
 
     Squares only while exponent bits remain, so it makes
-    ``e.bit_length() - 1`` squarings and one product per set bit of e;
-    :func:`power_charge` models exactly this schedule.
+    ``e.bit_length() - 1`` squarings and one product per set bit of e.
     """
     result = one
     while e:
@@ -296,27 +295,3 @@ class PolyMatrix(Immutable):
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(e) for e in row) for row in self) + "]"
 
-
-def power_charge(e: int, low: int, degree: int, bits: int) -> int:
-    """Weighted coefficient products of ``x ** e`` along :func:`power`'s schedule.
-
-    The nonzero coefficients of x lie in q^low..q^degree with at most
-    ``bits`` bits, those of x^k in q^(k low)..q^(k degree) with k * bits.
-    Multiplying x^a by x^b makes (a (degree - low) + 1)(b degree + 1)
-    coefficient products, as :meth:`IntPoly.__mul__` skips only its left
-    factor's zeros.  Each is weighted by the 64-bit words of its wider
-    factor: up to about a thousand bits the loop, not the multiplication,
-    dominates, so a product costs about its words in word-sized ones.
-    """
-    span = degree - low
-    charge, r, k = 0, 0, 1
-    while e:
-        words = -(-k * bits // 64)
-        if e & 1:
-            charge += (r * span + 1) * (k * degree + 1) * words
-            r += k
-        e >>= 1
-        if e:
-            charge += (k * span + 1) * (k * degree + 1) * words
-        k *= 2
-    return charge

@@ -6,9 +6,9 @@ satisfies the recursion
     [X_s] = (q - 2) q^(s-1) (q - 1)^(s-1) + q [X_(s-1)],    [X_1] = 2q - 2,
 
 whose closed form is q^(s-1)(q-1)^s + q^s - q^(s-1).  The genus-g
-representation variety corresponds to s = 2g.  The recursion is kept as a
-separate code path so it can serve as an internal oracle for the closed
-form.
+representation variety corresponds to s = 2g.  The closed form is built from
+the binomial coefficients of (q-1)^s; the recursion multiplies powers of
+polynomials, a separate code path that serves as an oracle for the closed form.
 """
 
 from __future__ import annotations
@@ -18,6 +18,30 @@ from .exactpoly import ONE, Q, IntPoly
 
 class GenusOutOfRange(ValueError):
     """Surface genus must be at least 1."""
+
+
+def scaling_power(s: int, shift: int = 0) -> IntPoly:
+    """q^shift (q - 1)^s, from the binomial coefficients of (q - 1)^s.
+
+    The coefficient of q^(s-k) is (-1)^k C(s, k), and C(s, k + 1) is
+    C(s, k) (s - k) / (k + 1), an exact integer division.
+    """
+    coeffs = [0] * (shift + s + 1)
+    c = 1
+    for k in range(s + 1):
+        coeffs[shift + s - k] = -c if k & 1 else c
+        c = c * (s - k) // (k + 1)
+    return IntPoly(coeffs)
+
+
+def class_charge(genus: int) -> int:
+    """Word-weighted cost of building and printing a genus-g class, (2g+1) w (1+w).
+
+    Its 2g + 1 nonzero coefficients are below 2^2g, so of w = ceil(2g/64) words.
+    Building each costs about w, and printing it w^2: CPython's int-to-str is quadratic.
+    """
+    words = -(-2 * genus // 64)
+    return (2 * genus + 1) * words * (1 + words)
 
 
 def xs_recursive(s: int) -> IntPoly:
@@ -32,10 +56,10 @@ def xs_recursive(s: int) -> IntPoly:
 
 
 def xs_closed(s: int) -> IntPoly:
-    """The closed form q^(s-1)(q-1)^s + q^s - q^(s-1)."""
+    """The closed form q^(s-1)(q-1)^s + q^(s-1)(q-1)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return Q ** (s - 1) * (Q - ONE) ** s + Q**s - Q ** (s - 1)
+    return scaling_power(s, s - 1) + scaling_power(1, s - 1)
 
 
 def rep_class(genus: int) -> IntPoly:
@@ -56,7 +80,7 @@ def moduli_class(genus: int) -> IntPoly:
     """
     if genus < 1:
         raise GenusOutOfRange("genus must be >= 1")
-    return (Q - ONE) ** (2 * genus)
+    return scaling_power(2 * genus)
 
 
 def character_class(genus: int) -> IntPoly:
@@ -68,6 +92,4 @@ def character_class(genus: int) -> IntPoly:
     class, for example by counting the image of the scaling coordinates, is
     roadmap item 3.
     """
-    if genus < 1:
-        raise GenusOutOfRange("genus must be >= 1")
-    return (Q - ONE) ** (2 * genus)
+    return moduli_class(genus)

@@ -259,9 +259,9 @@ def samples_from_csv(path: str) -> list[tuple[int, int]]:
     """Read ``q,count`` rows; the first line may be a header.
 
     Blank lines are skipped.  Any other row whose first two cells are not
-    integers raises the :class:`ValueError` of :func:`row_error`, naming its
-    line, so a bad row is never dropped.  A first line whose first cell is
-    too long to be an integer is an error, not a header.
+    integers, or with a nonblank later cell, raises the :class:`ValueError`
+    of :func:`row_error`, naming its line, so no row or cell is dropped.  A
+    first line whose first cell is too long to be an integer is an error.
     """
     out: list[tuple[int, int]] = []
     with open(path, newline="") as fh:
@@ -277,6 +277,8 @@ def samples_from_csv(path: str) -> list[tuple[int, int]]:
                 if reader.line_num == 1 and not isinstance(error, CellTooLong):
                     continue  # header
                 raise error from None
+            if any(cell.strip() for cell in row[2:]):
+                raise row_error(where, "sample", row, row[2:])
             try:
                 out.append((q, int(row[1])))
             except (IndexError, ValueError):

@@ -167,8 +167,9 @@ def gluing_charges(matrix: PolyMatrix) -> Iterator[tuple[int, int]]:
     Yields the pair for g = 1, 2, ...; a state of k tori has at most k times
     the matrix's degree and widest coefficient's bits.  Gluing multiplies each
     nonzero entry coefficient by every state coefficient, capping each quotient
-    coefficient by every coefficient of :data:`GROUP_CLASS`^g, and a product
-    weighs the 64-bit words of its wider factor, as in :func:`~affrep.exactpoly.power_charge`.
+    coefficient by every coefficient of :data:`GROUP_CLASS`^g.  A product
+    weighs the 64-bit words of its wider factor: up to about a thousand bits
+    the loop dominates, so it costs about as many word-sized products.
     """
     nonzero = sum(1 for e in matrix.entries for c in e.coeffs if c)
     degree = max(e.degree or 0 for e in matrix.entries)

@@ -25,6 +25,17 @@ def run_cli(capsys, argv):
     return code, out.out, out.err
 
 
+def _forbid_building(monkeypatch):
+    # a class built or a holed torus glued from here on fails the test
+    from affrep import geomstrat, tqft
+
+    def built(*args):
+        raise AssertionError("a class was built before the guard decided")
+
+    monkeypatch.setattr(geomstrat, "scaling_power", built)
+    monkeypatch.setattr(tqft, "apply_transfer", built)
+
+
 def _strip_elapsed(obj):
     if isinstance(obj, dict):
         return {k: (0 if k == "elapsed_ms" else _strip_elapsed(v)) for k, v in obj.items()}
@@ -333,15 +344,15 @@ class TestTqft:
 
     @pytest.mark.parametrize("command", ["tqft", "classes", "verify"])
     def test_guard(self, capsys, command):
-        # weighted coefficient products of three (q - 1)^2g; a sweep of gluing
+        # three classes of (2g+1) w (1+w), w = ceil(2g/64); a sweep of gluing
         # stops at its first genus over the guard: one gluing for tqft, and
-        # for verify one gluing, one capping and (q - 1)^2
+        # for verify one gluing, one capping and the genus-1 class
         refusal = {
             "tqft": "genus 100000 needs 14 coefficient products, weighted by 64-bit words, "
             "for gluing and capping to genus 1 alone ",
-            "classes": "genus 100000 needs 71272331739495 ",
-            "verify": "genus 100000 needs 36 coefficient products, weighted by 64-bit words, "
-            "for gluing, capping and (q - 1)^2g to genus 1 alone ",
+            "classes": "genus 100000 needs 5861279306250 ",
+            "verify": "genus 100000 needs 35 coefficient products, weighted by 64-bit words, "
+            "for gluing, capping and classes to genus 1 alone ",
         }[command]
         genus_flag = "--genus-max" if command == "verify" else "--genus"
         t0 = time.perf_counter()
@@ -376,32 +387,54 @@ class TestTqft:
         "argv,first_work",
         [
             (["tqft", "--genus", "384"], "close_surface"),
-            (["verify", "--genus-max", "170"], "rep_class"),
+            (["classes", "--genus", "2560"], "rep_class"),
+            (["verify", "--genus-max", "172"], "rep_class"),
         ],
     )
     def test_default_guard_boundary(self, capsys, monkeypatch, argv, first_work):
         # at the boundary the guard lets the command reach its first polynomial
-        # work, stubbed here to stop it; one genus past it no torus is glued
-        from affrep import tqft
-
+        # work, stubbed here to stop it; one genus past it nothing is built
         class Admitted(Exception):
             pass
 
         def admitted(*args):
             raise Admitted
 
-        def glued(*args):
-            raise AssertionError("a holed torus was glued before the guard decided")
-
         monkeypatch.setattr(cli, first_work, admitted)
         with pytest.raises(Admitted):
             cli.COMMANDS[argv[0]](cli._build_parser(argv[0]).parse_args(argv))
-        monkeypatch.setattr(tqft, "apply_transfer", glued)
+        _forbid_building(monkeypatch)
         argv[-1] = str(int(argv[-1]) + 1)
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: genus {argv[-1]} needs ") and "(guard 100000000)" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classes", "--genus", "1100"],
+            ["tqft", "--genus", "1100", "--guard", "10000000000"],
+            ["verify", "--genus-max", "1100", "--guard", "1000000000000"],
+        ],
+    )
+    def test_unprintable_class_is_refused_before_building(self, capsys, monkeypatch, argv):
+        # C(2200, 1100) has 661 digits; the bound from 2^2200 is 663
+        _forbid_building(monkeypatch)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            t0 = time.perf_counter()
+            code, out, err = run_cli(capsys, argv)
+            assert time.perf_counter() - t0 < 1
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: a genus-1100 class coefficient may have up to 663 decimal digits, "
+            "over Python's int-to-str limit of 640 (PYTHONINTMAXSTRDIGITS sets it)\n"
+        )
 
     @pytest.mark.parametrize(
         "argv", [["classes", "--genus", "240"], ["verify", "--genus-max", "2"], ["verify"]]

@@ -12,7 +12,6 @@ from affrep.exactpoly import (
     IntPoly,
     NotDivisible,
     PolyMatrix,
-    power_charge,
 )
 from affrep.finitefield import make_field
 
@@ -188,25 +187,6 @@ class TestPowerSchedule:
             calls.clear()
             base**e
             assert len(calls) == _expected_products(e), e
-
-
-class TestPowerCharge:
-    def test_counts_the_coefficient_products_performed(self, monkeypatch):
-        # (q - 1)^e has no zero coefficient and, for e < 64, every weight is 1, so
-        # its charge is exactly what IntPoly.__mul__ runs: for each nonzero
-        # left coefficient, one product per right coefficient
-        performed = []
-        mul = IntPoly.__mul__
-
-        def counting_mul(self, other):
-            performed.append(sum(1 for c in self.coeffs if c) * len(other.coeffs))
-            return mul(self, other)
-
-        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
-        for e in range(1, 64):
-            performed.clear()
-            QM1**e
-            assert sum(performed) == power_charge(e, 0, 1, 1)
 
 
 class TestRendering:

@@ -2,14 +2,16 @@
 
 import pytest
 
-from affrep.affcount import aff_group_table, count_semi, oracle_counts
-from affrep.exactpoly import ONE, Q
+from affrep.affcount import aff_group_table, count_digits_bound, count_semi, oracle_counts
+from affrep.exactpoly import ONE, Q, IntPoly
 from affrep.finitefield import make_field
 from affrep.geomstrat import (
     GenusOutOfRange,
     character_class,
+    class_charge,
     moduli_class,
     rep_class,
+    scaling_power,
     xs_closed,
     xs_recursive,
 )
@@ -38,6 +40,42 @@ class TestAuxiliaryClasses:
     def test_invalid_s(self):
         with pytest.raises(ValueError):
             xs_closed(0)
+
+
+class TestScalingPower:
+    def test_matches_the_repeated_product(self):
+        power = ONE
+        for s in range(41):
+            assert scaling_power(s) == power
+            assert scaling_power(s, 3) == Q**3 * power
+            power = power * (Q - ONE)
+
+    def test_closed_forms_take_no_polynomial_power(self, monkeypatch):
+        def pow_(self, e):
+            raise AssertionError("IntPoly.__pow__ called")
+
+        expected = [f(7) for f in (rep_class, moduli_class, character_class)]
+        monkeypatch.setattr(IntPoly, "__pow__", pow_)
+        assert [f(7) for f in (rep_class, moduli_class, character_class)] == expected
+
+
+class TestClassCharge:
+    def test_values(self):
+        # (2g+1) w (1+w) with w = ceil(2g/64)
+        assert class_charge(1) == 3 * 1 * 2
+        assert class_charge(32) == 65 * 1 * 2
+        assert class_charge(33) == 67 * 2 * 3
+        assert class_charge(2560) == 5121 * 80 * 81
+
+    def test_classes_stay_within_the_modelled_size(self):
+        # at most 2g + 1 nonzero coefficients, each below 2^2g, so each of at
+        # most count_digits_bound(2, g) digits: the genus-g count over F_2 is 2^2g
+        for genus in (*range(1, 41), 100, 300):
+            for cls in (rep_class(genus), moduli_class(genus)):
+                nonzero = [abs(c) for c in cls.coeffs if c]
+                assert len(nonzero) <= 2 * genus + 1
+                assert max(nonzero) < 2 ** (2 * genus)
+                assert len(str(max(nonzero))) <= count_digits_bound(2, genus)
 
 
 class TestRepClass:

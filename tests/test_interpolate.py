@@ -210,6 +210,26 @@ class TestCsvIngestion:
         with pytest.raises(ValueError):
             samples_from_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "text, line, row",
+        [
+            ("q,count\n2,4\n5,100,extra\n", 3, "['5', '100', 'extra']"),
+            # count --output csv: p,n,q,genus,count,engine,elapsed_ms
+            ("p,n,q,genus,count\n2,1,2,1,4\n", 2, "['2', '1', '2', '1', '4']"),
+        ],
+    )
+    def test_extra_cells_are_refused(self, tmp_path, text, line, row):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            samples_from_csv(str(path))
+        assert str(info.value) == f"{path}, line {line}: malformed sample row {row}"
+
+    def test_blank_extra_cells_are_read(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("2,4,\n3,18, ,\n")
+        assert samples_from_csv(str(path)) == [(2, 4), (3, 18)]
+
     def test_too_long_cell(self, tmp_path):
         # int() fails on the digit limit too; the error says so and echoes
         # only a prefix of the row

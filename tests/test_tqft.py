@@ -214,21 +214,11 @@ def _charge_shape(entries):
 
 
 class TestPolynomialGuardModel:
-    def test_parameters_match_the_powered_polynomials(self):
-        from affrep.cli import SCALING_POWER
-
-        assert SCALING_POWER == _charge_shape([QM1])
-
     def test_powers_stay_within_the_modelled_span_and_bits(self, data):
-        # gluing_charges takes a state of k tori to degree 6k with 3k-bit
-        # coefficients, and power_charge takes (q - 1)^k to degree k with k bits
-        scaling = QM1
+        # gluing_charges takes a state of k tori to degree 6k with 3k-bit coefficients
         for k, state in zip(range(1, 65), glued_states(data.matrix)):
             low, degree, bits = _charge_shape([state.c_i, state.c_j])
             assert low >= 3 * k and degree <= 6 * k and bits <= 3 * k
-            low, degree, bits = _charge_shape([scaling])
-            assert low >= 0 and degree <= k and bits <= k
-            scaling = scaling * QM1
 
     def test_charges_follow_the_matrix_shape(self, data):
         # 14 nonzero entry coefficients, degree 6, 3-bit coefficients; a matrix
