@@ -416,9 +416,9 @@ def _addition_rows(field: FieldSpec, elems: list[FqElem]) -> list[list[int]]:
 
 
 def _multiplication_rows(field: FieldSpec, elems: list[FqElem]) -> list[list[int]]:
-    # row x holds idx(x y) = exp[log x + log y] for a primitive element g with
-    # exp[k] = idx(g^k): the powers of each candidate until one returns, so
-    # about q FqElem products in all rather than q^2
+    # row x - 1 holds idx(x y) = exp[log x + log y], for x != 0 and a primitive
+    # element g with exp[k] = idx(g^k): the powers of each candidate until one
+    # returns, so about q FqElem products in all rather than q^2
     q, one = field.order, field.one()
     for g in elems[1:]:
         exp, x = [], one
@@ -434,7 +434,7 @@ def _multiplication_rows(field: FieldSpec, elems: list[FqElem]) -> list[list[int
         log[e] = k
     exp += exp  # exp[i + j] for i, j < q - 1 without a modulus
     logs = log[1:]
-    return [[0] * q] + [[0] + [exp[log[x] + k] for k in logs] for x in range(1, q)]
+    return [[0] + [exp[log[x] + k] for k in logs] for x in range(1, q)]
 
 
 def aff_group_table(field: FieldSpec) -> tuple[list[list[int]], int]:
@@ -458,7 +458,7 @@ def aff_group_table(field: FieldSpec) -> tuple[list[list[int]], int]:
     bases = range(0, q * (q - 1), q)  # (idx(a2) - 1) * q for a2 != 0
     translations = [[base + t for base in bases for t in row] for row in add]
     table = []
-    for mul in _multiplication_rows(field, elems)[1:]:
+    for mul in _multiplication_rows(field, elems):
         scaling = itemgetter(*[(m - 1) * q + t for m in mul[1:] for t in mul])
         table += [list(scaling(row)) for row in translations]
     return table, (field.one().index() - 1) * q

@@ -14,16 +14,19 @@ results, checks, caveat), printed as JSON on stdout; ``--pretty`` renders it
 as text and ``--output csv`` writes its rows (count, epoly and table).
 Counts serialize as decimal strings so 53-bit JSON consumers cannot
 truncate them.  Exit status is 0 exactly when every reported check passes.
+:func:`parse_args` reads argv against one option table,
+:data:`COMMAND_LINE`, which also renders the usage line and the help; a
+usage error exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 from csv import writer as csv_writer
 from importlib import resources
+from types import SimpleNamespace
 
 from . import __version__
 from .affcount import (
@@ -388,88 +391,173 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+        raise ValueError(f"expected a positive integer, got {text!r}")
     return value
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pretty", action="store_true", help="human-readable output")
-    p.add_argument("--guard", type=_positive_int, default=DEFAULT_GUARD, help="enumeration budget")
+# An option's kind is how its value is read: FLAG takes no value and sets
+# True, a tuple lists the accepted choices, anything else is a function of
+# the value's text.  REQUIRED marks an option with no default.
+FLAG = None
+REQUIRED = object()
 
+_GENUS = {"--genus": (_positive_int, REQUIRED, "surface genus g")}
+_COMMON = {
+    "--pretty": (FLAG, False, "human-readable output"),
+    "--guard": (_positive_int, DEFAULT_GUARD, "enumeration budget"),
+}
+_TABULAR = {**_COMMON, "--output": (("json", "csv"), "json", "output format")}
 
-def _tabular(p: argparse.ArgumentParser) -> None:
-    _common(p)
-    p.add_argument("--output", choices=("json", "csv"), default="json", help="output format")
-
-
-def _count_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--field", required=True, help="field descriptor p^n, e.g. 3^2")
-    p.add_argument("--genus", type=_positive_int, required=True)
-    p.add_argument("--engine", choices=ENGINES, default="semi")
-    p.add_argument(
-        "--show-modulus", action="store_true", help="include the field modulus in the output"
-    )
-    _tabular(p)
-
-
-def _epoly_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=_positive_int, required=True)
-    p.add_argument("--plan", help="comma-separated prime powers, e.g. 2,3,4,5")
-    p.add_argument("--engine", choices=ENGINES, help="counting engine of a plan (default semi)")
-    p.add_argument("--counts", help="CSV file of q,count samples instead of counting")
-    _tabular(p)
-
-
-def _tqft_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=_positive_int, required=True)
-    p.add_argument("--show-matrix", action="store_true")
-    p.add_argument("--verify-eigen", action="store_true")
-    p.add_argument("--reconstruct", action="store_true")
-    _common(p)
-
-
-def _classes_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus", type=_positive_int, required=True)
-    _common(p)
-
-
-def _table_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--extend", action="store_true", help="also fill the blank cells")
-    p.add_argument("--golden", help="path to an alternative golden CSV")
-    _tabular(p)
-
-
-def _verify_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--genus-max", type=_positive_int, default=3)
-    _common(p)
-
-
-# each subcommand's help line and the function adding its options
-SUBPARSERS = {
-    "count": ("count points over one finite field", _count_options),
-    "epoly": ("counting polynomial via exact interpolation", _epoly_options),
-    "tqft": ("transfer-matrix virtual class", _tqft_options),
-    "classes": ("representation/moduli/character classes", _classes_options),
-    "table": ("recompute and check the reference count table", _table_options),
-    "verify": ("cross-check the three methods", _verify_options),
+# each subcommand's help line and its options: name -> (kind, default, help)
+COMMAND_LINE = {
+    "count": (
+        "count points over one finite field",
+        {
+            "--field": (str, REQUIRED, "field descriptor p^n, e.g. 3^2"),
+            **_GENUS,
+            "--engine": (ENGINES, "semi", "counting engine"),
+            "--show-modulus": (FLAG, False, "include the field modulus in the output"),
+            **_TABULAR,
+        },
+    ),
+    "epoly": (
+        "counting polynomial via exact interpolation",
+        {
+            **_GENUS,
+            "--plan": (str, None, "comma-separated prime powers, e.g. 2,3,4,5"),
+            "--engine": (ENGINES, None, "counting engine of a plan (default semi)"),
+            "--counts": (str, None, "CSV file of q,count samples instead of counting"),
+            **_TABULAR,
+        },
+    ),
+    "tqft": (
+        "transfer-matrix virtual class",
+        {
+            **_GENUS,
+            "--show-matrix": (FLAG, False, "include the transfer matrix"),
+            "--verify-eigen": (FLAG, False, "check the eigenvalue identities"),
+            "--reconstruct": (FLAG, False, "rebuild the matrix from genus 1-3 classes"),
+            **_COMMON,
+        },
+    ),
+    "classes": ("representation/moduli/character classes", {**_GENUS, **_COMMON}),
+    "table": (
+        "recompute and check the reference count table",
+        {
+            "--extend": (FLAG, False, "also fill the blank cells"),
+            "--golden": (str, None, "path to an alternative golden CSV"),
+            **_TABULAR,
+        },
+    ),
+    "verify": (
+        "cross-check the three methods",
+        {"--genus-max": (_positive_int, 3, "highest genus to check"), **_COMMON},
+    ),
 }
 
+DESCRIPTION = (
+    "Exact classes and point counts of rank-one affine representation varieties\n"
+    "of surface groups."
+)
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The root parser with the subparser of ``command``, or all six if it names none."""
-    parser = argparse.ArgumentParser(
-        prog="affrep",
-        description="Exact classes and point counts of rank-one affine "
-        "representation varieties of surface groups.",
+
+def _metavar(name: str, kind) -> str:
+    if kind is FLAG:
+        return name
+    if isinstance(kind, tuple):
+        return f"{name} {{{','.join(kind)}}}"
+    return f"{name} {name[2:].replace('-', '_').upper()}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: affrep [-h] [--version] {{{','.join(COMMAND_LINE)}}} ..."
+    parts = (
+        _metavar(name, kind) if default is REQUIRED else f"[{_metavar(name, kind)}]"
+        for name, (kind, default, _) in COMMAND_LINE[command][1].items()
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in SUBPARSERS else SUBPARSERS:
-        help_text, add_options = SUBPARSERS[name]
-        add_options(sub.add_parser(name, help=help_text))
-    return parser
+    return f"usage: affrep {command} [-h] {' '.join(parts)}"
+
+
+def _help(command: str | None) -> str:
+    """The help of the root (``command`` None) or of one subcommand."""
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        options.append(("--version", "show the version and exit"))
+        commands = [f"  {name:20}  {help_line}" for name, (help_line, _) in COMMAND_LINE.items()]
+        body = [DESCRIPTION, "", "commands:", *commands]
+    else:
+        help_line, table = COMMAND_LINE[command]
+        options += [(_metavar(name, kind), text) for name, (kind, _, text) in table.items()]
+        body = [help_line]
+    # a name wider than its column puts its help on the next line
+    rows = [f"  {n:20}  {t}" if len(n) <= 20 else f"  {n}\n{'':24}{t}" for n, t in options]
+    return "\n".join([_usage(command), "", *body, "", "options:", *rows])
+
+
+def _usage_error(command: str | None, message: str):
+    sys.stderr.write(f"{_usage(command)}\naffrep: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against :data:`COMMAND_LINE`: a subcommand, then its options.
+
+    A value follows its option as ``--opt value`` (not starting with ``--``)
+    or ``--opt=value``; the last of a repeated option counts.  Help and
+    ``--version`` exit 0; a usage error prints the usage line and one
+    ``affrep: error:`` line on stderr and exits 2.  An option's value is
+    returned under its name without dashes, e.g. ``genus_max``.
+    """
+    first = argv[0] if argv else None
+    if first in ("-h", "--help"):
+        print(_help(None))
+        raise SystemExit(0)
+    if first == "--version":
+        print(f"affrep {__version__}")
+        raise SystemExit(0)
+    if first not in COMMAND_LINE:
+        what = "a command is required" if first is None else f"unknown command {first!r}"
+        _usage_error(None, f"{what} (choose from {', '.join(COMMAND_LINE)})")
+    table = COMMAND_LINE[first][1]
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(first))
+            raise SystemExit(0)
+        name, eq, text = token.partition("=") if token.startswith("--") else (token, "", "")
+        if name not in table:
+            _usage_error(first, f"unrecognized argument {token!r}")
+        kind = table[name][0]
+        if kind is FLAG:
+            if eq:
+                _usage_error(first, f"argument {name}: takes no value, got {text!r}")
+            values[name] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                _usage_error(first, f"argument {name}: expected one value")
+        if isinstance(kind, tuple) and text not in kind:
+            choices = f"choose from {', '.join(kind)}"
+            _usage_error(first, f"argument {name}: invalid choice {text!r} ({choices})")
+        try:
+            values[name] = text if isinstance(kind, tuple) else kind(text)
+        except ValueError as exc:
+            _usage_error(first, f"argument {name}: {exc}")
+    missing = [n for n, (_, default, _) in table.items() if default is REQUIRED and n not in values]
+    if missing:
+        _usage_error(first, f"the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(
+        command=first,
+        **{n[2:].replace("-", "_"): values.get(n, default) for n, (_, default, _) in table.items()},
+    )
 
 
 def _emit_csv(rows: list[dict]) -> None:
@@ -517,9 +605,7 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a command builds its own subparser only; help, --version and typos get all six
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return _emit_report(COMMANDS[args.command](args), args)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:

@@ -164,9 +164,6 @@ class IntPoly(Immutable):
     def __sub__(self, other: IntPoly | int) -> IntPoly:
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other: IntPoly | int) -> IntPoly:
-        return _as_poly(other) + (-self)
-
     def __neg__(self) -> IntPoly:
         return IntPoly(-c for c in self.coeffs)
 

@@ -1,18 +1,24 @@
 """Command-line interface: JSON shapes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import affrep
 from affrep import affcount, cli
-from affrep.affcount import BudgetExceeded
+from affrep.affcount import ENGINES, BudgetExceeded, count_closed
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
@@ -60,6 +66,15 @@ class TestCount:
         )
         assert code == 0
         assert json.loads(out)["results"]["count"] == "18"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_elapsed_ms_is_within_the_command(self, capsys, engine):
+        # pins the bound, not the timing
+        t0 = time.perf_counter()
+        code, out, _ = run_cli(capsys, ["count", "--field", "5", "--genus", "2", "--engine", engine])
+        wall_ms = (time.perf_counter() - t0) * 1000
+        assert code == 0
+        assert 0 <= json.loads(out)["results"]["elapsed_ms"] <= wall_ms
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(
@@ -198,6 +213,19 @@ class TestEPoly:
             assert code == 0
             engines[source[0]] = json.loads(out)["inputs"]["engine"]
         assert engines == {"--plan": "semi", "--counts": None}
+
+    @pytest.mark.parametrize("points", [7, 8])
+    def test_csv_of_4g_minus_one_points_is_refused(self, capsys, tmp_path, points):
+        # genus 2 has 4g = 8 unknown coefficients: 7 points are one short
+        path = tmp_path / "counts.csv"
+        qs = [2, 3, 4, 5, 7, 8, 9, 11][:points]
+        path.write_text("".join(f"{q},{count_closed(q, 2)}\n" for q in qs))
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "2", "--counts", str(path)])
+        if points == 7:
+            assert (code, out, err) == (1, "", "error: need at least 8 points, got 7\n")
+        else:
+            assert code == 0 and err == ""
+            assert json.loads(out)["results"]["epoly"] == str(rep_class(2))
 
     def test_corrupted_csv_counts_fail(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
@@ -402,7 +430,7 @@ class TestTqft:
 
         monkeypatch.setattr(cli, first_work, admitted)
         with pytest.raises(Admitted):
-            cli.COMMANDS[argv[0]](cli._build_parser(argv[0]).parse_args(argv))
+            cli.COMMANDS[argv[0]](cli.parse_args(argv))
         _forbid_building(monkeypatch)
         argv[-1] = str(int(argv[-1]) + 1)
         code, out, err = run_cli(capsys, argv)
@@ -683,6 +711,14 @@ class TestUsageErrors:
             ["table", "--guard", "-5"],
             ["verify", "--output", "csv"],
             ["tqft", "--genus", "2", "--output", "csv"],
+            [],
+            ["cnt"],
+            ["count", "--genus", "1"],
+            ["count", "--field", "3", "--genus", "x"],
+            ["count", "--field", "3", "--genus", "1", "--engine", "foo"],
+            ["count", "--field", "3", "--genus", "1", "--pretty=1"],
+            ["table", "--golden", "--pretty"],
+            ["table", "--ext"],
         ],
     )
     def test_rejected_by_the_parser(self, capsys, argv):
@@ -690,6 +726,141 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+def _kind_value(kind):
+    # a value the option's kind accepts, as the text given on the command line
+    if kind is cli.FLAG:
+        return st.just(None)
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind is str:
+        return st.text(max_size=12)
+    return st.integers(1, 10**30).map(str)
+
+
+@st.composite
+def _valid_argv(draw):
+    """A well-formed argv and the value it must give each option it names."""
+    command = draw(st.sampled_from(list(cli.COMMAND_LINE)))
+    table = cli.COMMAND_LINE[command][1]
+    required = [name for name, (_, default, _) in table.items() if default is cli.REQUIRED]
+    names = required + draw(st.lists(st.sampled_from(list(table)), max_size=6))
+    names = draw(st.permutations(names))
+    argv, last = [command], {}
+    for name in names:
+        kind = table[name][0]
+        text = draw(_kind_value(kind))
+        if text is None:
+            argv.append(name)
+            last[name] = True
+            continue
+        if draw(st.booleans()) and not text.startswith("--"):
+            argv += [name, text]
+        else:
+            argv.append(f"{name}={text}")
+        last[name] = text if kind is str or isinstance(kind, tuple) else int(text)
+    return argv, last
+
+
+_INT_JUNK = ["", "x", "0", "-5", "1.5", " 3 ", "1e3", "0x10", "1_0", "+7", "9" * 5000, "-0"]
+_TOKEN_JUNK = ["--threads", "--gen", "--", "-", "-x", "x", "--version", "--=1", "---genus"]
+_TOKEN_JUNK += ["-h=1", "--help=1", "--GENUS", "--pretty=", "--genus=", "--output=xml"]
+_ALL_OPTIONS = sorted({name for _, table in cli.COMMAND_LINE.values() for name in table})
+
+# values and stray tokens; -h and --help are left out, as they print help and exit 0
+_JUNK_TOKENS = st.one_of(
+    st.sampled_from(_ALL_OPTIONS + _TOKEN_JUNK + _INT_JUNK),
+    st.sampled_from(_ALL_OPTIONS).map(lambda name: name + "="),
+    st.tuples(st.sampled_from(_ALL_OPTIONS), st.sampled_from(_INT_JUNK + ["--5", "json"])).map(
+        "=".join
+    ),
+    st.integers(-(10**40), 10**40).map(str),
+    st.sampled_from(list(cli.ENGINES) + ["csv", "json"]),
+    st.text(max_size=8),
+).filter(lambda token: token not in ("-h", "--help"))
+
+
+@st.composite
+def _junk_argv(draw):
+    command = draw(st.sampled_from(list(cli.COMMAND_LINE) + ["cnt", "-x", "", "--pretty"]))
+    tokens = draw(st.lists(_JUNK_TOKENS, max_size=8))
+    return ([command] if draw(st.booleans()) or tokens else []) + tokens
+
+
+def _parse(argv):
+    """Run ``main`` with every command stubbed: the parsed args, or the exit and stderr."""
+    seen = []
+
+    def stub(args):
+        seen.append(args)
+        return cli.Report(args.command, {}, {})
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli.COMMANDS, {name: stub for name in cli.COMMANDS}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                assert main(argv) == 0
+            except SystemExit as exc:
+                return None, exc.code, out.getvalue(), err.getvalue()
+    return seen[0], 0, out.getvalue(), err.getvalue()
+
+
+def _assert_matches_table(args):
+    table = cli.COMMAND_LINE[args.command][1]
+    values = vars(args).copy()
+    assert values.pop("command") in cli.COMMAND_LINE
+    assert list(values) == [name[2:].replace("-", "_") for name in table]
+    for (name, (kind, default, _)), value in zip(table.items(), values.values()):
+        if value == default:
+            assert default is not cli.REQUIRED, name
+        elif kind is cli.FLAG:
+            assert value is True
+        elif isinstance(kind, tuple):
+            assert value in kind
+        elif kind is str:
+            assert isinstance(value, str)
+        else:
+            assert type(value) is int and value >= 1
+
+
+def _assert_usage_error(code, out, err, argv):
+    assert code == 2, argv
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2, err
+    assert lines[0].startswith("usage: affrep ")
+    assert lines[1].startswith("affrep: error: ")
+    assert sum("affrep: error:" in line for line in lines) == 1
+
+
+class TestParserFuzz:
+    """Every argv is parsed to what the option table allows, or refused with exit 2."""
+
+    @settings(deadline=None)
+    @given(_valid_argv())
+    def test_well_formed_argv_is_parsed(self, case):
+        argv, last = case
+        args, code, _, err = _parse(argv)
+        assert (code, err) == (0, ""), argv
+        _assert_matches_table(args)
+        for name, value in last.items():
+            assert getattr(args, name[2:].replace("-", "_")) == value, (argv, name)
+
+    @settings(deadline=None, max_examples=300)
+    @given(_junk_argv())
+    def test_any_argv_is_parsed_or_refused(self, argv):
+        args, code, out, err = _parse(argv)
+        if args is None:
+            _assert_usage_error(code, out, err, argv)
+        else:
+            assert err == ""
+            _assert_matches_table(args)
+            # a value starting with -- is taken only in the --opt=value form
+            for name in cli.COMMAND_LINE[args.command][1]:
+                value = getattr(args, name[2:].replace("-", "_"))
+                if isinstance(value, str) and value.startswith("--"):
+                    assert f"{name}={value}" in argv
 
 
 SUBCOMMAND_OPTIONS = {
@@ -722,12 +893,19 @@ class TestHelp:
         for option in SUBCOMMAND_OPTIONS[command]:
             assert option in out
 
-    def test_a_command_builds_only_its_own_subparser(self):
-        every = "{" + ",".join(SUBCOMMAND_OPTIONS) + "}"
-        assert "{tqft}" in cli._build_parser("tqft").format_usage()
-        assert every in cli._build_parser("--help").format_usage()
-        assert every in cli._build_parser("cnt").format_usage()
-        assert every in cli._build_parser(None).format_usage()
+    def test_usage_lists_each_commands_option_table(self, capsys):
+        # the option table alone drives parsing, the usage line and the help
+        assert list(cli.COMMAND_LINE) == list(SUBCOMMAND_OPTIONS)
+        for command, options in SUBCOMMAND_OPTIONS.items():
+            assert list(cli.COMMAND_LINE[command][1]) == options
+            usage = self._help(capsys, [command, "-h"]).splitlines()[0]
+            assert re.findall(r"--[\w-]+", usage) == options
+            with pytest.raises(SystemExit):
+                main([command, "--no-such-option"])
+            assert capsys.readouterr().err.splitlines()[0] == usage
+
+    def test_version(self, capsys):
+        assert self._help(capsys, ["--version"]) == f"affrep {affrep.__version__}\n"
 
 
 def test_startup_leaves_out_fractions_decimal_dataclasses_and_inspect():
@@ -735,6 +913,25 @@ def test_startup_leaves_out_fractions_decimal_dataclasses_and_inspect():
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import affrep.cli; "
         "print(sorted({'fractions', 'decimal', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(Path(affrep.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_table_extend_leaves_out_argparse_gettext_and_locale():
+    # argparse imports gettext, which imports locale: milliseconds of CPU per command
+    probe = "\n".join(
+        [
+            "import contextlib, io, sys",
+            "sys.path.insert(0, sys.argv[1])",
+            "import affrep.cli",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            "    assert affrep.cli.main(['table', '--extend']) == 0",
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))",
+        ]
     )
     src = str(Path(affrep.__file__).resolve().parents[1])
     out = subprocess.run(
