@@ -10,6 +10,7 @@ a transfer-matrix computation (:mod:`affrep.tqft`).  All arithmetic is exact
 
 from .affcount import (
     AffElem,
+    Budget,
     BudgetExceeded,
     CountRecord,
     InvalidGroupTable,

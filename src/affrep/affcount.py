@@ -36,7 +36,7 @@ DEFAULT_GUARD = 10**8
 
 
 class BudgetExceeded(RuntimeError):
-    """The enumeration is larger than the configured guard."""
+    """A charge would take a :class:`Budget` past its limit, the ``--guard``."""
 
 
 class InvalidGroupTable(ValueError):
@@ -124,35 +124,50 @@ def _record(field: FieldSpec, genus: int, count: int, engine: str, t0: float) ->
     )
 
 
-def _check_oracle_budget(order: int, genus: int, guard: int) -> None:
-    # (g + 1)|G|^2: the table's entries, the handle commutators and g - 1 fold
-    # steps of at most |G| * |G| each; a product, so nothing large is built
-    charge = (genus + 1) * order * order
-    if charge > guard:
-        raise BudgetExceeded(
-            f"table oracle needs (g+1)|G|^2 = {charge} steps with |G| = {order} and "
-            f"g = {genus}, for the table, the handle commutators and g - 1 fold steps "
-            f"(guard {guard})"
-        )
+class Budget:
+    """A command's one ledger for ``--guard``: each phase charges once, before it works."""
+
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: int = DEFAULT_GUARD):
+        self.limit, self.used = limit, 0
+
+    def charge(self, units: int, what: str) -> None:
+        """Add ``units``, or raise :class:`BudgetExceeded` quoting ``what`` past the limit."""
+        if self.used + units > self.limit:
+            spent = f", with {self.used} already charged" if self.used else ""
+            raise BudgetExceeded(f"{what}{spent} (guard {self.limit})")
+        self.used += units
 
 
-def check_budget(q: int, genus: int, engine: str, guard: int = DEFAULT_GUARD) -> None:
-    """Raise :class:`BudgetExceeded` if ``engine`` at order q needs more than ``guard``."""
+def count_charge(q: int, genus: int, engine: str) -> tuple[int, str]:
+    """The units ``engine`` charges to count at order q and genus g >= 1, and what they buy.
+
+    (g + 1)|G|^2 for the table oracle, (q - 1)^2 + g for ``semi``, and 4g
+    times the bits of q, a bound on the count's bits, for ``closed``.
+    """
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
     if engine in ("naive", "generic"):
-        _check_oracle_budget(q * (q - 1), genus, guard)
-    elif engine == "semi" and (q - 1) ** 2 + genus > guard:
-        raise BudgetExceeded(
-            f"semi count needs {(q - 1) ** 2 + genus} steps, (q-1)^2 scaling pairs plus "
-            f"{genus} handles (guard {guard})"
+        # the table's entries, the handle commutators and g - 1 fold steps of
+        # at most |G| * |G| each; a product, so nothing large is built
+        order = q * (q - 1)
+        steps = (genus + 1) * order * order
+        return steps, (
+            f"table oracle needs (g+1)|G|^2 = {steps} steps with |G| = {order} and "
+            f"g = {genus}, for the table, the handle commutators and g - 1 fold steps"
         )
-    elif engine == "closed" and 4 * genus * q.bit_length() > guard:
-        raise BudgetExceeded(
-            f"closed form needs a count of up to {4 * genus * q.bit_length()} bits, "
-            f"4g = {4 * genus} times the {q.bit_length()} bits of q = {q} (guard {guard})"
-        )
+    if engine == "semi":
+        steps = (q - 1) ** 2 + genus
+        return steps, f"semi count needs {steps} steps, (q-1)^2 scaling pairs plus {genus} handles"
+    bits = 4 * genus * q.bit_length()
+    return bits, (
+        f"closed form needs a count of up to {bits} bits, "
+        f"4g = {4 * genus} times the {q.bit_length()} bits of q = {q}"
+    )
 
 
-def count_naive(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> CountRecord:
+def count_naive(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:
     """The table oracle: count on the group-law table of Aff(1, F_q).
 
     Builds :func:`aff_group_table` from the addition and multiplication
@@ -160,21 +175,19 @@ def count_naive(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> Cou
     on it, with |G| = q(q - 1): at genus 1 it counts the commuting pairs,
     |G|^2 / 2 comparisons of a row with its column, and at genus >= 2 it
     folds the tuples by value, |G|^2 handle commutators and then g - 1
-    steps over the commutators' support.  The guard charges (g + 1)|G|^2
-    and raises :class:`BudgetExceeded` above ``guard`` before the table is
-    built; the default guard admits genus 1 up to q = 83 and refuses q = 89
-    and q = 97.  Memory is the table: 8 bytes of pointer per entry, as the
-    entries share the int objects of :func:`aff_group_table`'s translation
-    rows.  At q = 47 (|G|^2 = 4.67 million entries) the whole ``count``
-    command peaks at 58 MB of VmHWM and takes 0.9 s of CPU on a 2-core Xeon
-    with CPython 3.11.7.
+    steps over the commutators' support.  It charges (g + 1)|G|^2 to
+    ``budget`` (a fresh default-guard :class:`Budget` if None) before it
+    builds the table; the default guard admits genus 1 up to q = 83 and
+    refuses q = 89 and q = 97.  Memory is the table: 8 bytes of pointer
+    per entry, as the entries share the int objects of the translation rows
+    of :func:`aff_group_table`.  At q = 47 (|G|^2 = 4.67 million entries)
+    the whole ``count`` command peaks at 58 MB of VmHWM and takes 0.9 s of
+    CPU on a 2-core Xeon with CPython 3.11.7.
     """
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
     t0 = time.perf_counter()
-    check_budget(field.order, genus, "naive", guard)
+    (budget or Budget()).charge(*count_charge(field.order, genus, "naive"))
     table, ident = aff_group_table(field)
-    return _record(field, genus, count_group_generic(table, ident, genus, guard), "naive", t0)
+    return _record(field, genus, count_group_generic(table, ident, genus), "naive", t0)
 
 
 def _admissible_alpha_indices(field: FieldSpec) -> list[int]:
@@ -206,7 +219,7 @@ def commutator_distribution(field: FieldSpec) -> tuple[int, int]:
     return n0, n1
 
 
-def count_semi(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> CountRecord:
+def count_semi(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:
     """Count points handle by handle in the linear-form model.
 
     One handle's commutator lands in the translation subgroup T = F_q with
@@ -219,14 +232,12 @@ def count_semi(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> Coun
 
     from (1, 0), where u counts tuples whose commutator product is the
     identity and v those whose product is one fixed nonzero translation.
-    The work is the (q-1)^2 scaling pairs of one handle plus g steps;
-    raises :class:`BudgetExceeded` when that exceeds ``guard``.
+    The work is the (q-1)^2 scaling pairs of one handle plus g steps,
+    charged to ``budget`` (a fresh default-guard :class:`Budget` if None).
     """
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
     t0 = time.perf_counter()
     q = field.order
-    check_budget(q, genus, "semi", guard)
+    (budget or Budget()).charge(*count_charge(q, genus, "semi"))
     n0, n1 = commutator_distribution(field)
     u, v = 1, 0
     for _ in range(genus):
@@ -234,18 +245,16 @@ def count_semi(field: FieldSpec, genus: int, guard: int = DEFAULT_GUARD) -> Coun
     return _record(field, genus, u, "semi", t0)
 
 
-def count_closed(q: int, genus: int, guard: int = DEFAULT_GUARD) -> int:
+def count_closed(q: int, genus: int, budget: Budget | None = None) -> int:
     """Evaluate the closed-form count q^(2g-1)(q-1)^2g + q^2g - q^(2g-1).
 
-    The count is below q^4g, so it has at most 4g times the bits of q; raises
-    :class:`BudgetExceeded` when that bound exceeds ``guard``, before any
-    power is built.
+    The count is below q^4g, so it has at most 4g times the bits of q; that
+    bound is charged to ``budget`` (a fresh default-guard :class:`Budget` if
+    None) before any power is built.
     """
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
+    (budget or Budget()).charge(*count_charge(q, genus, "closed"))
     if q < 2:
         raise ValueError("q must be >= 2")
-    check_budget(q, genus, "closed", guard)
     s = 2 * genus
     return q ** (s - 1) * (q - 1) ** s + q**s - q ** (s - 1)
 
@@ -326,10 +335,7 @@ def _commuting_pairs(table: Sequence[Sequence[int]]) -> int:
 
 
 def oracle_counts(
-    table: Sequence[Sequence[int]],
-    identity: int,
-    genus_max: int,
-    guard: int = DEFAULT_GUARD,
+    table: Sequence[Sequence[int]], identity: int, genus_max: int
 ) -> tuple[list[int], Counter]:
     """The commutator-relation counts at genus 1 to ``genus_max`` in one sweep.
 
@@ -342,13 +348,11 @@ def oracle_counts(
     identity exactly when c = p^-1.  Every tuple is counted once, as a
     weight, with its product taken left to right in the table.  The work is
     |G|^2 commutators plus genus_max - 1 steps of |supp d| * |supp h| <=
-    |G|^2 products; the guard charges (genus_max + 1)|G|^2, the table's
-    entries included, and raises :class:`BudgetExceeded` above ``guard``
-    before the table is validated.
+    |G|^2 products.  Whoever builds the table charges (genus_max + 1)|G|^2
+    for it and this sweep (:func:`count_charge`), so this charges nothing.
     """
     if genus_max < 1:
         raise ValueError("genus must be >= 1")
-    _check_oracle_budget(len(table), genus_max, guard)
     inv = validate_group_table(table, identity)
     # [x, y] = (x y)(x^-1 y^-1) for one x per row, read from the rows of x and
     # x^-1 alone: the latter is gathered at the inverses once per row, in C
@@ -370,12 +374,7 @@ def oracle_counts(
     return counts, h
 
 
-def count_group_generic(
-    table: Sequence[Sequence[int]],
-    identity: int,
-    genus: int,
-    guard: int = DEFAULT_GUARD,
-) -> int:
+def count_group_generic(table: Sequence[Sequence[int]], identity: int, genus: int) -> int:
     """Commutator-relation count using only a multiplication table.
 
     Independent of any affine structure: an oracle for cross-checking the
@@ -385,15 +384,13 @@ def count_group_generic(
     comparing each row with its column above the diagonal: |G|^2 / 2
     comparisons in C and no commutator built.  At genus >= 2 it is the last
     count of :func:`oracle_counts`, which folds the tuples by the value of
-    their commutator product.  The guard charges (g + 1)|G|^2 either way and
-    raises :class:`BudgetExceeded` above ``guard`` before the table is
-    validated.
+    their commutator product.  Like :func:`oracle_counts` it charges
+    nothing; :func:`count_naive` charges before it builds the table.
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
     if genus > 1:
-        return oracle_counts(table, identity, genus, guard)[0][-1]
-    _check_oracle_budget(len(table), genus, guard)
+        return oracle_counts(table, identity, genus)[0][-1]
     validate_group_table(table, identity)
     return _commuting_pairs(table)
 
@@ -471,16 +468,16 @@ def count_points(
     field: FieldSpec,
     genus: int,
     engine: str = "semi",
-    guard: int = DEFAULT_GUARD,
+    budget: Budget | None = None,
 ) -> CountRecord:
-    """Run the selected engine and wrap the result in a :class:`CountRecord`."""
+    """Run the selected engine, which charges ``budget``, for a :class:`CountRecord`."""
     if engine in ("naive", "generic"):
-        record = count_naive(field, genus, guard)
+        record = count_naive(field, genus, budget)
         record.engine = engine
         return record
     if engine == "semi":
-        return count_semi(field, genus, guard)
+        return count_semi(field, genus, budget)
     if engine == "closed":
         t0 = time.perf_counter()
-        return _record(field, genus, count_closed(field.order, genus, guard), "closed", t0)
+        return _record(field, genus, count_closed(field.order, genus, budget), "closed", t0)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

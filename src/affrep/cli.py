@@ -14,6 +14,8 @@ results, checks, caveat), printed as JSON on stdout; ``--pretty`` renders it
 as text and ``--output csv`` writes its rows (count, epoly and table).
 Counts serialize as decimal strings so 53-bit JSON consumers cannot
 truncate them.  Exit status is 0 exactly when every reported check passes.
+``--guard N`` bounds the work of the whole command: it builds one
+:class:`~affrep.affcount.Budget`, which every phase charges before it runs.
 :func:`parse_args` reads argv against one option table,
 :data:`COMMAND_LINE`, which also renders the usage line and the help; a
 usage error exits 2.
@@ -32,9 +34,9 @@ from . import __version__
 from .affcount import (
     DEFAULT_GUARD,
     ENGINES,
-    BudgetExceeded,
+    Budget,
     aff_group_table,
-    check_budget,
+    count_charge,
     count_closed,
     count_digits_bound,
     count_points,
@@ -139,35 +141,24 @@ def load_golden_table(path: str | None = None) -> tuple[list[tuple[int, int, int
     return cells, checksum_ok
 
 
-def _field_for_order(q: int, guard: int = DEFAULT_GUARD):
-    decomposition = prime_power(q, guard)
+def _field_for_order(q: int, budget: Budget | None = None):
+    decomposition = prime_power(q, budget)
     if decomposition is None:
         raise ValueError(f"{q} is not a prime power")
     return make_field(*decomposition)
 
 
-def _check_polynomial_budget(genus: int, charge: int, powers: str, guard: int) -> None:
-    """Refuse a genus-g class whose charge passes the guard, or that may not print."""
-    if charge > guard:
-        raise BudgetExceeded(
-            f"genus {genus} needs {charge} coefficient products, weighted by 64-bit words, "
-            f"for {powers} (guard {guard})"
-        )
-    _check_printable(genus)
+def _charge_gluing(
+    budget: Budget, matrix: PolyMatrix, genus: int, what: str, sweep=False, classes=False
+) -> None:
+    """Charge gluing ``genus`` tori by ``matrix`` genus by genus, so as to refuse early.
 
-
-def _check_gluing_budget(matrix: PolyMatrix, genus: int, powers: str, guard: int, each) -> None:
-    """Refuse gluing ``genus`` tori by ``matrix`` at the first genus the charge passes the guard.
-
-    Genus g adds a gluing and ``each(g, charge of capping at g)``; the total
-    only grows, so a genus far past the guard is refused at once.
+    A sweep caps, and builds ``classes``, at every genus; else one cap at the last.
     """
-    charge = 0
     for g, (glue, capping) in zip(range(1, genus + 1), gluing_charges(matrix)):
-        charge += glue + each(g, capping)
-        if charge > guard and g < genus:
-            _check_polynomial_budget(genus, charge, f"{powers} to genus {g} alone", guard)
-    _check_polynomial_budget(genus, charge, powers, guard)
+        units = glue + (capping if sweep or g == genus else 0) + (class_charge(g) if classes else 0)
+        products = f"{units} coefficient products, weighted by 64-bit words"
+        budget.charge(units, f"genus {genus} needs {products}, for {what} at genus {g}")
 
 
 def _check_printable(genus: int, q: int | None = None) -> None:
@@ -192,9 +183,9 @@ def cmd_count(
 ) -> Report:
     """One point count over the field named by a ``p^n`` descriptor."""
     spec = make_field(*parse_descriptor(field))
-    check_budget(spec.order, genus, engine, guard)
-    _check_printable(genus, spec.order)
-    results = count_points(spec, genus, engine=engine, guard=guard).as_json()
+    if count_charge(spec.order, genus, engine)[0] <= guard:  # else the engine refuses it first
+        _check_printable(genus, spec.order)
+    results = count_points(spec, genus, engine, Budget(guard)).as_json()
     if show_modulus:
         results["modulus"] = spec.modulus_text()
     inputs = {"field": field, "genus": genus, "engine": engine, "guard": guard}
@@ -220,24 +211,25 @@ def cmd_epoly(
         raise ValueError("--engine and --counts exclude each other: a CSV is read, not counted")
     if counts_file == "":
         raise ValueError("--counts needs a file name")
+    budget = Budget(guard)
     if counts_file is not None:
         samples = samples_from_csv(counts_file)
         for q, _ in samples:
-            if prime_power(q, guard) is None:
+            if prime_power(q, budget) is None:
                 raise ValueError(f"sample abscissa {q} is not a prime power")
         epoly = epoly_from_samples(genus, samples)
         counts = [{"q": q, "count": str(c), "engine": "csv"} for q, c in samples]
     else:
         if plan_text is not None:
             try:
-                plan = plan_from_text(genus, plan_text, guard)
+                plan = plan_from_text(genus, plan_text, budget)
             except ValueError as exc:
                 raise ValueError(f"--plan {plan_text!r}: {exc}") from None
         else:
             plan = default_plan(genus)
         _check_printable(genus, max(plan.prime_powers))
         engine = engine or "semi"
-        result = epoly_from_counts(genus, plan, engine=engine, guard=guard)
+        result = epoly_from_counts(genus, plan, engine=engine, budget=budget)
         epoly, counts = result.epoly, [rec.as_json() for rec in result.records]
     inputs = {
         "genus": genus,
@@ -264,10 +256,12 @@ def cmd_tqft(
     guard: int = DEFAULT_GUARD,
 ) -> Report:
     """Transfer-matrix class of the genus-g surface, with optional identity checks."""
+    budget = Budget(guard)
     data = build_transfer()
-    _check_gluing_budget(
-        data.matrix, genus, "gluing and capping", guard, lambda g, c: c if g == genus else 0
-    )
+    _charge_gluing(budget, data.matrix, genus, "gluing and capping")
+    if reconstruct:
+        _charge_gluing(budget, data.matrix, 6, "the sweep to reconstruct from", True)
+    _check_printable(genus)
     results: dict = {"virtual_class": str(close_surface(genus, data))}
     checks = []
     if show_matrix:
@@ -279,6 +273,7 @@ def cmd_tqft(
         a, b, d = reconstruct_transfer(*classes[:3])
         results["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
         rebuilt = PolyMatrix.from_rows([[a, b], [ONE, d]])
+        _charge_gluing(budget, rebuilt, 6, "the sweep of the rebuilt matrix", True)
         roundtrip = surface_classes(rebuilt, 6) == classes
         checks.append(_check("reconstruction_roundtrip", roundtrip, "genus 1-6 classes"))
     inputs = {
@@ -293,7 +288,10 @@ def cmd_tqft(
 
 def cmd_classes(genus: int, guard: int = DEFAULT_GUARD) -> Report:
     """Representation, moduli and character classes for one genus."""
-    _check_polynomial_budget(genus, 3 * class_charge(genus), "three classes", guard)
+    units = 3 * class_charge(genus)
+    products = f"{units} coefficient products, weighted by 64-bit words"
+    Budget(guard).charge(units, f"genus {genus} needs {products}, for three classes")
+    _check_printable(genus)
     results = {
         "representation": str(rep_class(genus)),
         "moduli": str(moduli_class(genus)),
@@ -310,8 +308,9 @@ def cmd_table(
     """Recompute every filled reference cell and compare, cell by cell.
 
     A cell whose count may be too long to print is refused before any cell
-    is counted.
+    is counted; each cell's trial division and count charge one budget.
     """
+    budget = Budget(guard)
     cells, checksum_ok = load_golden_table(golden_path)
     checksum = "sha256 of the golden table file" + ("" if checksum_ok else " does not match")
     checks = [_check("golden_checksum", checksum_ok, checksum)]
@@ -322,7 +321,7 @@ def cmd_table(
         _check_printable(genus, q)
     computed_cells = []
     for kind, genus, q, expected, source in targets:
-        count = count_semi(_field_for_order(q, guard), genus, guard=guard).count
+        count = count_semi(_field_for_order(q, budget), genus, budget).count
         details = f"{source} {expected}, counted {count}"
         checks.append(_check(f"{kind}_g{genus}_q{q}", count == expected, details))
         computed_cells.append(
@@ -340,19 +339,16 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     and the table oracle against ``semi`` at genus 1-2 over F_q, q = 2-5.
     Each q's group table is built and validated once: one
     :func:`~affrep.affcount.oracle_counts` sweep gives both the oracle's
-    counts and its handle commutators h.  The guard charges gluing, capping
-    and ``rep_class`` at every genus, and every sweep, before any runs.
+    counts and its handle commutators h.  One budget takes every charge,
+    the oracle sweeps' last and before any table is built.
     """
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
+    budget = Budget(guard)
     matrix = build_transfer().matrix
-    # verify caps, builds and prints rep_class at every genus
-    _check_gluing_budget(
-        matrix, genus_max, "gluing, capping and classes", guard, lambda g, c: c + class_charge(g)
-    )
+    _charge_gluing(budget, matrix, genus_max, "gluing, capping and classes", True, True)
+    _check_printable(genus_max)
     oracle_genus = min(genus_max, 2)
-    for q in ORACLE_ORDERS:
-        check_budget(q, oracle_genus, "naive", guard)
     checks = []
     geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
     transfers = surface_classes(matrix, genus_max)
@@ -360,20 +356,22 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         details = f"{expected} vs {transfer}"
         checks.append(_check(f"stratification_vs_transfer_g{g}", expected == transfer, details))
     for g in range(1, min(genus_max, 3) + 1):
-        interp = epoly_from_counts(g, guard=guard).epoly
+        interp = epoly_from_counts(g, budget=budget).epoly
         name = f"interpolation_vs_stratification_g{g}"
         checks.append(_check(name, interp == geometric[g], f"interpolated {interp}"))
-    sweeps = {}
+    fields = {q: _field_for_order(q, budget) for q in ORACLE_ORDERS}
+    genera = range(1, oracle_genus + 1)
+    semis = {(g, q): count_semi(f, g, budget).count for g in genera for q, f in fields.items()}
     for q in ORACLE_ORDERS:
-        field = _field_for_order(q)
+        budget.charge(*count_charge(q, oracle_genus, "naive"))
+    sweeps = {}
+    for q, field in fields.items():
         table, ident = aff_group_table(field)
-        sweeps[q] = (field, ident, *oracle_counts(table, ident, oracle_genus, guard))
-    for g in range(1, oracle_genus + 1):
-        for q, (field, _, naive_counts, _) in sweeps.items():
-            naive = naive_counts[g - 1]
-            semi = count_semi(field, g, guard=guard).count
-            checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
-    for q, (_, ident, _, h) in sweeps.items():
+        sweeps[q] = (ident, *oracle_counts(table, ident, oracle_genus))
+    for (g, q), semi in semis.items():
+        naive = sweeps[q][1][g - 1]
+        checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
+    for q, (ident, _, h) in sweeps.items():
         # semi and tqft assume one handle's commutator is a translation, equally
         # often each nonzero one; the oracle's h, from the table alone, tests it
         translations = range(ident, ident + q)  # (1, b) has index ident + idx(b)

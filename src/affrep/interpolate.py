@@ -17,7 +17,7 @@ import sys
 from math import isqrt
 from typing import Sequence
 
-from .affcount import DEFAULT_GUARD, BudgetExceeded, CountRecord, count_points
+from .affcount import Budget, CountRecord, count_points
 from .exactpoly import Immutable, IntPoly, Record
 from .finitefield import DEFAULT_MAX_ORDER, make_field
 
@@ -84,21 +84,24 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], degree_bound: int) -
     return result
 
 
-def prime_power(m: int, guard: int = DEFAULT_GUARD) -> tuple[int, int] | None:
+def prime_power(m: int, budget: Budget | None = None) -> tuple[int, int] | None:
     """Decompose m as p^k for prime p, or return None.
 
     The smallest prime factor is found by trial division up to isqrt(m);
-    raises :class:`BudgetExceeded` naming m when those isqrt(m) - 1
-    divisions exceed ``guard``.
+    those isqrt(m) - 1 divisions are charged to ``budget`` (a fresh
+    default-guard :class:`Budget` if None) first, naming m.
     """
+    if m >= 2:
+        what = f"abscissa {m} needs up to {isqrt(m) - 1} trial divisions to factor"
+        (budget or Budget()).charge(isqrt(m) - 1, what)
+    return _prime_power(m)
+
+
+def _prime_power(m: int) -> tuple[int, int] | None:
+    # the factoring prime_power charges for
     if m < 2:
         return None
-    divisions = isqrt(m) - 1
-    if divisions > guard:
-        raise BudgetExceeded(
-            f"abscissa {m} needs up to {divisions} trial divisions to factor (guard {guard})"
-        )
-    p = next((d for d in range(2, divisions + 2) if m % d == 0), m)
+    p = next((d for d in range(2, isqrt(m) + 1) if m % d == 0), m)
     k = 0
     while m % p == 0:
         m //= p
@@ -113,7 +116,7 @@ def smallest_prime_powers(count: int) -> tuple[int, ...]:
     :func:`make_field` builds; raises :class:`ValueError` when fewer than
     ``count`` prime powers lie within it.
     """
-    candidates = (m for m in range(2, DEFAULT_MAX_ORDER + 1) if prime_power(m))
+    candidates = (m for m in range(2, DEFAULT_MAX_ORDER + 1) if _prime_power(m))
     out = tuple(itertools.islice(candidates, count))
     if len(out) < count:
         raise ValueError(
@@ -126,14 +129,14 @@ def smallest_prime_powers(count: int) -> tuple[int, ...]:
 class SamplePlan(Immutable):
     """Which prime powers to count over for a given genus.
 
-    ``guard`` bounds the trial division that checks each prime power.
+    The trial division that checks each prime power is charged to ``budget``.
     """
 
     __slots__ = ("genus", "prime_powers")
     genus: int
     prime_powers: tuple[int, ...]
 
-    def __init__(self, genus: int, prime_powers: tuple[int, ...], guard: int = DEFAULT_GUARD):
+    def __init__(self, genus: int, prime_powers: tuple[int, ...], budget: Budget | None = None):
         super().__init__(genus, prime_powers)
         if genus < 1:
             raise ValueError("genus must be >= 1")
@@ -144,7 +147,7 @@ class SamplePlan(Immutable):
                 f"plan needs at least {self.degree_bound + 1} prime powers for genus {genus}"
             )
         for m in prime_powers:
-            if prime_power(m, guard) is None:
+            if prime_power(m, budget) is None:
                 raise ValueError(f"{m} is not a prime power")
 
     @property
@@ -196,13 +199,13 @@ def epoly_from_counts(
     genus: int,
     plan: SamplePlan | None = None,
     engine: str = "semi",
-    guard: int = DEFAULT_GUARD,
+    budget: Budget | None = None,
 ) -> EPolyResult:
     """Count points at each prime power of the plan and interpolate.
 
-    The returned polynomial reproduces every gathered count by construction
-    (the interpolation verifies surplus points and the plan covers the
-    degree bound exactly or better).
+    Each count charges ``budget``.  The returned polynomial reproduces every
+    gathered count by construction (the interpolation verifies surplus
+    points and the plan covers the degree bound exactly or better).
     """
     if plan is None:
         plan = default_plan(genus)
@@ -210,9 +213,8 @@ def epoly_from_counts(
         raise ValueError(f"plan is for genus {plan.genus}, not {genus}")
     records = []
     for m in plan.prime_powers:
-        p, k = prime_power(m, guard)  # plan validation guarantees this decomposes
-        field = make_field(p, k)
-        records.append(count_points(field, genus, engine=engine, guard=guard))
+        field = make_field(*_prime_power(m))  # the plan checked, and charged, m
+        records.append(count_points(field, genus, engine=engine, budget=budget))
     samples = [(rec.q, rec.count) for rec in records]
     epoly = epoly_from_samples(genus, samples)
     return EPolyResult(genus, plan, records, epoly)
@@ -256,27 +258,25 @@ def row_error(where: str, kind: str, row: object, cells: Sequence[str]) -> Value
 
 
 def samples_from_csv(path: str) -> list[tuple[int, int]]:
-    """Read ``q,count`` rows; the first line may be a header.
+    """Read ``q,count`` rows; the first line may be a header, with no number in it.
 
-    Blank lines are skipped.  Any other row whose first two cells are not
+    Rows of blank cells are skipped.  Any other row whose first two cells are not
     integers, or with a nonblank later cell, raises the :class:`ValueError`
-    of :func:`row_error`, naming its line, so no row or cell is dropped.  A
-    first line whose first cell is too long to be an integer is an error.
+    of :func:`row_error`, naming its line, so no row or cell is dropped.
     """
     out: list[tuple[int, int]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
-            if not row or not row[0].strip():
+            if not any(cell.strip() for cell in row):
                 continue
             where = f"{path}, line {reader.line_num}"
             try:
                 q = int(row[0])
             except ValueError:
-                error = row_error(where, "sample", row, row[:1])
-                if reader.line_num == 1 and not isinstance(error, CellTooLong):
-                    continue  # header
-                raise error from None
+                if reader.line_num == 1 and not any(c.strip(" +-").isdecimal() for c in row):
+                    continue  # a header: no cell holds a number
+                raise row_error(where, "sample", row, row[:1]) from None
             if any(cell.strip() for cell in row[2:]):
                 raise row_error(where, "sample", row, row[2:])
             try:
@@ -286,12 +286,12 @@ def samples_from_csv(path: str) -> list[tuple[int, int]]:
     return out
 
 
-def plan_from_text(genus: int, text: str, guard: int = DEFAULT_GUARD) -> SamplePlan:
+def plan_from_text(genus: int, text: str, budget: Budget | None = None) -> SamplePlan:
     """Parse a comma-separated prime-power list into a plan.
 
     A token that is empty or not an integer raises :class:`ValueError`
-    naming it, so no entry is dropped; ``guard`` bounds the prime-power
-    checks as in :class:`SamplePlan`.
+    naming it, so no entry is dropped; the prime-power checks charge
+    ``budget`` as in :class:`SamplePlan`.
     """
     powers = []
     for position, tok in enumerate(text.split(","), start=1):
@@ -301,4 +301,4 @@ def plan_from_text(genus: int, text: str, guard: int = DEFAULT_GUARD) -> SampleP
             powers.append(int(tok))
         except ValueError:
             raise ValueError(f"{tok.strip()!r} is not an integer") from None
-    return SamplePlan(genus, tuple(powers), guard)
+    return SamplePlan(genus, tuple(powers), budget)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from affrep import affcount
 from affrep.affcount import (
     AffElem,
+    Budget,
     BudgetExceeded,
     InvalidGroupTable,
     aff_elements,
@@ -113,14 +114,14 @@ class TestNaiveEngine:
         # the guard is checked before the group table is built: (g + 1)|G|^2 = 4 * 20^2
         monkeypatch.setattr(affcount, "aff_group_table", lambda field: pytest.fail("built"))
         with pytest.raises(BudgetExceeded, match=r"\(g\+1\)\|G\|\^2 = 1600 "):
-            count_naive(F5, 3, guard=1599)
+            count_naive(F5, 3, Budget(1599))
 
     @pytest.mark.parametrize("field,genus,charge", [(F2, 4, 5 * 2**2), (F5, 2, 3 * 20**2)])
     def test_budget_boundary(self, field, genus, charge):
         # (g + 1)|G|^2: table entries, handle commutators and g - 1 fold steps
-        assert count_naive(field, genus, guard=charge).count == count_closed(field.order, genus)
+        assert count_naive(field, genus, Budget(charge)).count == count_closed(field.order, genus)
         with pytest.raises(BudgetExceeded, match=rf"g = {genus}, .*\(guard {charge - 1}\)"):
-            count_naive(field, genus, guard=charge - 1)
+            count_naive(field, genus, Budget(charge - 1))
 
     def test_record_fields(self):
         rec = count_naive(F4, 1)
@@ -144,8 +145,8 @@ class TestSemiEngine:
         # the work is the (q-1)^2 scaling pairs of one handle plus one step per handle
         f19 = make_field(19, 1)
         with pytest.raises(BudgetExceeded, match=r"\(q-1\)\^2"):
-            count_semi(f19, 3, guard=18**2 + 3 - 1)
-        assert count_semi(f19, 3, guard=18**2 + 3).count == 84217678403958
+            count_semi(f19, 3, Budget(18**2 + 3 - 1))
+        assert count_semi(f19, 3, Budget(18**2 + 3)).count == 84217678403958
 
     @pytest.mark.parametrize("genus", [1, 2, 3, 4])
     def test_frobenius_mednykh_formula(self, genus):
@@ -180,9 +181,9 @@ class TestClosedForm:
 
     def test_budget(self):
         # 4g times the bits of q bounds the bits of the count: 4 * 2 * 5 for q = 16
-        assert count_closed(16, 2, guard=40) == 16**3 * (15**4 + 15)
+        assert count_closed(16, 2, Budget(40)) == 16**3 * (15**4 + 15)
         with pytest.raises(BudgetExceeded, match=r"\(guard 39\)"):
-            count_closed(16, 2, guard=39)
+            count_closed(16, 2, Budget(39))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 17, 27, 243, 4093, 4096])
     def test_digits_bound_is_tight(self, q):
@@ -291,18 +292,18 @@ class TestGenericEngine:
             assert generic == count_semi(field, genus).count == count_closed(field.order, genus)
 
     def test_budget(self):
-        # (g + 1)|G|^2 = 5 * 20^2 at genus 4
-        table, ident = aff_group_table(F5)
-        assert count_group_generic(table, ident, 4, guard=2000) == count_closed(5, 4)
+        # the generic engine is the table oracle's: (g + 1)|G|^2 = 5 * 20^2 at genus 4
+        assert count_points(F5, 4, "generic", Budget(2000)).count == count_closed(5, 4)
         with pytest.raises(BudgetExceeded, match=r"\(guard 1999\)"):
-            count_group_generic(table, ident, 4, guard=1999)
+            count_points(F5, 4, "generic", Budget(1999))
 
     def test_budget_before_validation(self, monkeypatch):
-        # an over-budget call fails at once, without the O(n^2) table validation
+        # an over-budget call fails at once, without building or validating a
+        # table: count_group_generic, given a table, charges nothing
+        monkeypatch.setattr(affcount, "aff_group_table", lambda *a: pytest.fail("built"))
         monkeypatch.setattr(affcount, "validate_group_table", lambda *a: pytest.fail("validated"))
-        table, ident = aff_group_table(F5)
         with pytest.raises(BudgetExceeded):
-            count_group_generic(table, ident, 4, guard=1999)
+            count_points(F5, 4, "generic", Budget(1999))
 
     @pytest.mark.parametrize("genus,expected", [(1, 40), (2, 2176), (3, 133120)])
     def test_quaternion_group(self, genus, expected):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from affrep.affcount import ENGINES, BudgetExceeded, count_closed
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
+from affrep.tqft import build_transfer, gluing_charges
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -271,19 +273,21 @@ class TestEPoly:
 
     @pytest.mark.parametrize("source", ["--plan", "--counts"])
     def test_abscissa_over_the_guard(self, capsys, tmp_path, source):
-        # factoring 1000000007 takes up to isqrt(1000000007) - 1 = 31621 trial divisions
+        # factoring 1000000007 takes up to isqrt(1000000007) - 1 = 31621 trial
+        # divisions, charged after the one for 4: 31622 in all
         path = tmp_path / "counts.csv"
         path.write_text("".join(f"{q},{q**3 - q**2}\n" for q in (2, 3, 4, 1000000007)))
         value = "2,3,4,1000000007" if source == "--plan" else str(path)
-        argv = ["epoly", "--genus", "1", source, value, "--guard", "31620"]
+        argv = ["epoly", "--genus", "1", source, value, "--guard", "31621"]
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "abscissa 1000000007" in err and "31621" in err
+        assert ", with 1 already charged (guard 31621)" in err
         assert len(err.splitlines()) == 1
-        # admitted one division later: the counts interpolate, while the plan
+        # admitted at the whole total: the counts interpolate, while the plan
         # goes on to fail on the field order bound
-        argv[-1] = "31621"
+        argv[-1] = "31622"
         assert run_cli(capsys, argv)[0] == (1 if source == "--plan" else 0)
 
     def test_bad_plan_token(self, capsys):
@@ -377,10 +381,10 @@ class TestTqft:
         # for verify one gluing, one capping and the genus-1 class
         refusal = {
             "tqft": "genus 100000 needs 14 coefficient products, weighted by 64-bit words, "
-            "for gluing and capping to genus 1 alone ",
+            "for gluing and capping at genus 1 ",
             "classes": "genus 100000 needs 5861279306250 ",
             "verify": "genus 100000 needs 35 coefficient products, weighted by 64-bit words, "
-            "for gluing, capping and classes to genus 1 alone ",
+            "for gluing, capping and classes at genus 1 ",
         }[command]
         genus_flag = "--genus-max" if command == "verify" else "--genus"
         t0 = time.perf_counter()
@@ -583,16 +587,20 @@ class TestVerify:
         )
 
     def test_oracle_guard_boundary(self, monkeypatch):
-        # (g + 1)|G|^2 = 3 * 20^2 = 1200 at q = 5, genus 2: every field's sweep
-        # is charged before any group table is built
+        # the whole run charges 2343: gluing, capping and classes 35 + 153, the
+        # interpolation's semi counts 34 + 295, trial division 2, the semi
+        # counts the oracle is checked against 34 + 38, and last, before any
+        # group table is built, every field's sweep (g + 1)|G|^2 = 3|G|^2:
+        # 12 + 108 + 432 + 1200 at q = 2, 3, 4, 5
         def no_table(field):
             raise AssertionError("group table built before the guard decided")
 
         monkeypatch.setattr(cli, "aff_group_table", no_table)
-        with pytest.raises(BudgetExceeded, match=r"= 1200 steps with \|G\| = 20 and g = 2"):
-            cmd_verify(2, guard=1199)
+        with pytest.raises(BudgetExceeded, match=r"= 1200 steps with \|G\| = 20 and g = 2, .*"
+                           r", with 1143 already charged \(guard 2342\)"):
+            cmd_verify(2, guard=2342)
         monkeypatch.undo()
-        assert cmd_verify(2, guard=1200).passed
+        assert cmd_verify(2, guard=2343).passed
 
     def test_one_table_per_field(self, monkeypatch):
         built, validated = [], []
@@ -629,6 +637,144 @@ class TestVerify:
         assert payload["command"] == "verify"
         assert payload["checks"]
         assert "caveat" in payload
+
+
+@pytest.fixture
+def ledgers(monkeypatch):
+    # every Budget the CLI builds, kept for its used total after the command
+    made = []
+
+    class Recorded(affcount.Budget):
+        __slots__ = ()
+
+        def __init__(self, limit=affcount.DEFAULT_GUARD):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "Budget", Recorded)
+    return made
+
+
+def _handle_distribution(field):
+    # commutator_distribution's value without its (q - 1)^2 loop: the pair
+    # of zero shifts has q^2 solutions, each other pair q, over every translation
+    q = field.order
+    pairs = ((q - 1) ** 2 - 1) * q
+    return q * q + pairs, pairs
+
+
+def _assert_refused_within(code, out, err, ledgers, guard):
+    # one ledger for the command, refused without passing its guard
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.endswith(f" (guard {guard})\n")
+    assert len(err.splitlines()) == 1
+    assert [ledger.limit for ledger in ledgers] == [guard]
+    assert ledgers[0].used <= guard
+
+
+class TestLedger:
+    """--guard bounds the whole command: one Budget, charged phase by phase."""
+
+    def test_epoly_plan_is_charged_count_by_count(self, capsys, ledgers):
+        # the default genus-3 plan 2, 3, 4, ..., 19 charges (q - 1)^2 + 3 per
+        # count, 1264 in all: 937 to q = 17, then 327 at q = 19
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "3", "--guard", "1000"])
+        _assert_refused_within(code, out, err, ledgers, 1000)
+        assert err == (
+            "error: semi count needs 327 steps, (q-1)^2 scaling pairs plus 3 handles, "
+            "with 937 already charged (guard 1000)\n"
+        )
+        assert ledgers[0].used == 937
+        ledgers.clear()
+        assert run_cli(capsys, ["epoly", "--genus", "3", "--guard", "1264"])[0] == 0
+        assert ledgers[0].used == 1264
+
+    @pytest.mark.parametrize("genus,used", [(57, 96265258), (58, 99350802)])
+    def test_epoly_default_plan_boundary(self, capsys, ledgers, monkeypatch, genus, used):
+        # the default plan's counts charge 96265258 at genus 57 and 102561658
+        # at genus 58, refused at q = 1259, the last prime power but one
+        monkeypatch.setattr(affcount, "commutator_distribution", _handle_distribution)
+        code, out, err = run_cli(capsys, ["epoly", "--genus", str(genus)])
+        assert ledgers[0].used == used
+        if genus == 57:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["results"]["epoly"] == str(rep_class(57))
+        else:
+            _assert_refused_within(code, out, err, ledgers, 10**8)
+            assert "semi count needs 1582622 steps" in err
+
+    def test_golden_rows_are_charged_row_by_row(self, capsys, tmp_path, ledgers, monkeypatch):
+        # each 1,4096 row charges 4095^2 + 1 for semi and 63 trial divisions;
+        # the handle distribution is stubbed with its value, so no row takes
+        # the seconds of a real q = 4096 count
+        monkeypatch.setattr(affcount, "commutator_distribution", _handle_distribution)
+        row = f"1,4096,{count_closed(4096, 1)}\n"
+        path = tmp_path / "golden.csv"
+        path.write_text("genus,q,count\n" + row * 3)
+        per_row = 4095**2 + 1 + 63
+        guard = str(2 * per_row + per_row // 2)
+        code, out, err = run_cli(capsys, ["table", "--golden", str(path), "--guard", guard])
+        _assert_refused_within(code, out, err, ledgers, int(guard))
+        assert ledgers[0].used == 2 * per_row + 63
+        ledgers.clear()
+        argv = ["table", "--golden", str(path), "--guard", str(3 * per_row)]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1  # the file is not the packaged table's, but every cell passes
+        assert [c["pass"] for c in json.loads(out)["checks"]] == [False, True, True, True]
+        assert ledgers[0].used == 3 * per_row
+
+    def test_csv_abscissae_are_charged_together(self, capsys, tmp_path, ledgers):
+        # each of the two primes takes isqrt(q) - 1 = 31621 trial divisions,
+        # after the one for 4
+        path = tmp_path / "counts.csv"
+        qs = (2, 3, 4, 1000000007, 1000000009)
+        path.write_text("".join(f"{q},{q**3 - q**2}\n" for q in qs))
+        argv = ["epoly", "--genus", "1", "--counts", str(path), "--guard", "40000"]
+        code, out, err = run_cli(capsys, argv)
+        _assert_refused_within(code, out, err, ledgers, 40000)
+        assert "abscissa 1000000009 " in err and ", with 31622 already charged" in err
+        ledgers.clear()
+        argv[-1] = str(1 + 2 * 31621)
+        assert run_cli(capsys, argv)[0] == 0
+        assert ledgers[0].used == 1 + 2 * 31621
+
+    @pytest.mark.parametrize("engine", ["naive", "generic"])
+    def test_naive_count_charges_the_oracle_once(self, capsys, ledgers, engine):
+        # (g + 1)|G|^2 = 3 * 20^2, charged once, not again by the table oracle
+        argv = ["count", "--engine", engine, "--genus", "2", "--field", "5"]
+        assert run_cli(capsys, argv)[0] == 0
+        assert [ledger.used for ledger in ledgers] == [1200]
+
+    def test_naive_genus_one_boundary(self, capsys, ledgers):
+        # 2(q(q - 1))^2: 92643272 at q = 83 fits the default guard, 122680448
+        # at q = 89 does not, and is refused before the table is built
+        assert affcount.count_charge(83, 1, "naive")[0] == 92643272 <= affcount.DEFAULT_GUARD
+        t0 = time.perf_counter()
+        argv = ["count", "--engine", "naive", "--genus", "1", "--field", "89"]
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - t0 < 1
+        _assert_refused_within(code, out, err, ledgers, affcount.DEFAULT_GUARD)
+        assert "(g+1)|G|^2 = 122680448 steps with |G| = 7832 and g = 1" in err
+        assert ledgers[0].used == 0
+
+    def test_reconstruction_sweeps_are_charged(self, capsys, ledgers):
+        # the two genus-6 sweeps of --reconstruct come on top of gluing and capping
+        assert run_cli(capsys, ["tqft", "--genus", "2"])[0] == 0
+        plain = ledgers.pop().used
+        assert plain == 14 + 14 * 7 + 9 * 5
+        assert run_cli(capsys, ["tqft", "--genus", "2", "--reconstruct"])[0] == 0
+        total = ledgers.pop().used
+        first = sum(map(sum, itertools.islice(gluing_charges(build_transfer().matrix), 6)))
+        assert total > plain + first
+        argv = ["tqft", "--genus", "2", "--reconstruct", "--guard", str(total - 1)]
+        code, out, err = run_cli(capsys, argv)
+        _assert_refused_within(code, out, err, ledgers, total - 1)
+        assert "for the sweep of the rebuilt matrix at genus " in err
+        ledgers.clear()
+        argv[-1] = str(plain + first - 1)
+        code, out, err = run_cli(capsys, argv)
+        _assert_refused_within(code, out, err, ledgers, plain + first - 1)
+        assert "for the sweep to reconstruct from at genus 6" in err
 
 
 class TestPretty:

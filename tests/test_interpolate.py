@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affrep.affcount import BudgetExceeded
+from affrep.affcount import Budget, BudgetExceeded
 from affrep.exactpoly import ONE, Q, IntPoly
 from affrep.geomstrat import rep_class
 from affrep.interpolate import (
+    ECHO_CHARS,
     CellTooLong,
     DegreeMismatch,
     DuplicateAbscissa,
@@ -21,9 +22,11 @@ from affrep.interpolate import (
     default_plan,
     epoly_from_counts,
     epoly_from_samples,
+    int_str_limit,
     lagrange_interpolate,
     plan_from_text,
     prime_power,
+    row_error,
     samples_from_csv,
     smallest_prime_powers,
 )
@@ -77,6 +80,21 @@ class TestLagrange:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             lagrange_interpolate([(1, 1)], 3)
+
+    @pytest.mark.parametrize(
+        "points,degree_bound,text",
+        [
+            ([(2, 4), (2, 5), (3, 6)], 1, "abscissae [2, 2, 3] are not pairwise distinct"),
+            ([(1, 1)], 3, "need at least 4 points, got 1"),
+            ([(0, 0), (2, 1)], 1, "divided difference 1/2 is not an integer"),
+            ([(0, 0), (1, 1), (2, 3)], 1, "interpolant gives 2 at 2, sample says 3"),
+            ([(0, 0)], -1, "degree bound must be non-negative"),
+        ],
+    )
+    def test_error_texts(self, points, degree_bound, text):
+        with pytest.raises(ValueError) as info:
+            lagrange_interpolate(points, degree_bound)
+        assert str(info.value) == text
 
     def test_overdetermined_consistency(self):
         p = 2 * Q**3 - Q + 5
@@ -135,10 +153,13 @@ class TestPrimePowers:
         # factoring 10^18 + 3 would take up to 10^9 - 1 trial divisions
         with pytest.raises(BudgetExceeded, match="abscissa 1000000000000000003 .* 999999999 "):
             prime_power(10**18 + 3)
-        # isqrt(1009) - 1 = 30 divisions
-        with pytest.raises(BudgetExceeded, match="abscissa 1009 .* 30 .*guard 29"):
-            SamplePlan(1, (2, 3, 4, 1009), guard=29)
-        assert SamplePlan(1, (2, 3, 4, 1009), guard=30).prime_powers[-1] == 1009
+        # isqrt(1009) - 1 = 30 divisions, after the one for 4 on the same budget
+        refusal = "abscissa 1009 .* 30 .*, with 1 already charged .guard 30"
+        with pytest.raises(BudgetExceeded, match=refusal):
+            SamplePlan(1, (2, 3, 4, 1009), Budget(30))
+        budget = Budget(31)
+        assert SamplePlan(1, (2, 3, 4, 1009), budget).prime_powers[-1] == 1009
+        assert budget.used == 31
 
     def test_smallest_prime_powers(self):
         assert smallest_prime_powers(12) == (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
@@ -242,3 +263,46 @@ class TestCsvIngestion:
             f"of 5000 digits, over Python's int-from-str limit of "
             f"{sys.get_int_max_str_digits()} (PYTHONINTMAXSTRDIGITS sets it)"
         )
+
+    @pytest.mark.parametrize(
+        "text,line,row",
+        [
+            ("2,4\nx,18\n", 2, "['x', '18']"),
+            ("2\n", 1, "['2']"),
+            ("q,count\n2,x\n", 2, "['2', 'x']"),
+        ],
+    )
+    def test_malformed_row_texts(self, tmp_path, text, line, row):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            samples_from_csv(str(path))
+        assert str(info.value) == f"{path}, line {line}: malformed sample row {row}"
+
+
+class TestRowError:
+    """Where ``row_error`` cuts its echo and tells a too-long cell from a malformed one."""
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_cell_at_and_over_the_digit_limit(self, extra):
+        limit = int_str_limit()
+        if not limit:
+            pytest.skip("no int-to-str limit on this interpreter")
+        cell = "9" * (limit + extra)
+        error = row_error("here", "sample", "row", ["1", cell])
+        assert isinstance(error, CellTooLong) == bool(extra)
+        if extra:
+            assert str(error) == (
+                f"here: sample row 'row' has a cell of {limit + 1} digits, over Python's "
+                f"int-from-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
+            )
+        else:
+            assert str(error) == "here: malformed sample row 'row'"
+
+    @pytest.mark.parametrize("width", [ECHO_CHARS, ECHO_CHARS + 1])
+    def test_echo_at_and_over_its_width(self, width):
+        row = "x" * (width - 2)  # its repr adds two quotes
+        error = row_error("here", "golden", row, [])
+        cut = f"{repr(row)[:ECHO_CHARS]}... ({width} characters)"
+        echo = repr(row) if width == ECHO_CHARS else cut
+        assert str(error) == f"here: malformed golden row {echo}"
