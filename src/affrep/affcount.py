@@ -129,65 +129,66 @@ class Budget:
 
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int = DEFAULT_GUARD):
-        self.limit, self.used = limit, 0
+    def __init__(self, limit: int = DEFAULT_GUARD, used: int = 0):
+        self.limit, self.used = limit, used
 
-    def charge(self, units: int, what: str) -> None:
-        """Add ``units``, or raise :class:`BudgetExceeded` quoting ``what`` past the limit."""
+    def charge(self, units: int, what: str, *args) -> None:
+        """Add ``units``, or past the limit raise :class:`BudgetExceeded` on ``what.format``."""
         if self.used + units > self.limit:
             spent = f", with {self.used} already charged" if self.used else ""
-            raise BudgetExceeded(f"{what}{spent} (guard {self.limit})")
+            raise BudgetExceeded(f"{what.format(*args)}{spent} (guard {self.limit})")
         self.used += units
 
 
-def count_charge(q: int, genus: int, engine: str) -> tuple[int, str]:
-    """The units ``engine`` charges to count at order q and genus g >= 1, and what they buy.
+def charge_ahead(budget: Budget, units: int, what: str, *args) -> None:
+    """Refuse now the ``units`` that phases yet to charge ``budget`` would add in all."""
+    Budget(budget.limit, budget.used).charge(units, what, *args)
+
+
+def _table_charge(order: int, genus: int) -> tuple:
+    # the table's entries, the handle commutators and g - 1 fold steps of <= |G|^2
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
+    steps = (genus + 1) * order * order
+    what = "table oracle needs (g+1)|G|^2 = {} steps with |G| = {} and g = {}, for the table, "
+    return steps, what + "the handle commutators and g - 1 fold steps", steps, order, genus
+
+
+def count_charge(q: int, genus: int, engine: str) -> tuple:
+    """``Budget.charge``'s arguments for ``engine`` to count at order q and genus g >= 1.
 
     (g + 1)|G|^2 for the table oracle, (q - 1)^2 + g for ``semi``, and 4g
     times the bits of q, a bound on the count's bits, for ``closed``.
     """
+    if engine in ("naive", "generic"):
+        return _table_charge(q * (q - 1), genus)
     if genus < 1:
         raise ValueError("genus must be >= 1")
-    if engine in ("naive", "generic"):
-        # the table's entries, the handle commutators and g - 1 fold steps of
-        # at most |G| * |G| each; a product, so nothing large is built
-        order = q * (q - 1)
-        steps = (genus + 1) * order * order
-        return steps, (
-            f"table oracle needs (g+1)|G|^2 = {steps} steps with |G| = {order} and "
-            f"g = {genus}, for the table, the handle commutators and g - 1 fold steps"
-        )
     if engine == "semi":
         steps = (q - 1) ** 2 + genus
-        return steps, f"semi count needs {steps} steps, (q-1)^2 scaling pairs plus {genus} handles"
+        what = "semi count needs {} steps, (q-1)^2 scaling pairs plus {} handles"
+        return steps, what, steps, genus
     bits = 4 * genus * q.bit_length()
-    return bits, (
-        f"closed form needs a count of up to {bits} bits, "
-        f"4g = {4 * genus} times the {q.bit_length()} bits of q = {q}"
-    )
+    what = "closed form needs a count of up to {} bits, 4g = {} times the {} bits of q = {}"
+    return bits, what, bits, 4 * genus, q.bit_length(), q
 
 
 def count_naive(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:
     """The table oracle: count on the group-law table of Aff(1, F_q).
 
-    Builds :func:`aff_group_table` from the addition and multiplication
-    tables of F_q on enumeration indices and runs :func:`count_group_generic`
-    on it, with |G| = q(q - 1): at genus 1 it counts the commuting pairs,
-    |G|^2 / 2 comparisons of a row with its column, and at genus >= 2 it
-    folds the tuples by value, |G|^2 handle commutators and then g - 1
-    steps over the commutators' support.  It charges (g + 1)|G|^2 to
-    ``budget`` (a fresh default-guard :class:`Budget` if None) before it
-    builds the table; the default guard admits genus 1 up to q = 83 and
-    refuses q = 89 and q = 97.  Memory is the table: 8 bytes of pointer
-    per entry, as the entries share the int objects of the translation rows
-    of :func:`aff_group_table`.  At q = 47 (|G|^2 = 4.67 million entries)
-    the whole ``count`` command peaks at 58 MB of VmHWM and takes 0.9 s of
-    CPU on a 2-core Xeon with CPython 3.11.7.
+    Builds :func:`aff_group_table`, with |G| = q(q - 1), and takes the
+    count of :func:`count_group_generic` on it, which charges (g + 1)|G|^2
+    to ``budget`` (a fresh default-guard :class:`Budget` if None); a charge
+    over the guard is refused before the table is built.  The default guard
+    admits genus 1 up to q = 83 and refuses q = 89.  Memory is the table,
+    8 bytes of pointer per entry: at q = 47 (|G|^2 = 4.67 million entries)
+    ``count`` peaks at 58 MB of VmHWM (2-core Xeon, CPython 3.11.7).
     """
     t0 = time.perf_counter()
-    (budget or Budget()).charge(*count_charge(field.order, genus, "naive"))
+    budget = budget or Budget()
+    charge_ahead(budget, *count_charge(field.order, genus, "naive"))
     table, ident = aff_group_table(field)
-    return _record(field, genus, count_group_generic(table, ident, genus), "naive", t0)
+    return _record(field, genus, count_group_generic(table, ident, genus, budget), "naive", t0)
 
 
 def _admissible_alpha_indices(field: FieldSpec) -> list[int]:
@@ -335,7 +336,7 @@ def _commuting_pairs(table: Sequence[Sequence[int]]) -> int:
 
 
 def oracle_counts(
-    table: Sequence[Sequence[int]], identity: int, genus_max: int
+    table: Sequence[Sequence[int]], identity: int, genus_max: int, budget: Budget | None = None
 ) -> tuple[list[int], Counter]:
     """The commutator-relation counts at genus 1 to ``genus_max`` in one sweep.
 
@@ -348,11 +349,10 @@ def oracle_counts(
     identity exactly when c = p^-1.  Every tuple is counted once, as a
     weight, with its product taken left to right in the table.  The work is
     |G|^2 commutators plus genus_max - 1 steps of |supp d| * |supp h| <=
-    |G|^2 products.  Whoever builds the table charges (genus_max + 1)|G|^2
-    for it and this sweep (:func:`count_charge`), so this charges nothing.
+    |G|^2 products, charged with the table's entries, (genus_max + 1)|G|^2,
+    to ``budget`` (a fresh default-guard :class:`Budget` if None) first.
     """
-    if genus_max < 1:
-        raise ValueError("genus must be >= 1")
+    (budget or Budget()).charge(*_table_charge(len(table), genus_max))
     inv = validate_group_table(table, identity)
     # [x, y] = (x y)(x^-1 y^-1) for one x per row, read from the rows of x and
     # x^-1 alone: the latter is gathered at the inverses once per row, in C
@@ -374,7 +374,9 @@ def oracle_counts(
     return counts, h
 
 
-def count_group_generic(table: Sequence[Sequence[int]], identity: int, genus: int) -> int:
+def count_group_generic(
+    table: Sequence[Sequence[int]], identity: int, genus: int, budget: Budget | None = None
+) -> int:
     """Commutator-relation count using only a multiplication table.
 
     Independent of any affine structure: an oracle for cross-checking the
@@ -384,13 +386,12 @@ def count_group_generic(table: Sequence[Sequence[int]], identity: int, genus: in
     comparing each row with its column above the diagonal: |G|^2 / 2
     comparisons in C and no commutator built.  At genus >= 2 it is the last
     count of :func:`oracle_counts`, which folds the tuples by the value of
-    their commutator product.  Like :func:`oracle_counts` it charges
-    nothing; :func:`count_naive` charges before it builds the table.
+    their commutator product.  Either way (g + 1)|G|^2 is charged to
+    ``budget`` (a fresh default-guard :class:`Budget` if None) first.
     """
-    if genus < 1:
-        raise ValueError("genus must be >= 1")
     if genus > 1:
-        return oracle_counts(table, identity, genus)[0][-1]
+        return oracle_counts(table, identity, genus, budget)[0][-1]
+    (budget or Budget()).charge(*_table_charge(len(table), genus))
     validate_group_table(table, identity)
     return _commuting_pairs(table)
 

@@ -28,6 +28,7 @@ import json
 import sys
 from csv import writer as csv_writer
 from importlib import resources
+from math import isqrt
 from types import SimpleNamespace
 
 from . import __version__
@@ -36,6 +37,7 @@ from .affcount import (
     ENGINES,
     Budget,
     aff_group_table,
+    charge_ahead,
     count_charge,
     count_closed,
     count_digits_bound,
@@ -157,8 +159,8 @@ def _charge_gluing(
     """
     for g, (glue, capping) in zip(range(1, genus + 1), gluing_charges(matrix)):
         units = glue + (capping if sweep or g == genus else 0) + (class_charge(g) if classes else 0)
-        products = f"{units} coefficient products, weighted by 64-bit words"
-        budget.charge(units, f"genus {genus} needs {products}, for {what} at genus {g}")
+        products = "genus {} needs {} coefficient products, weighted by 64-bit words, for {} at"
+        budget.charge(units, products + " genus {}", genus, units, what, g)
 
 
 def _check_printable(genus: int, q: int | None = None) -> None:
@@ -183,9 +185,10 @@ def cmd_count(
 ) -> Report:
     """One point count over the field named by a ``p^n`` descriptor."""
     spec = make_field(*parse_descriptor(field))
-    if count_charge(spec.order, genus, engine)[0] <= guard:  # else the engine refuses it first
-        _check_printable(genus, spec.order)
-    results = count_points(spec, genus, engine, Budget(guard)).as_json()
+    budget = Budget(guard)
+    charge_ahead(budget, *count_charge(spec.order, genus, engine))  # the guard refuses first
+    _check_printable(genus, spec.order)
+    results = count_points(spec, genus, engine, budget).as_json()
     if show_modulus:
         results["modulus"] = spec.modulus_text()
     inputs = {"field": field, "genus": genus, "engine": engine, "guard": guard}
@@ -289,8 +292,8 @@ def cmd_tqft(
 def cmd_classes(genus: int, guard: int = DEFAULT_GUARD) -> Report:
     """Representation, moduli and character classes for one genus."""
     units = 3 * class_charge(genus)
-    products = f"{units} coefficient products, weighted by 64-bit words"
-    Budget(guard).charge(units, f"genus {genus} needs {products}, for three classes")
+    products = "genus {} needs {} coefficient products, weighted by 64-bit words"
+    Budget(guard).charge(units, products + ", for three classes", genus, units)
     _check_printable(genus)
     results = {
         "representation": str(rep_class(genus)),
@@ -307,8 +310,8 @@ def cmd_table(
 ) -> Report:
     """Recompute every filled reference cell and compare, cell by cell.
 
-    A cell whose count may be too long to print is refused before any cell
-    is counted; each cell's trial division and count charge one budget.
+    A cell whose count may be too long to print, or whose trial division and
+    count take the budget's total past the guard, is refused before any.
     """
     budget = Budget(guard)
     cells, checksum_ok = load_golden_table(golden_path)
@@ -319,6 +322,9 @@ def cmd_table(
         targets += [("extend", g, q, count_closed(q, g), "closed form") for g, q in EXTEND_CELLS]
     for _, genus, q, _, _ in targets:
         _check_printable(genus, q)
+    total = sum(isqrt(max(q, 1)) - 1 + count_charge(q, g, "semi")[0] for _, g, q, _, _ in targets)
+    what = "the cells, to q = {}, need {} units in all, to factor q and count"
+    charge_ahead(budget, total, what, max((t[2] for t in targets), default=0), total)
     computed_cells = []
     for kind, genus, q, expected, source in targets:
         count = count_semi(_field_for_order(q, budget), genus, budget).count
@@ -339,16 +345,24 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     and the table oracle against ``semi`` at genus 1-2 over F_q, q = 2-5.
     Each q's group table is built and validated once: one
     :func:`~affrep.affcount.oracle_counts` sweep gives both the oracle's
-    counts and its handle commutators h.  One budget takes every charge,
-    the oracle sweeps' last and before any table is built.
+    counts and its handle commutators h.  One budget takes every charge;
+    the sweeps' total is refused before any table or polynomial work.
     """
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
     budget = Budget(guard)
     matrix = build_transfer().matrix
     _charge_gluing(budget, matrix, genus_max, "gluing, capping and classes", True, True)
-    _check_printable(genus_max)
+    fields = {q: _field_for_order(q, budget) for q in ORACLE_ORDERS}
     oracle_genus = min(genus_max, 2)
+    steps = sum(count_charge(q, oracle_genus, "naive")[0] for q in ORACLE_ORDERS)
+    what = "table oracle sweeps over F_2 to F_5 need (g+1)|G|^2 = {} steps in all with g = {}"
+    charge_ahead(budget, steps, what, steps, oracle_genus)
+    _check_printable(genus_max)
+    sweeps = {}
+    for q, field in fields.items():
+        table, ident = aff_group_table(field)
+        sweeps[q] = (ident, *oracle_counts(table, ident, oracle_genus, budget))
     checks = []
     geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
     transfers = surface_classes(matrix, genus_max)
@@ -359,15 +373,8 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         interp = epoly_from_counts(g, budget=budget).epoly
         name = f"interpolation_vs_stratification_g{g}"
         checks.append(_check(name, interp == geometric[g], f"interpolated {interp}"))
-    fields = {q: _field_for_order(q, budget) for q in ORACLE_ORDERS}
     genera = range(1, oracle_genus + 1)
     semis = {(g, q): count_semi(f, g, budget).count for g in genera for q, f in fields.items()}
-    for q in ORACLE_ORDERS:
-        budget.charge(*count_charge(q, oracle_genus, "naive"))
-    sweeps = {}
-    for q, field in fields.items():
-        table, ident = aff_group_table(field)
-        sweeps[q] = (ident, *oracle_counts(table, ident, oracle_genus))
     for (g, q), semi in semis.items():
         naive = sweeps[q][1][g - 1]
         checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))

@@ -17,7 +17,7 @@ import sys
 from math import isqrt
 from typing import Sequence
 
-from .affcount import Budget, CountRecord, count_points
+from .affcount import Budget, CountRecord, charge_ahead, count_charge, count_points
 from .exactpoly import Immutable, IntPoly, Record
 from .finitefield import DEFAULT_MAX_ORDER, make_field
 
@@ -92,8 +92,9 @@ def prime_power(m: int, budget: Budget | None = None) -> tuple[int, int] | None:
     default-guard :class:`Budget` if None) first, naming m.
     """
     if m >= 2:
-        what = f"abscissa {m} needs up to {isqrt(m) - 1} trial divisions to factor"
-        (budget or Budget()).charge(isqrt(m) - 1, what)
+        divisions = isqrt(m) - 1
+        what = "abscissa {} needs up to {} trial divisions to factor"
+        (budget or Budget()).charge(divisions, what, m, divisions)
     return _prime_power(m)
 
 
@@ -203,14 +204,19 @@ def epoly_from_counts(
 ) -> EPolyResult:
     """Count points at each prime power of the plan and interpolate.
 
-    Each count charges ``budget``.  The returned polynomial reproduces every
-    gathered count by construction (the interpolation verifies surplus
-    points and the plan covers the degree bound exactly or better).
+    Each count charges ``budget``, and their total is refused before the first.
+    The returned polynomial reproduces every gathered count by construction
+    (the interpolation verifies surplus points and the plan covers the
+    degree bound exactly or better).
     """
     if plan is None:
         plan = default_plan(genus)
     if plan.genus != genus:
         raise ValueError(f"plan is for genus {plan.genus}, not {genus}")
+    budget, powers = budget or Budget(), plan.prime_powers
+    total = sum(count_charge(m, genus, engine)[0] for m in powers)
+    what = "the plan's {} {} counts, to q = {}, need {} units in all"
+    charge_ahead(budget, total, what, len(powers), engine, max(powers), total)
     records = []
     for m in plan.prime_powers:
         field = make_field(*_prime_power(m))  # the plan checked, and charged, m

@@ -292,14 +292,48 @@ class TestGenericEngine:
             assert generic == count_semi(field, genus).count == count_closed(field.order, genus)
 
     def test_budget(self):
-        # the generic engine is the table oracle's: (g + 1)|G|^2 = 5 * 20^2 at genus 4
+        # (g + 1)|G|^2 = 5 * 20^2 at genus 4
+        table, ident = aff_group_table(F5)
+        budget = Budget(2000)
+        assert count_group_generic(table, ident, 4, budget) == count_closed(5, 4)
+        assert budget.used == 2000
+        with pytest.raises(BudgetExceeded, match=r"\(guard 1999\)"):
+            count_group_generic(table, ident, 4, Budget(1999))
+
+    def test_budget_before_validation(self, monkeypatch):
+        # an over-budget call fails at once, without the O(n^2) table validation
+        monkeypatch.setattr(affcount, "validate_group_table", lambda *a: pytest.fail("validated"))
+        table, ident = aff_group_table(F5)
+        with pytest.raises(BudgetExceeded):
+            count_group_generic(table, ident, 4, Budget(1999))
+
+    def test_default_budget(self):
+        # no budget is a fresh default-guard one: at genus 10^6 the 20-element
+        # table charges (10^6 + 1) * 400, over 10^8, before any fold step
+        table, ident = aff_group_table(F5)
+        with pytest.raises(BudgetExceeded, match=r"\(guard 100000000\)"):
+            count_group_generic(table, ident, 10**6)
+        with pytest.raises(BudgetExceeded, match=r"\(guard 100000000\)"):
+            oracle_counts(table, ident, 10**6)
+
+    def test_oracle_counts_budget(self, monkeypatch):
+        # the sweep to genus 3 charges 4 * 20^2, before the table is validated
+        table, ident = aff_group_table(F5)
+        budget = Budget(1600)
+        assert oracle_counts(table, ident, 3, budget)[0] == [count_closed(5, g) for g in (1, 2, 3)]
+        assert budget.used == 1600
+        monkeypatch.setattr(affcount, "validate_group_table", lambda *a: pytest.fail("validated"))
+        with pytest.raises(BudgetExceeded, match=r"= 1600 steps .* \(guard 1599\)"):
+            oracle_counts(table, ident, 3, Budget(1599))
+
+    def test_engine_budget(self):
+        # the generic engine is the table oracle's: the same charge, and an
+        # over-budget count builds and validates no table
         assert count_points(F5, 4, "generic", Budget(2000)).count == count_closed(5, 4)
         with pytest.raises(BudgetExceeded, match=r"\(guard 1999\)"):
             count_points(F5, 4, "generic", Budget(1999))
 
-    def test_budget_before_validation(self, monkeypatch):
-        # an over-budget call fails at once, without building or validating a
-        # table: count_group_generic, given a table, charges nothing
+    def test_engine_budget_before_building(self, monkeypatch):
         monkeypatch.setattr(affcount, "aff_group_table", lambda *a: pytest.fail("built"))
         monkeypatch.setattr(affcount, "validate_group_table", lambda *a: pytest.fail("validated"))
         with pytest.raises(BudgetExceeded):

@@ -587,19 +587,23 @@ class TestVerify:
         )
 
     def test_oracle_guard_boundary(self, monkeypatch):
-        # the whole run charges 2343: gluing, capping and classes 35 + 153, the
-        # interpolation's semi counts 34 + 295, trial division 2, the semi
-        # counts the oracle is checked against 34 + 38, and last, before any
-        # group table is built, every field's sweep (g + 1)|G|^2 = 3|G|^2:
-        # 12 + 108 + 432 + 1200 at q = 2, 3, 4, 5
-        def no_table(field):
-            raise AssertionError("group table built before the guard decided")
+        # the whole run charges 2343: gluing, capping and classes 35 + 153 and
+        # trial division 2; then, before any group table or polynomial work,
+        # the sweeps' (g + 1)|G|^2 = 3|G|^2 at q = 2, 3, 4, 5, 12 + 108 + 432 +
+        # 1200 = 1752 in all; then the interpolation's semi counts 34 + 295
+        # and the semi counts the oracle is checked against 34 + 38
+        def no_work(*args):
+            raise AssertionError("work done before the guard decided")
 
-        monkeypatch.setattr(cli, "aff_group_table", no_table)
-        with pytest.raises(BudgetExceeded, match=r"= 1200 steps with \|G\| = 20 and g = 2, .*"
-                           r", with 1143 already charged \(guard 2342\)"):
-            cmd_verify(2, guard=2342)
+        monkeypatch.setattr(cli, "aff_group_table", no_work)
+        monkeypatch.setattr(cli, "surface_classes", no_work)
+        with pytest.raises(BudgetExceeded, match=r"sweeps over F_2 to F_5 need \(g\+1\)\|G\|\^2 = "
+                           r"1752 steps in all with g = 2, with 190 already charged \(guard 1941\)"):
+            cmd_verify(2, guard=1941)
         monkeypatch.undo()
+        with pytest.raises(BudgetExceeded, match=r"semi count needs 18 steps, .*"
+                           r", with 2325 already charged \(guard 2342\)"):
+            cmd_verify(2, guard=2342)
         assert cmd_verify(2, guard=2343).passed
 
     def test_one_table_per_field(self, monkeypatch):
@@ -675,24 +679,21 @@ def _assert_refused_within(code, out, err, ledgers, guard):
 class TestLedger:
     """--guard bounds the whole command: one Budget, charged phase by phase."""
 
-    def test_epoly_plan_is_charged_count_by_count(self, capsys, ledgers):
+    def test_epoly_plan_is_refused_before_counting(self, capsys, ledgers):
         # the default genus-3 plan 2, 3, 4, ..., 19 charges (q - 1)^2 + 3 per
-        # count, 1264 in all: 937 to q = 17, then 327 at q = 19
+        # count, 1264 in all: refused before the first count, not at q = 19
         code, out, err = run_cli(capsys, ["epoly", "--genus", "3", "--guard", "1000"])
         _assert_refused_within(code, out, err, ledgers, 1000)
-        assert err == (
-            "error: semi count needs 327 steps, (q-1)^2 scaling pairs plus 3 handles, "
-            "with 937 already charged (guard 1000)\n"
-        )
-        assert ledgers[0].used == 937
+        assert err == "error: the plan's 12 semi counts, to q = 19, need 1264 units in all (guard 1000)\n"
+        assert ledgers[0].used == 0
         ledgers.clear()
         assert run_cli(capsys, ["epoly", "--genus", "3", "--guard", "1264"])[0] == 0
         assert ledgers[0].used == 1264
 
-    @pytest.mark.parametrize("genus,used", [(57, 96265258), (58, 99350802)])
+    @pytest.mark.parametrize("genus,used", [(57, 96265258), (58, 0)])
     def test_epoly_default_plan_boundary(self, capsys, ledgers, monkeypatch, genus, used):
         # the default plan's counts charge 96265258 at genus 57 and 102561658
-        # at genus 58, refused at q = 1259, the last prime power but one
+        # at genus 58, refused before any count
         monkeypatch.setattr(affcount, "commutator_distribution", _handle_distribution)
         code, out, err = run_cli(capsys, ["epoly", "--genus", str(genus)])
         assert ledgers[0].used == used
@@ -701,9 +702,9 @@ class TestLedger:
             assert json.loads(out)["results"]["epoly"] == str(rep_class(57))
         else:
             _assert_refused_within(code, out, err, ledgers, 10**8)
-            assert "semi count needs 1582622 steps" in err
+            assert "the plan's 232 semi counts, to q = 1277, need 102561658 units in all" in err
 
-    def test_golden_rows_are_charged_row_by_row(self, capsys, tmp_path, ledgers, monkeypatch):
+    def test_golden_rows_are_refused_before_counting(self, capsys, tmp_path, ledgers, monkeypatch):
         # each 1,4096 row charges 4095^2 + 1 for semi and 63 trial divisions;
         # the handle distribution is stubbed with its value, so no row takes
         # the seconds of a real q = 4096 count
@@ -715,7 +716,8 @@ class TestLedger:
         guard = str(2 * per_row + per_row // 2)
         code, out, err = run_cli(capsys, ["table", "--golden", str(path), "--guard", guard])
         _assert_refused_within(code, out, err, ledgers, int(guard))
-        assert ledgers[0].used == 2 * per_row + 63
+        assert f"the cells, to q = 4096, need {3 * per_row} units in all" in err
+        assert ledgers[0].used == 0
         ledgers.clear()
         argv = ["table", "--golden", str(path), "--guard", str(3 * per_row)]
         code, out, _ = run_cli(capsys, argv)

@@ -170,11 +170,13 @@ class TestGoldenFile:
             assert check["name"] == f"cell_g{genus}_q{q}"
 
     def test_over_guard_abscissa_is_refused_by_its_charge(self):
-        # isqrt(10^12 + 39) - 1 = 999999 trial divisions, refused before any
-        body = b"genus,q,count\n1,1000000000039,5\n"
+        # isqrt(q) - 1 = 999999 trial divisions and (q - 1)^2 + 1 semi steps
+        # for q = 10^12 + 39, refused before any
+        q = 10**12 + 39
+        body = f"genus,q,count\n1,{q},5\n".encode()
         code, out, err = _run(["table", "--golden", "INPUT", "--guard", "3000"], body)
         _assert_one_error_line(code, out, err)
         assert err == (
-            "error: abscissa 1000000000039 needs up to 999999 trial divisions to factor "
-            "(guard 3000)\n"
+            f"error: the cells, to q = {q}, need {999999 + (q - 1) ** 2 + 1} units in all, "
+            "to factor q and count (guard 3000)\n"
         )
