@@ -24,6 +24,7 @@ from .affcount import (
     count_naive,
     count_points,
     count_semi,
+    semi_counts,
 )
 from .exactpoly import (
     ONE,

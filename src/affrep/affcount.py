@@ -12,7 +12,8 @@ the identity.  Three independent engines count them:
 * ``count_semi``   -- one handle at a time: the scaling coordinates of a
   handle are enumerated and its translation coordinates counted as
   solutions of a linear form, and the g handles are chained by a 2x2
-  integer recurrence over the translation subgroup,
+  integer recurrence over the translation subgroup (:func:`semi_counts`,
+  one chain for every genus up to a bound),
 * ``count_closed`` -- direct evaluation of the closed-form polynomial.
 
 The naive engine works on the group law and the semi engine works on the
@@ -194,8 +195,9 @@ def count_naive(field: FieldSpec, genus: int, budget: Budget | None = None) -> C
 def _admissible_alpha_indices(field: FieldSpec) -> list[int]:
     # Enumeration indices of the elements != -1; the zero element is index 0,
     # so truthiness of an index is exactly "nonzero coordinate".
-    minus_one = -field.one()
-    return [e.index() for e in field.elements() if e != minus_one]
+    indices = list(range(field.order))
+    del indices[(-field.one()).index()]
+    return indices
 
 
 def commutator_distribution(field: FieldSpec) -> tuple[int, int]:
@@ -207,21 +209,20 @@ def commutator_distribution(field: FieldSpec) -> tuple[int, int]:
     translation by alpha_1 * beta_2 - alpha_2 * beta_1, so each shifted
     scaling pair (alpha_1, alpha_2) in (F_q - {-1})^2 contributes the number
     of beta solutions of that 1 x 2 form: q^(2 - rank) over the identity and,
-    when the rank (computed from the coordinates) is 1, q over every nonzero
-    translation, since a rank-1 form is onto F_q.
+    when the rank is 1, q over every nonzero translation, since a rank-1
+    form is onto F_q.  Every one of the (q - 1)^2 pairs is visited and its
+    rank read from its coordinates, 1 exactly when one is nonzero; the
+    pairs of each rank are tallied in C, not in a Python loop.
     """
     q = field.order
-    n0 = n1 = 0
-    for alpha in itertools.product(_admissible_alpha_indices(field), repeat=2):
-        rank = 1 if any(alpha) else 0
-        n0 += q ** (2 - rank)
-        if rank:
-            n1 += q
-    return n0, n1
+    alphas = _admissible_alpha_indices(field)
+    rank_one = sum(map(any, itertools.product(alphas, repeat=2)))
+    rank_zero = len(alphas) ** 2 - rank_one
+    return rank_zero * q * q + rank_one * q, rank_one * q
 
 
-def count_semi(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:
-    """Count points handle by handle in the linear-form model.
+def semi_counts(field: FieldSpec, genus_max: int, budget: Budget | None = None) -> list[int]:
+    """The counts at genus 1 to ``genus_max`` over ``field``, from one semi chain.
 
     One handle's commutator lands in the translation subgroup T = F_q with
     the distribution of :func:`commutator_distribution`: N0 at the identity
@@ -232,18 +233,31 @@ def count_semi(field: FieldSpec, genus: int, budget: Budget | None = None) -> Co
         (u, v) <- (N0 u + (q-1) N1 v,  N1 u + (N0 + (q-2) N1) v)
 
     from (1, 0), where u counts tuples whose commutator product is the
-    identity and v those whose product is one fixed nonzero translation.
-    The work is the (q-1)^2 scaling pairs of one handle plus g steps,
-    charged to ``budget`` (a fresh default-guard :class:`Budget` if None).
+    identity and v those whose product is one fixed nonzero translation;
+    the genus-g count is u after step g.  One distribution and
+    ``genus_max`` steps give every genus, so the work, the (q-1)^2 scaling
+    pairs of one handle plus ``genus_max`` steps, is charged once to
+    ``budget`` (a fresh default-guard :class:`Budget` if None).
+    """
+    q = field.order
+    (budget or Budget()).charge(*count_charge(q, genus_max, "semi"))
+    n0, n1 = commutator_distribution(field)
+    counts, u, v = [], 1, 0
+    for _ in range(genus_max):
+        u, v = n0 * u + (q - 1) * n1 * v, n1 * u + (n0 + (q - 2) * n1) * v
+        counts.append(u)
+    return counts
+
+
+def count_semi(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:
+    """Count points handle by handle in the linear-form model.
+
+    The last count of the chain :func:`semi_counts` runs to ``genus``,
+    which charges (q-1)^2 + g to ``budget`` (a fresh default-guard
+    :class:`Budget` if None).
     """
     t0 = time.perf_counter()
-    q = field.order
-    (budget or Budget()).charge(*count_charge(q, genus, "semi"))
-    n0, n1 = commutator_distribution(field)
-    u, v = 1, 0
-    for _ in range(genus):
-        u, v = n0 * u + (q - 1) * n1 * v, n1 * u + (n0 + (q - 2) * n1) * v
-    return _record(field, genus, u, "semi", t0)
+    return _record(field, genus, semi_counts(field, genus, budget)[-1], "semi", t0)
 
 
 def count_closed(q: int, genus: int, budget: Budget | None = None) -> int:

@@ -42,13 +42,15 @@ from .affcount import (
     count_closed,
     count_digits_bound,
     count_points,
-    count_semi,
+    count_semi,  # not called here; perfbench's tracer patches cli.count_semi too
     oracle_counts,
+    semi_counts,
 )
 from .exactpoly import ONE, PolyMatrix, Record
 from .finitefield import make_field, parse_descriptor
 from .geomstrat import character_class, class_charge, moduli_class, rep_class
 from .interpolate import (
+    charge_factoring,
     default_plan,
     epoly_from_counts,
     epoly_from_samples,
@@ -206,7 +208,8 @@ def cmd_epoly(
 
     A CSV excludes a plan and an engine, as nothing is counted; a plan is
     counted by ``semi`` unless an engine is given.  An empty CSV path or
-    plan is an error, not a request for the default plan.
+    plan is an error, not a request for the default plan.  The trial
+    division that factors the abscissae is refused as one total before any.
     """
     if counts_file is not None and plan_text is not None:
         raise ValueError("--plan and --counts exclude each other; give one of them")
@@ -217,6 +220,7 @@ def cmd_epoly(
     budget = Budget(guard)
     if counts_file is not None:
         samples = samples_from_csv(counts_file)
+        charge_factoring(budget, [q for q, _ in samples])
         for q, _ in samples:
             if prime_power(q, budget) is None:
                 raise ValueError(f"sample abscissa {q} is not a prime power")
@@ -310,8 +314,12 @@ def cmd_table(
 ) -> Report:
     """Recompute every filled reference cell and compare, cell by cell.
 
-    A cell whose count may be too long to print, or whose trial division and
-    count take the budget's total past the guard, is refused before any.
+    The cells are grouped by q: each field is built once and one
+    :func:`~affrep.affcount.semi_counts` chain, to the highest genus any
+    cell asks of that q, gives all of its cells' counts.  A cell whose count
+    may be too long to print, or whose chain and trial division take the
+    budget's total past the guard, is refused before any is counted: each
+    distinct q charges isqrt(q) - 1 + (q-1)^2 + g_max.
     """
     budget = Budget(guard)
     cells, checksum_ok = load_golden_table(golden_path)
@@ -322,12 +330,20 @@ def cmd_table(
         targets += [("extend", g, q, count_closed(q, g), "closed form") for g, q in EXTEND_CELLS]
     for _, genus, q, _, _ in targets:
         _check_printable(genus, q)
-    total = sum(isqrt(max(q, 1)) - 1 + count_charge(q, g, "semi")[0] for _, g, q, _, _ in targets)
+    genus_max: dict[int, int] = {}  # each q's chain runs to the highest genus asked of it
+    for _, genus, q, _, _ in targets:
+        if genus < 1:
+            raise ValueError("genus must be >= 1")
+        genus_max[q] = max(genus, genus_max.get(q, genus))
+    total = sum(
+        isqrt(max(q, 1)) - 1 + count_charge(q, g, "semi")[0] for q, g in genus_max.items()
+    )
     what = "the cells, to q = {}, need {} units in all, to factor q and count"
-    charge_ahead(budget, total, what, max((t[2] for t in targets), default=0), total)
+    charge_ahead(budget, total, what, max(genus_max, default=0), total)
+    chains = {q: semi_counts(_field_for_order(q, budget), g, budget) for q, g in genus_max.items()}
     computed_cells = []
     for kind, genus, q, expected, source in targets:
-        count = count_semi(_field_for_order(q, budget), genus, budget).count
+        count = chains[q][genus - 1]
         details = f"{source} {expected}, counted {count}"
         checks.append(_check(f"{kind}_g{genus}_q{q}", count == expected, details))
         computed_cells.append(
@@ -345,8 +361,10 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     and the table oracle against ``semi`` at genus 1-2 over F_q, q = 2-5.
     Each q's group table is built and validated once: one
     :func:`~affrep.affcount.oracle_counts` sweep gives both the oracle's
-    counts and its handle commutators h.  One budget takes every charge;
-    the sweeps' total is refused before any table or polynomial work.
+    counts and its handle commutators h, and one
+    :func:`~affrep.affcount.semi_counts` chain per q gives ``semi``'s.
+    One budget takes every charge; the sweeps' total is refused before any
+    table or polynomial work.
     """
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
@@ -373,11 +391,11 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         interp = epoly_from_counts(g, budget=budget).epoly
         name = f"interpolation_vs_stratification_g{g}"
         checks.append(_check(name, interp == geometric[g], f"interpolated {interp}"))
-    genera = range(1, oracle_genus + 1)
-    semis = {(g, q): count_semi(f, g, budget).count for g in genera for q, f in fields.items()}
-    for (g, q), semi in semis.items():
-        naive = sweeps[q][1][g - 1]
-        checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
+    chains = {q: semi_counts(field, oracle_genus, budget) for q, field in fields.items()}
+    for g in range(1, oracle_genus + 1):
+        for q, (_, naive_counts, _) in sweeps.items():
+            naive, semi = naive_counts[g - 1], chains[q][g - 1]
+            checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
     for q, (ident, _, h) in sweeps.items():
         # semi and tqft assume one handle's commutator is a translation, equally
         # often each nonzero one; the oracle's h, from the table alone, tests it

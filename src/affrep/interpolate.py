@@ -98,6 +98,17 @@ def prime_power(m: int, budget: Budget | None = None) -> tuple[int, int] | None:
     return _prime_power(m)
 
 
+def charge_factoring(budget: Budget, abscissae: Sequence[int]) -> None:
+    """Refuse now the trial divisions :func:`prime_power` would charge for all ``abscissae``.
+
+    That is isqrt(m) - 1 for each m >= 2, refused as one total before any
+    m is factored; each :func:`prime_power` call then charges its share.
+    """
+    divisions = sum(isqrt(m) - 1 for m in abscissae if m >= 2)
+    what = "the {} abscissae, to q = {}, need up to {} trial divisions in all, to factor them"
+    charge_ahead(budget, divisions, what, len(abscissae), max(abscissae, default=0), divisions)
+
+
 def _prime_power(m: int) -> tuple[int, int] | None:
     # the factoring prime_power charges for
     if m < 2:
@@ -130,7 +141,9 @@ def smallest_prime_powers(count: int) -> tuple[int, ...]:
 class SamplePlan(Immutable):
     """Which prime powers to count over for a given genus.
 
-    The trial division that checks each prime power is charged to ``budget``.
+    The trial division that checks the prime powers is charged to ``budget``
+    (a fresh default-guard :class:`Budget` if None), its total refused
+    before any is factored (:func:`charge_factoring`).
     """
 
     __slots__ = ("genus", "prime_powers")
@@ -147,6 +160,8 @@ class SamplePlan(Immutable):
             raise ValueError(
                 f"plan needs at least {self.degree_bound + 1} prime powers for genus {genus}"
             )
+        budget = budget or Budget()
+        charge_factoring(budget, prime_powers)
         for m in prime_powers:
             if prime_power(m, budget) is None:
                 raise ValueError(f"{m} is not a prime power")
@@ -297,7 +312,7 @@ def plan_from_text(genus: int, text: str, budget: Budget | None = None) -> Sampl
 
     A token that is empty or not an integer raises :class:`ValueError`
     naming it, so no entry is dropped; the prime-power checks charge
-    ``budget`` as in :class:`SamplePlan`.
+    ``budget`` as in :class:`SamplePlan`, all of them before the first.
     """
     powers = []
     for position, tok in enumerate(text.split(","), start=1):

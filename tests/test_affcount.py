@@ -29,6 +29,7 @@ from affrep.affcount import (
     count_points,
     count_semi,
     oracle_counts,
+    semi_counts,
     validate_group_table,
 )
 from affrep.finitefield import FieldMismatch, make_field
@@ -169,6 +170,36 @@ class TestCommutatorDistribution:
         n0, n1 = commutator_distribution(field)
         assert by_translation.pop(field.zero()) == n0 == count_naive(field, 1).count
         assert set(by_translation.values()) == {n1}
+
+
+PRIME_POWERS_TO_64 = tuple(q for q in range(2, 65) if prime_power(q))
+
+
+class TestSemiChain:
+    @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+    def test_chain_matches_each_count(self, q):
+        field = make_field(*prime_power(q))
+        for genus_max in range(1, 7):
+            chain = semi_counts(field, genus_max)
+            assert chain == [count_semi(field, g).count for g in range(1, genus_max + 1)]
+            assert chain == [count_closed(q, g) for g in range(1, genus_max + 1)]
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_TO_64 + (81, 125, 128, 256))
+    def test_distribution_matches_its_closed_value(self, q, handle_distribution):
+        field = make_field(*prime_power(q))
+        assert commutator_distribution(field) == handle_distribution(field)
+
+    def test_chain_is_charged_once(self):
+        # (q - 1)^2 + genus_max for the whole chain, not per genus
+        f19, budget = make_field(19, 1), Budget(18**2 + 5)
+        assert semi_counts(f19, 5, budget)[2] == 84217678403958
+        assert budget.used == 18**2 + 5
+        with pytest.raises(BudgetExceeded, match="semi count needs 329 steps"):
+            semi_counts(f19, 5, Budget(18**2 + 4))
+
+    def test_chain_needs_a_positive_genus(self):
+        with pytest.raises(ValueError, match="genus must be >= 1"):
+            semi_counts(F3, 0)
 
 
 class TestClosedForm:

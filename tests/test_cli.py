@@ -44,6 +44,19 @@ def _forbid_building(monkeypatch):
     monkeypatch.setattr(tqft, "apply_transfer", built)
 
 
+@pytest.fixture
+def chains(monkeypatch):
+    # (q, genus_max) of every semi chain the CLI runs, in order
+    ran, chain = [], cli.semi_counts
+
+    def counted_chain(field, genus_max, budget=None):
+        ran.append((field.order, genus_max))
+        return chain(field, genus_max, budget)
+
+    monkeypatch.setattr(cli, "semi_counts", counted_chain)
+    return ran
+
+
 def _strip_elapsed(obj):
     if isinstance(obj, dict):
         return {k: (0 if k == "elapsed_ms" else _strip_elapsed(v)) for k, v in obj.items()}
@@ -274,7 +287,7 @@ class TestEPoly:
     @pytest.mark.parametrize("source", ["--plan", "--counts"])
     def test_abscissa_over_the_guard(self, capsys, tmp_path, source):
         # factoring 1000000007 takes up to isqrt(1000000007) - 1 = 31621 trial
-        # divisions, charged after the one for 4: 31622 in all
+        # divisions and 4 one more: 31622 in all, refused before any is factored
         path = tmp_path / "counts.csv"
         path.write_text("".join(f"{q},{q**3 - q**2}\n" for q in (2, 3, 4, 1000000007)))
         value = "2,3,4,1000000007" if source == "--plan" else str(path)
@@ -282,9 +295,10 @@ class TestEPoly:
         code, out, err = run_cli(capsys, argv)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and "abscissa 1000000007" in err and "31621" in err
-        assert ", with 1 already charged (guard 31621)" in err
-        assert len(err.splitlines()) == 1
+        assert err == (
+            "error: the 4 abscissae, to q = 1000000007, need up to 31622 trial divisions "
+            "in all, to factor them (guard 31621)\n"
+        )
         # admitted at the whole total: the counts interpolate, while the plan
         # goes on to fail on the field order bound
         argv[-1] = "31622"
@@ -548,7 +562,7 @@ class TestTable:
         self, capsys, tmp_path, monkeypatch
     ):
         # the genus-7200 count over F_2 is 2^14400, of 4335 digits
-        monkeypatch.setattr(cli, "count_semi", lambda *a, **k: pytest.fail("counted"))
+        monkeypatch.setattr(cli, "semi_counts", lambda *a, **k: pytest.fail("counted"))
         path = tmp_path / "golden.csv"
         path.write_text("genus,q,count\n1,2,4\n7200,2,5\n")
         code, out, err = run_cli(capsys, ["table", "--golden", str(path)])
@@ -558,6 +572,31 @@ class TestTable:
         assert err.startswith("error: the genus-7200 count over F_2 may have up to ")
         assert limit in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("genus", [0, -1])
+    def test_genus_below_one_is_refused_next_to_a_chain(self, capsys, tmp_path, genus):
+        # the genus-1 cell over F_2 runs a chain, which has no count at genus < 1
+        path = tmp_path / "golden.csv"
+        path.write_text(f"genus,q,count\n1,2,4\n{genus},2,4\n")
+        code, out, err = run_cli(capsys, ["table", "--golden", str(path)])
+        assert (code, out, err) == (1, "", "error: genus must be >= 1\n")
+
+    def test_one_chain_per_field(self, monkeypatch, chains):
+        # 32 cells over 12 distinct q: each field is built once, and its one
+        # chain runs to the highest genus any cell asks of that q
+        built, field_of = [], cli.make_field
+
+        def counted_field(p, n):
+            built.append(p**n)
+            return field_of(p, n)
+
+        monkeypatch.setattr(cli, "make_field", counted_field)
+        report = cmd_table(extend=True)
+        assert report.passed
+        assert len(report.checks) == 1 + 32
+        orders = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
+        assert built == list(orders)
+        assert chains == [(q, 3) for q in orders]
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, ["table", "--output", "csv"])
@@ -587,11 +626,12 @@ class TestVerify:
         )
 
     def test_oracle_guard_boundary(self, monkeypatch):
-        # the whole run charges 2343: gluing, capping and classes 35 + 153 and
+        # the whole run charges 2309: gluing, capping and classes 35 + 153 and
         # trial division 2; then, before any group table or polynomial work,
         # the sweeps' (g + 1)|G|^2 = 3|G|^2 at q = 2, 3, 4, 5, 12 + 108 + 432 +
         # 1200 = 1752 in all; then the interpolation's semi counts 34 + 295
-        # and the semi counts the oracle is checked against 34 + 38
+        # and the semi chains the oracle is checked against, one per q to
+        # genus 2, (q - 1)^2 + 2 each: 3 + 6 + 11 + 18 = 38
         def no_work(*args):
             raise AssertionError("work done before the guard decided")
 
@@ -601,10 +641,18 @@ class TestVerify:
                            r"1752 steps in all with g = 2, with 190 already charged \(guard 1941\)"):
             cmd_verify(2, guard=1941)
         monkeypatch.undo()
-        with pytest.raises(BudgetExceeded, match=r"semi count needs 18 steps, .*"
-                           r", with 2325 already charged \(guard 2342\)"):
-            cmd_verify(2, guard=2342)
-        assert cmd_verify(2, guard=2343).passed
+        with pytest.raises(BudgetExceeded, match=r"semi count needs 18 steps, .* plus 2 handles"
+                           r", with 2291 already charged \(guard 2308\)"):
+            cmd_verify(2, guard=2308)
+        assert cmd_verify(2, guard=2309).passed
+
+    def test_one_semi_chain_per_field(self, chains):
+        # naive_vs_semi_g1 and _g2 read one chain to genus 2 per q
+        report = cmd_verify(5)
+        assert report.passed
+        assert chains == [(2, 2), (3, 2), (4, 2), (5, 2)]
+        names = [c["name"] for c in report.checks if c["name"].startswith("naive_vs_semi")]
+        assert names == [f"naive_vs_semi_g{g}_q{q}" for g in (1, 2) for q in (2, 3, 4, 5)]
 
     def test_one_table_per_field(self, monkeypatch):
         built, validated = [], []
@@ -659,14 +707,6 @@ def ledgers(monkeypatch):
     return made
 
 
-def _handle_distribution(field):
-    # commutator_distribution's value without its (q - 1)^2 loop: the pair
-    # of zero shifts has q^2 solutions, each other pair q, over every translation
-    q = field.order
-    pairs = ((q - 1) ** 2 - 1) * q
-    return q * q + pairs, pairs
-
-
 def _assert_refused_within(code, out, err, ledgers, guard):
     # one ledger for the command, refused without passing its guard
     assert (code, out) == (1, "")
@@ -691,10 +731,12 @@ class TestLedger:
         assert ledgers[0].used == 1264
 
     @pytest.mark.parametrize("genus,used", [(57, 96265258), (58, 0)])
-    def test_epoly_default_plan_boundary(self, capsys, ledgers, monkeypatch, genus, used):
+    def test_epoly_default_plan_boundary(
+        self, capsys, ledgers, monkeypatch, handle_distribution, genus, used
+    ):
         # the default plan's counts charge 96265258 at genus 57 and 102561658
         # at genus 58, refused before any count
-        monkeypatch.setattr(affcount, "commutator_distribution", _handle_distribution)
+        monkeypatch.setattr(affcount, "commutator_distribution", handle_distribution)
         code, out, err = run_cli(capsys, ["epoly", "--genus", str(genus)])
         assert ledgers[0].used == used
         if genus == 57:
@@ -704,41 +746,49 @@ class TestLedger:
             _assert_refused_within(code, out, err, ledgers, 10**8)
             assert "the plan's 232 semi counts, to q = 1277, need 102561658 units in all" in err
 
-    def test_golden_rows_are_refused_before_counting(self, capsys, tmp_path, ledgers, monkeypatch):
-        # each 1,4096 row charges 4095^2 + 1 for semi and 63 trial divisions;
-        # the handle distribution is stubbed with its value, so no row takes
-        # the seconds of a real q = 4096 count
-        monkeypatch.setattr(affcount, "commutator_distribution", _handle_distribution)
-        row = f"1,4096,{count_closed(4096, 1)}\n"
+    def test_golden_rows_are_refused_before_counting(
+        self, capsys, tmp_path, ledgers, monkeypatch, handle_distribution
+    ):
+        # the rows 1,4096 / 2,4096 / 3,4096 share one semi chain to genus 3,
+        # 4095^2 + 3 steps, and one factoring of 4096, 63 trial divisions; the
+        # handle distribution is stubbed with its value, so the chain does not
+        # take the seconds of a real q = 4096 distribution
+        monkeypatch.setattr(affcount, "commutator_distribution", handle_distribution)
+        rows = "".join(f"{g},4096,{count_closed(4096, g)}\n" for g in (1, 2, 3))
         path = tmp_path / "golden.csv"
-        path.write_text("genus,q,count\n" + row * 3)
-        per_row = 4095**2 + 1 + 63
-        guard = str(2 * per_row + per_row // 2)
-        code, out, err = run_cli(capsys, ["table", "--golden", str(path), "--guard", guard])
-        _assert_refused_within(code, out, err, ledgers, int(guard))
-        assert f"the cells, to q = 4096, need {3 * per_row} units in all" in err
+        path.write_text("genus,q,count\n" + rows)
+        total = 4095**2 + 3 + 63
+        argv = ["table", "--golden", str(path), "--guard", str(total - 1)]
+        code, out, err = run_cli(capsys, argv)
+        _assert_refused_within(code, out, err, ledgers, total - 1)
+        assert f"the cells, to q = 4096, need {total} units in all" in err
         assert ledgers[0].used == 0
         ledgers.clear()
-        argv = ["table", "--golden", str(path), "--guard", str(3 * per_row)]
+        argv[-1] = str(total)
         code, out, _ = run_cli(capsys, argv)
         assert code == 1  # the file is not the packaged table's, but every cell passes
         assert [c["pass"] for c in json.loads(out)["checks"]] == [False, True, True, True]
-        assert ledgers[0].used == 3 * per_row
+        assert ledgers[0].used == total
 
     def test_csv_abscissae_are_charged_together(self, capsys, tmp_path, ledgers):
-        # each of the two primes takes isqrt(q) - 1 = 31621 trial divisions,
-        # after the one for 4
+        # 4 takes isqrt(4) - 1 = 1 trial division and each of the two primes
+        # isqrt(q) - 1 = 31621: 63243 in all, refused before any is factored
         path = tmp_path / "counts.csv"
         qs = (2, 3, 4, 1000000007, 1000000009)
         path.write_text("".join(f"{q},{q**3 - q**2}\n" for q in qs))
-        argv = ["epoly", "--genus", "1", "--counts", str(path), "--guard", "40000"]
+        total = 1 + 2 * 31621
+        argv = ["epoly", "--genus", "1", "--counts", str(path), "--guard", str(total - 1)]
         code, out, err = run_cli(capsys, argv)
-        _assert_refused_within(code, out, err, ledgers, 40000)
-        assert "abscissa 1000000009 " in err and ", with 31622 already charged" in err
+        _assert_refused_within(code, out, err, ledgers, total - 1)
+        assert err == (
+            f"error: the 5 abscissae, to q = 1000000009, need up to {total} trial divisions "
+            f"in all, to factor them (guard {total - 1})\n"
+        )
+        assert ledgers[0].used == 0
         ledgers.clear()
-        argv[-1] = str(1 + 2 * 31621)
+        argv[-1] = str(total)
         assert run_cli(capsys, argv)[0] == 0
-        assert ledgers[0].used == 1 + 2 * 31621
+        assert ledgers[0].used == total
 
     @pytest.mark.parametrize("engine", ["naive", "generic"])
     def test_naive_count_charges_the_oracle_once(self, capsys, ledgers, engine):

@@ -153,10 +153,12 @@ class TestPrimePowers:
         # factoring 10^18 + 3 would take up to 10^9 - 1 trial divisions
         with pytest.raises(BudgetExceeded, match="abscissa 1000000000000000003 .* 999999999 "):
             prime_power(10**18 + 3)
-        # isqrt(1009) - 1 = 30 divisions, after the one for 4 on the same budget
-        refusal = "abscissa 1009 .* 30 .*, with 1 already charged .guard 30"
+        # isqrt(1009) - 1 = 30 divisions and the one for 4, refused before any
+        refusal = r"the 4 abscissae, to q = 1009, need up to 31 trial divisions in all, .*\(guard 30\)$"
+        budget = Budget(30)
         with pytest.raises(BudgetExceeded, match=refusal):
-            SamplePlan(1, (2, 3, 4, 1009), Budget(30))
+            SamplePlan(1, (2, 3, 4, 1009), budget)
+        assert budget.used == 0
         budget = Budget(31)
         assert SamplePlan(1, (2, 3, 4, 1009), budget).prime_powers[-1] == 1009
         assert budget.used == 31
