@@ -19,7 +19,6 @@ from .affcount import (
     aff_identity,
     commutator,
     commutator_distribution,
-    count_closed,
     count_group_generic,
     count_naive,
     count_points,

@@ -2,7 +2,7 @@
 
 A representation of the genus-g surface group is a tuple (A_1, ..., A_2g)
 of group elements whose product of commutators [A_1,A_2]...[A_2g-1,A_2g] is
-the identity.  Three independent engines count them:
+the identity.  Two independent engines count them; a third evaluates the closed form:
 
 * ``count_naive``  -- the table oracle: the group-law table is composed from
   the index tables of F_q and :func:`count_group_generic` counts the
@@ -14,7 +14,7 @@ the identity.  Three independent engines count them:
   solutions of a linear form, and the g handles are chained by a 2x2
   integer recurrence over the translation subgroup (:func:`semi_counts`,
   one chain for every genus up to a bound),
-* ``count_closed`` -- direct evaluation of the closed-form polynomial.
+* ``closed``       -- the stratification's :func:`~affrep.geomstrat.rep_class` at q.
 
 The naive engine works on the group law and the semi engine works on the
 shifted linear-form model (a |-> a - 1 folded into its coordinates), so
@@ -32,6 +32,7 @@ from typing import Sequence
 
 from .exactpoly import Immutable, Record
 from .finitefield import FieldMismatch, FieldSpec, FqElem
+from .geomstrat import rep_class
 
 DEFAULT_GUARD = 10**8
 
@@ -260,20 +261,6 @@ def count_semi(field: FieldSpec, genus: int, budget: Budget | None = None) -> Co
     return _record(field, genus, semi_counts(field, genus, budget)[-1], "semi", t0)
 
 
-def count_closed(q: int, genus: int, budget: Budget | None = None) -> int:
-    """Evaluate the closed-form count q^(2g-1)(q-1)^2g + q^2g - q^(2g-1).
-
-    The count is below q^4g, so it has at most 4g times the bits of q; that
-    bound is charged to ``budget`` (a fresh default-guard :class:`Budget` if
-    None) before any power is built.
-    """
-    (budget or Budget()).charge(*count_charge(q, genus, "closed"))
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    s = 2 * genus
-    return q ** (s - 1) * (q - 1) ** s + q**s - q ** (s - 1)
-
-
 def count_digits_bound(q: int, genus: int) -> int:
     """An upper bound on the decimal digits of the genus-g count over F_q.
 
@@ -494,5 +481,6 @@ def count_points(
         return count_semi(field, genus, budget)
     if engine == "closed":
         t0 = time.perf_counter()
-        return _record(field, genus, count_closed(field.order, genus, budget), "closed", t0)
+        (budget or Budget()).charge(*count_charge(field.order, genus, engine))
+        return _record(field, genus, rep_class(genus)(field.order), "closed", t0)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

@@ -39,7 +39,6 @@ from .affcount import (
     aff_group_table,
     charge_ahead,
     count_charge,
-    count_closed,
     count_digits_bound,
     count_points,
     count_semi,  # not called here; perfbench's tracer patches cli.count_semi too
@@ -59,6 +58,7 @@ from .interpolate import (
     prime_power,
     row_error,
     samples_from_csv,
+    smallest_prime_powers,
 )
 from .tqft import (
     LOCALIZATION_CAVEAT,
@@ -150,6 +150,21 @@ def _field_for_order(q: int, budget: Budget | None = None):
     if decomposition is None:
         raise ValueError(f"{q} is not a prime power")
     return make_field(*decomposition)
+
+
+def _semi_chains(budget: Budget, genus_max: dict[int, int], what="the cells", later=0):
+    """Each q's field, built once, and its one semi chain to the genus ``genus_max`` maps it to.
+
+    First ``what`` is refused if the sum over q of isqrt(q) - 1 + (q-1)^2 + g_max,
+    the trial division and the chain, plus ``later`` units to come, would pass the guard.
+    """
+    total = later + sum(
+        isqrt(max(q, 1)) - 1 + count_charge(q, g, "semi")[0] for q, g in genus_max.items()
+    )
+    what += ", to q = {}, need {} units in all, to factor q and count"
+    charge_ahead(budget, total, what, max(genus_max, default=0), total)
+    fields = {q: _field_for_order(q, budget) for q in genus_max}
+    return fields, {q: semi_counts(field, genus_max[q], budget) for q, field in fields.items()}
 
 
 def _charge_gluing(
@@ -314,12 +329,11 @@ def cmd_table(
 ) -> Report:
     """Recompute every filled reference cell and compare, cell by cell.
 
-    The cells are grouped by q: each field is built once and one
-    :func:`~affrep.affcount.semi_counts` chain, to the highest genus any
-    cell asks of that q, gives all of its cells' counts.  A cell whose count
-    may be too long to print, or whose chain and trial division take the
-    budget's total past the guard, is refused before any is counted: each
-    distinct q charges isqrt(q) - 1 + (q-1)^2 + g_max.
+    The cells are grouped by q into one chain each, to the highest genus
+    asked of q (:func:`_semi_chains`).  A cell whose count may be too long
+    to print, or whose chain and trial division take the budget's total past
+    the guard, is refused before any is counted.  An extended cell expects
+    the stratification's class at q.
     """
     budget = Budget(guard)
     cells, checksum_ok = load_golden_table(golden_path)
@@ -327,7 +341,7 @@ def cmd_table(
     checks = [_check("golden_checksum", checksum_ok, checksum)]
     targets = [("cell", genus, q, count, "expected") for genus, q, count in cells]
     if extend:
-        targets += [("extend", g, q, count_closed(q, g), "closed form") for g, q in EXTEND_CELLS]
+        targets += [("extend", g, q, rep_class(g)(q), "closed form") for g, q in EXTEND_CELLS]
     for _, genus, q, _, _ in targets:
         _check_printable(genus, q)
     genus_max: dict[int, int] = {}  # each q's chain runs to the highest genus asked of it
@@ -335,12 +349,7 @@ def cmd_table(
         if genus < 1:
             raise ValueError("genus must be >= 1")
         genus_max[q] = max(genus, genus_max.get(q, genus))
-    total = sum(
-        isqrt(max(q, 1)) - 1 + count_charge(q, g, "semi")[0] for q, g in genus_max.items()
-    )
-    what = "the cells, to q = {}, need {} units in all, to factor q and count"
-    charge_ahead(budget, total, what, max(genus_max, default=0), total)
-    chains = {q: semi_counts(_field_for_order(q, budget), g, budget) for q, g in genus_max.items()}
+    chains = _semi_chains(budget, genus_max)[1]
     computed_cells = []
     for kind, genus, q, expected, source in targets:
         count = chains[q][genus - 1]
@@ -359,27 +368,28 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     Stratification is checked against the transfer matrix at every genus up
     to ``genus_max``, from one sweep of gluing, interpolation at genus 1-3
     and the table oracle against ``semi`` at genus 1-2 over F_q, q = 2-5.
-    Each q's group table is built and validated once: one
-    :func:`~affrep.affcount.oracle_counts` sweep gives both the oracle's
-    counts and its handle commutators h, and one
-    :func:`~affrep.affcount.semi_counts` chain per q gives ``semi``'s.
-    One budget takes every charge; the sweeps' total is refused before any
-    table or polynomial work.
+    Every ``semi`` count is read from one chain per q of the largest
+    interpolation plan (:func:`_semi_chains`), on whose fields the oracle's
+    tables are built; one :func:`~affrep.affcount.oracle_counts` sweep per
+    table gives both the oracle's counts and its handle commutators h.  One
+    budget takes every charge; the chains' and the sweeps' total is refused
+    before any field, table or polynomial work.
     """
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
     budget = Budget(guard)
     matrix = build_transfer().matrix
     _charge_gluing(budget, matrix, genus_max, "gluing, capping and classes", True, True)
-    fields = {q: _field_for_order(q, budget) for q in ORACLE_ORDERS}
-    oracle_genus = min(genus_max, 2)
+    interp_genus, oracle_genus = min(genus_max, 3), min(genus_max, 2)
+    # the largest plan holds every smaller plan's orders, among them the oracle's 2-5
+    orders = dict.fromkeys(smallest_prime_powers(4 * interp_genus), interp_genus)
     steps = sum(count_charge(q, oracle_genus, "naive")[0] for q in ORACLE_ORDERS)
-    what = "table oracle sweeps over F_2 to F_5 need (g+1)|G|^2 = {} steps in all with g = {}"
-    charge_ahead(budget, steps, what, steps, oracle_genus)
+    what = f"the semi chains and {steps} steps of table oracle sweeps at g = {oracle_genus}"
+    fields, chains = _semi_chains(budget, orders, what, steps)
     _check_printable(genus_max)
     sweeps = {}
-    for q, field in fields.items():
-        table, ident = aff_group_table(field)
+    for q in ORACLE_ORDERS:
+        table, ident = aff_group_table(fields[q])
         sweeps[q] = (ident, *oracle_counts(table, ident, oracle_genus, budget))
     checks = []
     geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
@@ -387,11 +397,11 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     for (g, expected), transfer in zip(geometric.items(), transfers):
         details = f"{expected} vs {transfer}"
         checks.append(_check(f"stratification_vs_transfer_g{g}", expected == transfer, details))
-    for g in range(1, min(genus_max, 3) + 1):
-        interp = epoly_from_counts(g, budget=budget).epoly
+    for g in range(1, interp_genus + 1):
+        samples = [(q, chains[q][g - 1]) for q in smallest_prime_powers(4 * g)]
+        interp = epoly_from_samples(g, samples)
         name = f"interpolation_vs_stratification_g{g}"
         checks.append(_check(name, interp == geometric[g], f"interpolated {interp}"))
-    chains = {q: semi_counts(field, oracle_genus, budget) for q, field in fields.items()}
     for g in range(1, oracle_genus + 1):
         for q, (_, naive_counts, _) in sweeps.items():
             naive, semi = naive_counts[g - 1], chains[q][g - 1]

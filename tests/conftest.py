@@ -20,6 +20,17 @@ if os.environ.get("CI"):
     settings.load_profile("ci")
 
 
+def closed_count(q: int, genus: int) -> int:
+    """The genus-g count over F_q, q^(2g-1)((q-1)^2g + q - 1), on plain ints.
+
+    The formula of ``perfbench/checker.closed_count``, written apart from
+    ``geomstrat.rep_class``, so a test of the ``closed`` engine, which
+    evaluates that class, compares two computations.  Import it as
+    ``from conftest import closed_count``.
+    """
+    return q ** (2 * genus - 1) * ((q - 1) ** (2 * genus) + q - 1)
+
+
 @pytest.fixture(scope="session")
 def power_class():
     """The genus-g class without gluing: top-left of M^g over (q(q-1))^g.

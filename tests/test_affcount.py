@@ -22,7 +22,6 @@ from affrep.affcount import (
     aff_identity,
     commutator,
     commutator_distribution,
-    count_closed,
     count_digits_bound,
     count_group_generic,
     count_naive,
@@ -34,6 +33,7 @@ from affrep.affcount import (
 )
 from affrep.finitefield import FieldMismatch, make_field
 from affrep.interpolate import prime_power
+from conftest import closed_count
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
@@ -120,7 +120,7 @@ class TestNaiveEngine:
     @pytest.mark.parametrize("field,genus,charge", [(F2, 4, 5 * 2**2), (F5, 2, 3 * 20**2)])
     def test_budget_boundary(self, field, genus, charge):
         # (g + 1)|G|^2: table entries, handle commutators and g - 1 fold steps
-        assert count_naive(field, genus, Budget(charge)).count == count_closed(field.order, genus)
+        assert count_naive(field, genus, Budget(charge)).count == closed_count(field.order, genus)
         with pytest.raises(BudgetExceeded, match=rf"g = {genus}, .*\(guard {charge - 1}\)"):
             count_naive(field, genus, Budget(charge - 1))
 
@@ -182,7 +182,7 @@ class TestSemiChain:
         for genus_max in range(1, 7):
             chain = semi_counts(field, genus_max)
             assert chain == [count_semi(field, g).count for g in range(1, genus_max + 1)]
-            assert chain == [count_closed(q, g) for g in range(1, genus_max + 1)]
+            assert chain == [closed_count(q, g) for g in range(1, genus_max + 1)]
 
     @pytest.mark.parametrize("q", PRIME_POWERS_TO_64 + (81, 125, 128, 256))
     def test_distribution_matches_its_closed_value(self, q, handle_distribution):
@@ -208,13 +208,22 @@ class TestClosedForm:
         [(2, 3, 64), (9, 2, 2991816), (16, 3, 11943951728640)],
     )
     def test_reference_values(self, q, genus, expected):
-        assert count_closed(q, genus) == expected
+        assert closed_count(q, genus) == expected
+        assert count_points(make_field(*prime_power(q)), genus, "closed").count == expected
+
+    @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+    def test_engine_matches_the_oracle(self, q):
+        # the engine evaluates rep_class; the oracle is the formula on plain ints
+        field = make_field(*prime_power(q))
+        for genus in range(1, 7):
+            assert count_points(field, genus, "closed").count == closed_count(q, genus)
 
     def test_budget(self):
         # 4g times the bits of q bounds the bits of the count: 4 * 2 * 5 for q = 16
-        assert count_closed(16, 2, Budget(40)) == 16**3 * (15**4 + 15)
+        f16 = make_field(2, 4)
+        assert count_points(f16, 2, "closed", Budget(40)).count == 16**3 * (15**4 + 15)
         with pytest.raises(BudgetExceeded, match=r"\(guard 39\)"):
-            count_closed(16, 2, Budget(39))
+            count_points(f16, 2, "closed", Budget(39))
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 17, 27, 243, 4093, 4096])
     def test_digits_bound_is_tight(self, q):
@@ -222,7 +231,7 @@ class TestClosedForm:
         # powers of ten, as the counts outgrow printing
         for genus in (1, 2, 3, 10, 100, 1000):
             bound = count_digits_bound(q, genus)
-            count = count_closed(q, genus)
+            count = closed_count(q, genus)
             assert 10 ** (bound - 2 - bound // 200) <= count < 10**bound, genus
 
 
@@ -233,14 +242,14 @@ class TestEngineAgreement:
         field = make_field(2, 2) if q == 4 else make_field(q, 1)
         naive = count_naive(field, genus).count
         semi = count_semi(field, genus).count
-        closed = count_closed(q, genus)
+        closed = closed_count(q, genus)
         assert naive == semi == closed
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
     def test_semi_matches_closed_on_reference_grid(self, genus):
         for q in REFERENCE_GRID:
             field = make_field(*prime_power(q))
-            assert count_semi(field, genus).count == count_closed(q, genus)
+            assert count_semi(field, genus).count == closed_count(q, genus)
 
 
 class TestModulusIndependence:
@@ -320,13 +329,13 @@ class TestGenericEngine:
         for field, genus in cases + [(f9, 2), (f9, 60)]:
             table, ident = aff_group_table(field)
             generic = count_group_generic(table, ident, genus)
-            assert generic == count_semi(field, genus).count == count_closed(field.order, genus)
+            assert generic == count_semi(field, genus).count == closed_count(field.order, genus)
 
     def test_budget(self):
         # (g + 1)|G|^2 = 5 * 20^2 at genus 4
         table, ident = aff_group_table(F5)
         budget = Budget(2000)
-        assert count_group_generic(table, ident, 4, budget) == count_closed(5, 4)
+        assert count_group_generic(table, ident, 4, budget) == closed_count(5, 4)
         assert budget.used == 2000
         with pytest.raises(BudgetExceeded, match=r"\(guard 1999\)"):
             count_group_generic(table, ident, 4, Budget(1999))
@@ -351,7 +360,7 @@ class TestGenericEngine:
         # the sweep to genus 3 charges 4 * 20^2, before the table is validated
         table, ident = aff_group_table(F5)
         budget = Budget(1600)
-        assert oracle_counts(table, ident, 3, budget)[0] == [count_closed(5, g) for g in (1, 2, 3)]
+        assert oracle_counts(table, ident, 3, budget)[0] == [closed_count(5, g) for g in (1, 2, 3)]
         assert budget.used == 1600
         monkeypatch.setattr(affcount, "validate_group_table", lambda *a: pytest.fail("validated"))
         with pytest.raises(BudgetExceeded, match=r"= 1600 steps .* \(guard 1599\)"):
@@ -360,7 +369,7 @@ class TestGenericEngine:
     def test_engine_budget(self):
         # the generic engine is the table oracle's: the same charge, and an
         # over-budget count builds and validates no table
-        assert count_points(F5, 4, "generic", Budget(2000)).count == count_closed(5, 4)
+        assert count_points(F5, 4, "generic", Budget(2000)).count == closed_count(5, 4)
         with pytest.raises(BudgetExceeded, match=r"\(guard 1999\)"):
             count_points(F5, 4, "generic", Budget(1999))
 
@@ -511,7 +520,7 @@ print(count, hwm_kb() - before)
             [sys.executable, "-I", "-c", probe, src], capture_output=True, text=True, check=True
         ).stdout
         count, growth_kb = map(int, out.split())
-        assert count == count_closed(31, 1)
+        assert count == closed_count(31, 1)
         assert growth_kb < 16 * 1024
 
 

@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 import affrep
 from affrep import affcount, cli
-from affrep.affcount import ENGINES, BudgetExceeded, count_closed
+from affrep.affcount import ENGINES, BudgetExceeded
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
 from affrep.tqft import build_transfer, gluing_charges
+from conftest import closed_count
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -234,7 +235,7 @@ class TestEPoly:
         # genus 2 has 4g = 8 unknown coefficients: 7 points are one short
         path = tmp_path / "counts.csv"
         qs = [2, 3, 4, 5, 7, 8, 9, 11][:points]
-        path.write_text("".join(f"{q},{count_closed(q, 2)}\n" for q in qs))
+        path.write_text("".join(f"{q},{closed_count(q, 2)}\n" for q in qs))
         code, out, err = run_cli(capsys, ["epoly", "--genus", "2", "--counts", str(path)])
         if points == 7:
             assert (code, out, err) == (1, "", "error: need at least 8 points, got 7\n")
@@ -626,33 +627,52 @@ class TestVerify:
         )
 
     def test_oracle_guard_boundary(self, monkeypatch):
-        # the whole run charges 2309: gluing, capping and classes 35 + 153 and
-        # trial division 2; then, before any group table or polynomial work,
-        # the sweeps' (g + 1)|G|^2 = 3|G|^2 at q = 2, 3, 4, 5, 12 + 108 + 432 +
-        # 1200 = 1752 in all; then the interpolation's semi counts 34 + 295
-        # and the semi chains the oracle is checked against, one per q to
-        # genus 2, (q - 1)^2 + 2 each: 3 + 6 + 11 + 18 = 38
+        # the whole run charges 2243: gluing, capping and classes 35 + 153;
+        # then, refused as one total before any field, group table or
+        # polynomial work, the semi chains, one per q = 2, 3, 4, 5, 7, 8, 9,
+        # 11 of the genus-2 plan, to genus 2, isqrt(q) - 1 + (q - 1)^2 + 2
+        # each: 8 + 279 + 16 = 303, and the sweeps' (g + 1)|G|^2 = 3|G|^2 at
+        # q = 2, 3, 4, 5, 12 + 108 + 432 + 1200 = 1752
         def no_work(*args):
             raise AssertionError("work done before the guard decided")
 
+        monkeypatch.setattr(cli, "make_field", no_work)
         monkeypatch.setattr(cli, "aff_group_table", no_work)
         monkeypatch.setattr(cli, "surface_classes", no_work)
-        with pytest.raises(BudgetExceeded, match=r"sweeps over F_2 to F_5 need \(g\+1\)\|G\|\^2 = "
-                           r"1752 steps in all with g = 2, with 190 already charged \(guard 1941\)"):
-            cmd_verify(2, guard=1941)
+        with pytest.raises(BudgetExceeded, match=r"the semi chains and 1752 steps of table oracle "
+                           r"sweeps at g = 2, to q = 11, need 2055 units in all, .*, with 188 "
+                           r"already charged \(guard 2242\)"):
+            cmd_verify(2, guard=2242)
         monkeypatch.undo()
-        with pytest.raises(BudgetExceeded, match=r"semi count needs 18 steps, .* plus 2 handles"
-                           r", with 2291 already charged \(guard 2308\)"):
-            cmd_verify(2, guard=2308)
-        assert cmd_verify(2, guard=2309).passed
+        assert cmd_verify(2, guard=2243).passed
 
-    def test_one_semi_chain_per_field(self, chains):
-        # naive_vs_semi_g1 and _g2 read one chain to genus 2 per q
-        report = cmd_verify(5)
-        assert report.passed
-        assert chains == [(2, 2), (3, 2), (4, 2), (5, 2)]
-        names = [c["name"] for c in report.checks if c["name"].startswith("naive_vs_semi")]
-        assert names == [f"naive_vs_semi_g{g}_q{q}" for g in (1, 2) for q in (2, 3, 4, 5)]
+    def test_one_semi_chain_per_field(self, monkeypatch, chains):
+        # each q of the largest interpolation plan, smallest_prime_powers(4g)
+        # with g = min(genus_max, 3), is built once and runs one chain to g;
+        # every interpolation and naive_vs_semi check reads those chains
+        built, field_of = [], cli.make_field
+
+        def counted_field(p, n):
+            built.append(p**n)
+            return field_of(p, n)
+
+        monkeypatch.setattr(cli, "make_field", counted_field)
+        plan_3 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
+        for genus_max, orders, chain_genus in [
+            (1, plan_3[:4], 1),
+            (2, plan_3[:8], 2),
+            (3, plan_3, 3),
+            (5, plan_3, 3),
+        ]:
+            built.clear()
+            chains.clear()
+            report = cmd_verify(genus_max)
+            assert report.passed
+            assert built == list(orders)
+            assert chains == [(q, chain_genus) for q in orders]
+            names = [c["name"] for c in report.checks if c["name"].startswith("naive_vs_semi")]
+            genera = range(1, min(genus_max, 2) + 1)
+            assert names == [f"naive_vs_semi_g{g}_q{q}" for g in genera for q in (2, 3, 4, 5)]
 
     def test_one_table_per_field(self, monkeypatch):
         built, validated = [], []
@@ -754,7 +774,7 @@ class TestLedger:
         # handle distribution is stubbed with its value, so the chain does not
         # take the seconds of a real q = 4096 distribution
         monkeypatch.setattr(affcount, "commutator_distribution", handle_distribution)
-        rows = "".join(f"{g},4096,{count_closed(4096, g)}\n" for g in (1, 2, 3))
+        rows = "".join(f"{g},4096,{closed_count(4096, g)}\n" for g in (1, 2, 3))
         path = tmp_path / "golden.csv"
         path.write_text("genus,q,count\n" + rows)
         total = 4095**2 + 3 + 63

@@ -1,4 +1,5 @@
-"""Drawn ``q,count`` CSV bodies and golden files, run through the real commands.
+"""Drawn inputs run through the real commands: ``q,count`` CSV bodies, golden
+files, ``--field`` descriptors and ``--plan`` lists.
 
 Each run either exits 0 with a correct result, or exits 1 with exactly one
 ``error:`` line and no traceback.  A small ``--guard`` keeps every run short:
@@ -16,23 +17,28 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from affrep.affcount import count_closed
+from affrep.affcount import ENGINES
 from affrep.cli import main
 from affrep.exactpoly import IntPoly
+from conftest import closed_count
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 JUNK_CELLS = ("", " ", "x", "1e3", "0x10", "-", "1.5", '"3"', "\x00", "9" * 5000)
 FUZZ = settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 
 
+def _main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _run(argv: list[str], body: bytes) -> tuple[int, str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.csv"
         path.write_bytes(body)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([arg.replace("INPUT", str(path)) for arg in argv])
-    return code, out.getvalue(), err.getvalue()
+        return _main([arg.replace("INPUT", str(path)) for arg in argv])
 
 
 def _assert_one_error_line(code: int, out: str, err: str) -> None:
@@ -44,10 +50,6 @@ def _assert_one_error_line(code: int, out: str, err: str) -> None:
 def _integers():
     # mostly small, now and then far past anything the guard admits
     return st.one_of(st.integers(-3, 40), st.integers(-(10**30), 10**30))
-
-
-def _true_count(genus: int, q: int) -> int:
-    return q ** (2 * genus - 1) * ((q - 1) ** (2 * genus) + q - 1)
 
 
 @st.composite
@@ -67,14 +69,14 @@ def _damaged(draw, rows: list[list[str]]) -> list[str]:
 def _sample_rows(draw, genus: int) -> list[str]:
     # about 4g distinct prime powers with their true counts, then damaged
     qs = draw(st.lists(st.sampled_from(PRIME_POWERS), min_size=4 * genus - 2, unique=True))
-    return draw(_damaged([[str(q), str(_true_count(genus, q))] for q in qs[: 4 * genus + 2]]))
+    return draw(_damaged([[str(q), str(closed_count(q, genus))] for q in qs[: 4 * genus + 2]]))
 
 
 @st.composite
 def _golden_rows(draw) -> list[str]:
     cells = st.tuples(st.integers(1, 3), st.sampled_from(PRIME_POWERS[:10]))
     rows = draw(st.lists(cells, max_size=6))
-    return draw(_damaged([[str(g), str(q), str(count_closed(q, g))] for g, q in rows]))
+    return draw(_damaged([[str(g), str(q), str(closed_count(q, g))] for g, q in rows]))
 
 
 @st.composite
@@ -94,6 +96,52 @@ def _body(draw, rows):
     count = sum(any(row) for row in cells)
     count -= bool(cells) and any(cells[0]) and not any(map(str.isdecimal, cells[0]))
     return (draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n").encode(), count
+
+
+# text that int() cannot read: a character that is no decimal digit,
+# whitespace, sign or underscore
+_UNREADABLE = st.text(max_size=6).filter(
+    lambda t: any(not (c.isdecimal() or c.isspace() or c in "+-^_") for c in t)
+)
+DESCRIPTOR_JUNK = ("", " ", "^", "2^", "^3", "2^^3", "3^2^2", "2**3", "0x10", "1e3", "1.5", "F_4")
+
+
+@st.composite
+def _spelled(draw, value: int) -> str:
+    # an integer as int() still reads it: padded with whitespace, a plus sign
+    # or a leading zero when not negative
+    prefix = draw(st.sampled_from(["", "+", "0"])) if value >= 0 else ""
+    pad = st.sampled_from(["", " ", "\t"])
+    return f"{draw(pad)}{prefix}{value}{draw(pad)}"
+
+
+@st.composite
+def _descriptor(draw):
+    # (a --field text, the (p, n) it names, or None if it names none): p^n
+    # with n from 0 to 13, a bare p, or text that is no descriptor
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.one_of(st.sampled_from(DESCRIPTOR_JUNK), _UNREADABLE)), None
+    p = draw(st.one_of(st.integers(-3, 70), st.sampled_from([4093, 4096]), _integers()))
+    n = draw(st.one_of(st.none(), st.integers(0, 13)))
+    if n is None:
+        return draw(_spelled(p)), (p, 1)
+    return f"{draw(_spelled(p))}^{draw(_spelled(n))}", (p, n)
+
+
+@st.composite
+def _plan(draw, genus: int):
+    # (a --plan text, its orders, or None if a token is no integer): about 4g
+    # distinct small prime powers, up to two of them replaced by another
+    # integer (a repeat, a non-prime power, a negative or a huge value) or junk
+    tokens = draw(st.lists(
+        st.sampled_from(PRIME_POWERS[:12]), min_size=4 * genus - 2, max_size=4 * genus + 2,
+        unique=True,
+    ))
+    for _ in range(draw(st.integers(0, 2)) if tokens else 0):
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[j] = draw(st.one_of(_integers(), st.sampled_from(JUNK_CELLS[:8])))
+    text = ",".join(draw(_spelled(t)) if isinstance(t, int) else t for t in tokens)
+    return text, tokens if all(isinstance(t, int) for t in tokens) else None
 
 
 def _fraction_interpolant(points: list[tuple[int, int]]) -> list[Fraction]:
@@ -136,7 +184,7 @@ class TestCountsCsv:
     @FUZZ
     @given(st.lists(st.sampled_from(PRIME_POWERS), min_size=4, max_size=8, unique=True))
     def test_true_counts_interpolate(self, qs):
-        body = "".join(f"{q},{_true_count(1, q)}\n" for q in qs).encode()
+        body = "".join(f"{q},{closed_count(q, 1)}\n" for q in qs).encode()
         code, out, err = _run(["epoly", "--genus", "1", "--counts", "INPUT"], body)
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["epoly"] == "q^3 - q^2"
@@ -165,7 +213,7 @@ class TestGoldenFile:
         assert rows is None or len(cells) == rows  # no row dropped
         for cell, check in zip(cells, checks[1:], strict=True):
             genus, q = cell["genus"], cell["q"]
-            assert cell["count"] == str(count_closed(q, genus))
+            assert cell["count"] == str(closed_count(q, genus))
             assert check["pass"] == (cell["expected"] == cell["count"])
             assert check["name"] == f"cell_g{genus}_q{q}"
 
@@ -180,3 +228,49 @@ class TestGoldenFile:
             f"error: the cells, to q = {q}, need {999999 + (q - 1) ** 2 + 1} units in all, "
             "to factor q and count (guard 3000)\n"
         )
+
+
+class TestFieldDescriptor:
+    """``count --field``: any descriptor is counted, by every engine, or refused."""
+
+    @FUZZ
+    @given(_descriptor(), st.integers(1, 3), st.sampled_from(ENGINES))
+    def test_any_descriptor(self, case, genus, engine):
+        text, named = case
+        argv = ["count", f"--field={text}", "--genus", str(genus), "--engine", engine]
+        code, out, err = _main(argv + ["--guard", "5000"])
+        if code != 0:
+            _assert_one_error_line(code, out, err)
+            return
+        assert err == "" and named is not None
+        results = json.loads(out)["results"]
+        p, n = named
+        assert (results["p"], results["n"], results["q"]) == (p, n, p**n)
+        assert results["count"] == str(closed_count(p**n, genus))
+        assert results["engine"] == engine
+
+
+class TestPlan:
+    """``epoly --plan``: any plan is counted and interpolated, or refused."""
+
+    @FUZZ
+    @given(st.data())
+    def test_any_plan(self, data):
+        genus = data.draw(st.integers(1, 2))
+        text, orders = data.draw(_plan(genus))
+        engine = data.draw(st.sampled_from((None, *ENGINES)))
+        argv = ["epoly", "--genus", str(genus), f"--plan={text}", "--guard", "5000"]
+        code, out, err = _main(argv + (["--engine", engine] if engine else []))
+        if code != 0:
+            _assert_one_error_line(code, out, err)
+            return
+        assert err == "" and orders is not None
+        results = json.loads(out)["results"]
+        assert results["plan"] == orders  # no entry dropped
+        for row in results["counts"]:
+            assert row["count"] == str(closed_count(row["q"], genus))
+            assert row["engine"] == (engine or "semi")
+        degree = 4 * genus - 1
+        points = [(q, closed_count(q, genus)) for q in orders[: degree + 1]]
+        poly = IntPoly([int(c) for c in _fraction_interpolant(points)])
+        assert (results["epoly"], results["degree"]) == (str(poly), degree)
