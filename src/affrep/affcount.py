@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .exactpoly import Immutable, Record
 from .finitefield import FieldMismatch, FieldSpec, FqElem
-from .geomstrat import rep_class
+from .geomstrat import class_charge, rep_class
 
 DEFAULT_GUARD = 10**8
 
@@ -159,8 +159,8 @@ def _table_charge(order: int, genus: int) -> tuple:
 def count_charge(q: int, genus: int, engine: str) -> tuple:
     """``Budget.charge``'s arguments for ``engine`` to count at order q and genus g >= 1.
 
-    (g + 1)|G|^2 for the table oracle, (q - 1)^2 + g for ``semi``, and 4g
-    times the bits of q, a bound on the count's bits, for ``closed``.
+    (g + 1)|G|^2 for the table oracle, (q - 1)^2 + g for ``semi``, and for ``closed``
+    :func:`~affrep.geomstrat.class_charge` plus 4g Horner steps on the count's words.
     """
     if engine in ("naive", "generic"):
         return _table_charge(q * (q - 1), genus)
@@ -170,9 +170,11 @@ def count_charge(q: int, genus: int, engine: str) -> tuple:
         steps = (q - 1) ** 2 + genus
         what = "semi count needs {} steps, (q-1)^2 scaling pairs plus {} handles"
         return steps, what, steps, genus
-    bits = 4 * genus * q.bit_length()
-    what = "closed form needs a count of up to {} bits, 4g = {} times the {} bits of q = {}"
-    return bits, what, bits, 4 * genus, q.bit_length(), q
+    building, bits = class_charge(genus), 4 * genus * q.bit_length()  # bits bound the count's
+    steps = building + 4 * genus * -(-bits // 64)
+    what = "closed form needs {} units, {} to build the genus-{} class and 4g = {} Horner steps"
+    what += " on a count of up to {} bits at q = {}"
+    return steps, what, steps, building, genus, 4 * genus, bits, q
 
 
 def count_naive(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:

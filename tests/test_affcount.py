@@ -219,11 +219,25 @@ class TestClosedForm:
             assert count_points(field, genus, "closed").count == closed_count(q, genus)
 
     def test_budget(self):
-        # 4g times the bits of q bounds the bits of the count: 4 * 2 * 5 for q = 16
+        # building the genus-2 class, (2g+1) w (1+w) = 5 * 1 * 2, and 4g = 8 Horner
+        # steps on a count of 4g times the bits of q = 40 bits, one word each
         f16 = make_field(2, 4)
-        assert count_points(f16, 2, "closed", Budget(40)).count == 16**3 * (15**4 + 15)
-        with pytest.raises(BudgetExceeded, match=r"\(guard 39\)"):
-            count_points(f16, 2, "closed", Budget(39))
+        assert count_points(f16, 2, "closed", Budget(18)).count == 16**3 * (15**4 + 15)
+        with pytest.raises(BudgetExceeded, match=r"\(guard 17\)"):
+            count_points(f16, 2, "closed", Budget(17))
+
+    @pytest.mark.parametrize("genus,units", [(3616, 99713234), (3617, 101404854)])
+    def test_default_guard_edge_over_f2(self, genus, units):
+        assert affcount.count_charge(2, genus, "closed")[0] == units
+
+    def test_large_genus_is_refused_before_the_class_is_built(self, monkeypatch):
+        # the class of genus 10^5 has 2 * 10^5 + 1 binomials of up to 2 * 10^5 bits
+        def build(genus):
+            raise AssertionError("the class was built")
+
+        monkeypatch.setattr(affcount, "rep_class", build)
+        with pytest.raises(BudgetExceeded, match=r"1953759768750 to build the genus-100000 class"):
+            count_points(F2, 100000, "closed")
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 17, 27, 243, 4093, 4096])
     def test_digits_bound_is_tight(self, q):

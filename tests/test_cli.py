@@ -175,6 +175,27 @@ class TestCount:
         assert code == 0
         assert len(json.loads(out)["results"]["count"]) == digits
 
+    def test_closed_count_without_a_printing_limit_is_bounded_by_the_guard(self):
+        # PYTHONINTMAXSTRDIGITS=0 lifts the printing limit, so only the guard
+        # refuses the genus-10^5 class, 2 * 10^5 + 1 binomials of 3125 words each
+        src = str(Path(affrep.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "0"}
+        argv = ["count", "--engine", "closed", "--genus", "100000", "--field", "2"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "affrep.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: closed form needs 1958759768750 units, 1953759768750 to build the "
+            "genus-100000 class and 4g = 400000 Horner steps on a count of up to 800000 bits "
+            "at q = 2 (guard 100000000)\n"
+        )
+
     def test_huge_characteristic_is_refused_before_trial_division(self, capsys):
         t0 = time.perf_counter()
         argv = ["count", "--field", "1000000000000000003", "--genus", "1"]
