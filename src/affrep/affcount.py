@@ -28,7 +28,7 @@ import random
 import time
 from collections import Counter, defaultdict
 from operator import eq, itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exactpoly import Immutable, Record
 from .finitefield import FieldMismatch, FieldSpec, FqElem
@@ -283,13 +283,19 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
 
     Checks, in this order: the table is square, its entries are element
     indices, ``identity`` is a two-sided identity, every element has a
-    two-sided inverse, associativity on all triples (n^3 <= 1000) or on
-    1000 seeded random ones, and every row holds the identity exactly once.
-    The last check is what :func:`oracle_counts` relies on: it counts
-    the last handles that complete a prefix p as the commutators equal to
-    p^-1, which equals the number of identities p*c only when p has one
-    right inverse.  In a group that holds by associativity; the sample can
-    miss a row with two.
+    two-sided inverse, associativity, and every row holds the identity
+    exactly once.  Associativity is checked a row at a time: for a pair
+    (x, y), row xy of the table is (xy)z for every z, and row x gathered at
+    row y is x(yz) for every z, so one gather and one list comparison check
+    n triples.  The pairs are all n^2 when n^3 <= 1000, otherwise
+    ceil(3000/n) drawn from ``random.Random(0)`` (:func:`_associativity_pairs`),
+    at least 3000 triples; a failure names the first z at which the rows
+    differ.  The last check is what :func:`oracle_counts` relies on: it
+    counts the last handles that complete a prefix p as the commutators
+    equal to p^-1, which equals the number of identities p*c only when p has
+    one right inverse.  In a group that holds by associativity; the sample
+    can miss a row with two.  That check reads only each row's tail after
+    its inverse, which the inverse scan left unread.
     """
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
@@ -301,10 +307,11 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
     for x in range(n):
         if table[identity][x] != x or table[x][identity] != x:
             raise InvalidGroupTable(f"index {identity} is not a two-sided identity")
-    inv = []
+    inv, doubled = [], None
     for x in range(n):
         # the first y with x*y = identity = y*x: scan the row in C, resuming
-        # after any right inverse that is not also a left inverse
+        # after any right inverse that is not also a left inverse, which
+        # leaves row x holding the identity twice
         row, y = table[x], -1
         while True:
             try:
@@ -313,19 +320,34 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
                 raise InvalidGroupTable(f"element {x} has no inverse") from None
             if table[y][x] == identity:
                 break
+            if doubled is None:
+                doubled = x
         inv.append(y)
-    if n**3 <= 1000:
-        triples = itertools.product(range(n), repeat=3)
-    else:
-        picks = random.Random(0).choices(range(n), k=3000)
-        triples = zip(picks[0::3], picks[1::3], picks[2::3])
-    for x, y, z in triples:
-        if table[table[x][y]][z] != table[x][table[y][z]]:
+    for x, y in _associativity_pairs(n):
+        row = table[x]
+        left, right = list(table[row[y]]), [row[z] for z in table[y]]
+        if left != right:
+            z = list(map(eq, left, right)).index(False)
             raise InvalidGroupTable(f"associativity fails on ({x}, {y}, {z})")
-    for x, row in enumerate(table):
-        if row.count(identity) != 1:
-            raise InvalidGroupTable(f"row {x} holds the identity {row.count(identity)} times")
+    # the first row holding the identity twice: one the inverse scan resumed
+    # in, or an earlier one with the identity again after its inverse
+    for x in range(n if doubled is None else doubled):
+        if identity in table[x][inv[x] + 1 :]:
+            doubled = x
+            break
+    if doubled is not None:
+        count = table[doubled].count(identity)
+        raise InvalidGroupTable(f"row {doubled} holds the identity {count} times")
     return inv
+
+
+def _associativity_pairs(n: int) -> Iterable[tuple[int, int]]:
+    # every pair when n^3 <= 1000, else ceil(3000/n) seeded pairs: each pair
+    # checks n triples, so at least 3000 in all
+    if n**3 <= 1000:
+        return itertools.product(range(n), repeat=2)
+    picks = random.Random(0).choices(range(n), k=2 * -(-3000 // n))
+    return zip(picks[0::2], picks[1::2])
 
 
 def _commuting_pairs(table: Sequence[Sequence[int]]) -> int:

@@ -198,7 +198,8 @@ class IntPoly(Immutable):
 
         Synthetic long division with an integer-divisibility check at every
         step; any nonzero remainder raises :class:`NotDivisible` instead of
-        truncating.
+        truncating.  Each step subtracts only the divisor's nonzero
+        coefficients.
         """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -210,6 +211,7 @@ class IntPoly(Immutable):
         if len(rem) < len(dc):
             raise NotDivisible(f"({self}) is not divisible by ({d})")
         quot = [0] * (len(rem) - len(dc) + 1)
+        terms = [(j, c) for j, c in enumerate(dc) if c]
         for k in range(len(quot) - 1, -1, -1):
             top = rem[k + len(dc) - 1]
             if top % lead != 0:
@@ -217,7 +219,7 @@ class IntPoly(Immutable):
             t = top // lead
             quot[k] = t
             if t:
-                for j, c in enumerate(dc):
+                for j, c in terms:
                     rem[k + j] -= t * c
         if any(rem):
             raise NotDivisible(f"({self}) is not divisible by ({d})")

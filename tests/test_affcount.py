@@ -426,8 +426,8 @@ class TestGenericEngine:
 
     def test_rejects_non_associative_sampled(self):
         # x*y = x + y + xy(x + y) mod 12: commutative, identity 0, inverse -x,
-        # and 532 of the 1728 triples fail associativity, so 1000 sampled
-        # triples (order 12 > 10) all miss with probability 0.69^1000
+        # and 532 of the 1728 triples fail associativity, so the 250 sampled
+        # pairs of whole rows (order 12 > 10) cannot all agree
         n = 12
         table = [[(x + y + x * y * (x + y)) % n for y in range(n)] for x in range(n)]
         failing = sum(
@@ -439,19 +439,81 @@ class TestGenericEngine:
             count_group_generic(table, 0, 1)
 
     def test_rejects_row_with_two_identities_sampled(self):
-        # Z_32 with 5*4 set to the identity 0: row 5 holds it at 4 and at 27,
-        # 27 is still a two-sided inverse of 5, and the seeded sample of 1000
-        # triples (order 32 > 10) misses every triple that fails
-        # associativity, so only the row check is left to reject it; counting
-        # the last handles c with c = p^-1 would miscount such a table
-        n = 32
+        # Z_64 with 4*7 set to the identity 0: row 4 holds it at 7 and at 60,
+        # 60 is still a two-sided inverse of 4, and the ceil(3000/64) = 47
+        # seeded pairs (order 64 > 10) gather no pair of rows that differ, so
+        # only the row check is left to reject it; counting the last handles
+        # c with c = p^-1 would miscount such a table
+        n = 64
         table, ident = _cyclic_table(n)
-        table[5][4] = ident
-        picks = random.Random(0).choices(range(n), k=3000)
-        sample = zip(picks[0::3], picks[1::3], picks[2::3])
-        assert all(table[table[x][y]][z] == table[x][table[y][z]] for x, y, z in sample)
-        with pytest.raises(InvalidGroupTable, match="row 5 holds the identity 2 times"):
+        table[4][7] = ident
+        picks = random.Random(0).choices(range(n), k=2 * -(-3000 // n))
+        pairs = zip(picks[0::2], picks[1::2])
+        assert all(
+            table[table[x][y]][z] == table[x][table[y][z]] for x, y in pairs for z in range(n)
+        )
+        with pytest.raises(InvalidGroupTable, match="row 4 holds the identity 2 times"):
             count_group_generic(table, ident, 1)
+
+    def test_rejects_second_identity_after_the_inverse(self):
+        # as above with the extra identity at 61, past the inverse 60: the
+        # inverse scan stops before it, so only the row's tail shows it
+        table, ident = _cyclic_table(64)
+        table[4][61] = ident
+        with pytest.raises(InvalidGroupTable, match="row 4 holds the identity 2 times"):
+            validate_group_table(table, ident)
+
+    def test_single_defect_in_z32_fails_associativity(self):
+        # Z_32 with 5*4 set to the identity 0 passed the old sample of 1000
+        # single triples; a pair of whole rows through row 5 now catches it
+        table, ident = _cyclic_table(32)
+        table[5][4] = ident
+        with pytest.raises(InvalidGroupTable, match="associativity fails on"):
+            validate_group_table(table, ident)
+
+    def test_named_triple_fails(self):
+        # each defect t[a][b] = a + b + 1 of Z_12 and Z_20 that associativity
+        # refuses, and the non-associative table above, names a triple
+        # (x, y, z) with (xy)z != x(yz)
+        tables = [[[(x + y + x * y * (x + y)) % 12 for y in range(12)] for x in range(12)]]
+        for n in (12, 20):
+            for a, b in itertools.product(range(1, n), repeat=2):
+                table, _ = _cyclic_table(n)
+                table[a][b] = (a + b + 1) % n
+                tables.append(table)
+        refused = 0
+        for table in tables:
+            try:
+                validate_group_table(table, 0)
+            except InvalidGroupTable as exc:
+                if "associativity" not in str(exc):
+                    continue
+                x, y, z = map(int, str(exc).split("(")[1].rstrip(")").split(", "))
+                assert table[table[x][y]][z] != table[x][table[y][z]]
+                refused += 1
+        assert refused > len(tables) // 2
+
+    def test_sampled_pairs_cover_3000_triples(self):
+        # each pair checks a whole row of n triples; below order 11 every pair
+        for n in range(1, 11):
+            assert sorted(affcount._associativity_pairs(n)) == list(
+                itertools.product(range(n), repeat=2)
+            )
+        for n in range(11, 301):
+            pairs = list(affcount._associativity_pairs(n))
+            assert len(pairs) * n >= 3000
+            assert all(0 <= x < n and 0 <= y < n for x, y in pairs)
+
+    def test_inverses_of_small_tables_and_aff_tables(self):
+        # the inverse of x is the one y with x*y = identity = y*x
+        groups = [(table, ident) for _, table, ident in _small_tables()]
+        groups += [
+            aff_group_table(make_field(*prime_power(q))) for q in REFERENCE_GRID if q <= 16
+        ]
+        for table, ident in groups:
+            expected = [row.index(ident) for row in table]
+            assert all(table[y][x] == ident for x, y in enumerate(expected))
+            assert validate_group_table(table, ident) == expected
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_rejects_out_of_range_entry(self, bad):

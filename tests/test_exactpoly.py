@@ -93,6 +93,18 @@ class TestExactDivision:
         with pytest.raises(NotDivisible):
             Q.exact_div(IntPoly([0, 2]))
 
+    @pytest.mark.parametrize("genus", range(1, 9))
+    def test_capping_divisor_with_zero_coefficients(self, genus):
+        # q^g (q-1)^g, the capping divisor, has g zero coefficients below q^g;
+        # q^k is never a multiple of it, so every product plus q^k must raise
+        divisor = (Q * QM1) ** genus
+        quotient = (Q + 3) ** (2 * genus) - 5 * Q**genus + 7
+        product = quotient * divisor
+        assert product.exact_div(divisor) == quotient
+        for k in range(product.degree + 2):
+            with pytest.raises(NotDivisible):
+                (product + Q**k).exact_div(divisor)
+
 
 class TestRingProperties:
     @given(int_polys, int_polys, int_polys)
