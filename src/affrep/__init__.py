@@ -18,7 +18,6 @@ from .affcount import (
     aff_group_table,
     aff_identity,
     commutator,
-    commutator_distribution,
     count_group_generic,
     count_naive,
     count_points,

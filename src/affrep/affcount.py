@@ -9,9 +9,9 @@ the identity.  Two independent engines count them; a third evaluates the closed 
   tuples on it, the commuting pairs at genus 1 and otherwise by folding
   them by the value of their commutator product (:func:`oracle_counts`,
   one sweep for every genus up to a bound),
-* ``count_semi``   -- one handle at a time: the scaling coordinates of a
-  handle are enumerated and its translation coordinates counted as
-  solutions of a linear form, and the g handles are chained by a 2x2
+* ``count_semi``   -- one handle at a time: its commutators are counted by
+  the rank of a linear form, which depends on q alone
+  (:func:`handle_distribution`), and the g handles are chained by a 2x2
   integer recurrence over the translation subgroup (:func:`semi_counts`,
   one chain for every genus up to a bound),
 * ``closed``       -- the stratification's :func:`~affrep.geomstrat.rep_class` at q.
@@ -159,18 +159,21 @@ def _table_charge(order: int, genus: int) -> tuple:
 def count_charge(q: int, genus: int, engine: str) -> tuple:
     """``Budget.charge``'s arguments for ``engine`` to count at order q and genus g >= 1.
 
-    (g + 1)|G|^2 for the table oracle, (q - 1)^2 + g for ``semi``, and for ``closed``
-    :func:`~affrep.geomstrat.class_charge` plus 4g Horner steps on the count's words.
+    (g + 1)|G|^2 for the table oracle; for ``semi`` g chain steps and for ``closed``
+    :func:`~affrep.geomstrat.class_charge` plus 4g Horner steps, each step weighted by
+    the 64-bit words of the count, whose bits are at most 4g times the bits of q.
     """
     if engine in ("naive", "generic"):
         return _table_charge(q * (q - 1), genus)
     if genus < 1:
         raise ValueError("genus must be >= 1")
+    # the count is below |G|^2g < q^4g, as is each u, v of a chain: u + (q-1)v = |G|^2k
+    bits = 4 * genus * q.bit_length()
     if engine == "semi":
-        steps = (q - 1) ** 2 + genus
-        what = "semi count needs {} steps, (q-1)^2 scaling pairs plus {} handles"
-        return steps, what, steps, genus
-    building, bits = class_charge(genus), 4 * genus * q.bit_length()  # bits bound the count's
+        steps = genus * -(-bits // 64)
+        what = "semi count needs {} units, g = {} chain steps on counts of up to {} bits at q = {}"
+        return steps, what, steps, genus, bits, q
+    building = class_charge(genus)
     steps = building + 4 * genus * -(-bits // 64)
     what = "closed form needs {} units, {} to build the genus-{} class and 4g = {} Horner steps"
     what += " on a count of up to {} bits at q = {}"
@@ -195,16 +198,8 @@ def count_naive(field: FieldSpec, genus: int, budget: Budget | None = None) -> C
     return _record(field, genus, count_group_generic(table, ident, genus, budget), "naive", t0)
 
 
-def _admissible_alpha_indices(field: FieldSpec) -> list[int]:
-    # Enumeration indices of the elements != -1; the zero element is index 0,
-    # so truthiness of an index is exactly "nonzero coordinate".
-    indices = list(range(field.order))
-    del indices[(-field.one()).index()]
-    return indices
-
-
-def commutator_distribution(field: FieldSpec) -> tuple[int, int]:
-    """Commutator counts of one handle in the shifted linear-form model.
+def handle_distribution(q: int) -> tuple[int, int]:
+    """Commutator counts of one handle over F_q in the shifted linear-form model.
 
     Returns (N0, N1): N0 pairs of group elements have commutator the
     identity, N1 have commutator one fixed nonzero translation.  The pair
@@ -213,22 +208,18 @@ def commutator_distribution(field: FieldSpec) -> tuple[int, int]:
     scaling pair (alpha_1, alpha_2) in (F_q - {-1})^2 contributes the number
     of beta solutions of that 1 x 2 form: q^(2 - rank) over the identity and,
     when the rank is 1, q over every nonzero translation, since a rank-1
-    form is onto F_q.  Every one of the (q - 1)^2 pairs is visited and its
-    rank read from its coordinates, 1 exactly when one is nonzero; the
-    pairs of each rank are tallied in C, not in a Python loop.
+    form is onto F_q.  The rank is 0 only at (0, 0), a pair as 0 != -1 in
+    every field, so N1 = ((q - 1)^2 - 1) q and N0 = q^2 + N1.
     """
-    q = field.order
-    alphas = _admissible_alpha_indices(field)
-    rank_one = sum(map(any, itertools.product(alphas, repeat=2)))
-    rank_zero = len(alphas) ** 2 - rank_one
-    return rank_zero * q * q + rank_one * q, rank_one * q
+    rank_one = ((q - 1) ** 2 - 1) * q
+    return q * q + rank_one, rank_one
 
 
-def semi_counts(field: FieldSpec, genus_max: int, budget: Budget | None = None) -> list[int]:
-    """The counts at genus 1 to ``genus_max`` over ``field``, from one semi chain.
+def semi_counts(q: int, genera: Iterable[int], budget: Budget | None = None) -> dict[int, int]:
+    """The counts over F_q at each genus of ``genera``, from one semi chain.
 
     One handle's commutator lands in the translation subgroup T = F_q with
-    the distribution of :func:`commutator_distribution`: N0 at the identity
+    the distribution of :func:`handle_distribution`: N0 at the identity
     and N1 at each nonzero translation.  Chaining the g handles is a
     convolution over T; as the distribution is constant on T - {0}, it
     reduces to g steps of the integer recurrence
@@ -237,30 +228,33 @@ def semi_counts(field: FieldSpec, genus_max: int, budget: Budget | None = None) 
 
     from (1, 0), where u counts tuples whose commutator product is the
     identity and v those whose product is one fixed nonzero translation;
-    the genus-g count is u after step g.  One distribution and
-    ``genus_max`` steps give every genus, so the work, the (q-1)^2 scaling
-    pairs of one handle plus ``genus_max`` steps, is charged once to
-    ``budget`` (a fresh default-guard :class:`Budget` if None).
+    the genus-g count is u after step g.  One chain to the highest genus
+    asked keeps the genera asked.  Its steps, weighted by the 64-bit words
+    of the counts (:func:`count_charge`), are charged once to ``budget`` (a
+    fresh default-guard :class:`Budget` if None) before the first.
     """
-    q = field.order
+    keep = set(genera)
+    if min(keep, default=0) < 1:
+        raise ValueError("genus must be >= 1")
+    genus_max = max(keep)
     (budget or Budget()).charge(*count_charge(q, genus_max, "semi"))
-    n0, n1 = commutator_distribution(field)
-    counts, u, v = [], 1, 0
-    for _ in range(genus_max):
+    n0, n1 = handle_distribution(q)
+    counts, u, v = {}, 1, 0
+    for genus in range(1, genus_max + 1):
         u, v = n0 * u + (q - 1) * n1 * v, n1 * u + (n0 + (q - 2) * n1) * v
-        counts.append(u)
+        if genus in keep:
+            counts[genus] = u
     return counts
 
 
 def count_semi(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:
     """Count points handle by handle in the linear-form model.
 
-    The last count of the chain :func:`semi_counts` runs to ``genus``,
-    which charges (q-1)^2 + g to ``budget`` (a fresh default-guard
-    :class:`Budget` if None).
+    The one count kept by :func:`semi_counts` over the order of ``field``,
+    which charges ``budget`` (a fresh default-guard :class:`Budget` if None).
     """
     t0 = time.perf_counter()
-    return _record(field, genus, semi_counts(field, genus, budget)[-1], "semi", t0)
+    return _record(field, genus, semi_counts(field.order, (genus,), budget)[genus], "semi", t0)
 
 
 def count_digits_bound(q: int, genus: int) -> int:

@@ -42,11 +42,12 @@ from .affcount import (
     count_digits_bound,
     count_points,
     count_semi,  # not called here; perfbench's tracer patches cli.count_semi too
+    handle_distribution,
     oracle_counts,
     semi_counts,
 )
 from .exactpoly import ONE, PolyMatrix, Record
-from .finitefield import make_field, parse_descriptor
+from .finitefield import check_order, make_field, parse_descriptor
 from .geomstrat import character_class, class_charge, moduli_class, rep_class
 from .interpolate import (
     charge_factoring,
@@ -75,8 +76,8 @@ GOLDEN_SHA256 = "b92b7e5c8263bcf2b9cfb9f8b1b73ed2cd2ebb4c3b12641abe867e1a5b6f257
 # cells the reference table leaves blank, computable all the same
 EXTEND_CELLS = ((1, 7), (1, 8), (1, 9), (1, 11), (2, 13), (2, 16), (2, 17), (2, 19))
 
-# the fields over which verify checks the table oracle against semi
-ORACLE_ORDERS = (2, 3, 4, 5)
+# the fields F_{p^n} over which verify checks the table oracle against semi
+ORACLE_FIELDS = ((2, 1), (3, 1), (2, 2), (5, 1))
 
 
 class Report(Record):
@@ -145,26 +146,24 @@ def load_golden_table(path: str | None = None) -> tuple[list[tuple[int, int, int
     return cells, checksum_ok
 
 
-def _field_for_order(q: int, budget: Budget | None = None):
-    decomposition = prime_power(q, budget)
-    if decomposition is None:
-        raise ValueError(f"{q} is not a prime power")
-    return make_field(*decomposition)
+def _semi_chains(budget: Budget, genera: dict[int, set[int]], what="the cells", later=0):
+    """Each q's one semi chain, which keeps the genera ``genera`` maps q to.
 
-
-def _semi_chains(budget: Budget, genus_max: dict[int, int], what="the cells", later=0):
-    """Each q's field, built once, and its one semi chain to the genus ``genus_max`` maps it to.
-
-    First ``what`` is refused if the sum over q of isqrt(q) - 1 + (q-1)^2 + g_max,
-    the trial division and the chain, plus ``later`` units to come, would pass the guard.
+    First ``what`` is refused if the trial division that factors each q and
+    its chain, plus ``later`` units to come, would pass the guard.  Then each
+    q is refused as building F_q would refuse it, but no field is built.
     """
     total = later + sum(
-        isqrt(max(q, 1)) - 1 + count_charge(q, g, "semi")[0] for q, g in genus_max.items()
+        isqrt(max(q, 1)) - 1 + count_charge(q, max(gs), "semi")[0] for q, gs in genera.items()
     )
     what += ", to q = {}, need {} units in all, to factor q and count"
-    charge_ahead(budget, total, what, max(genus_max, default=0), total)
-    fields = {q: _field_for_order(q, budget) for q in genus_max}
-    return fields, {q: semi_counts(field, genus_max[q], budget) for q, field in fields.items()}
+    charge_ahead(budget, total, what, max(genera, default=0), total)
+    for q in genera:
+        decomposition = prime_power(q, budget)
+        if decomposition is None:
+            raise ValueError(f"{q} is not a prime power")
+        check_order(*decomposition)
+    return {q: semi_counts(q, gs, budget) for q, gs in genera.items()}
 
 
 def _charge_gluing(
@@ -329,7 +328,7 @@ def cmd_table(
 ) -> Report:
     """Recompute every filled reference cell and compare, cell by cell.
 
-    The cells are grouped by q into one chain each, to the highest genus
+    The cells are grouped by q into one chain each, which keeps the genera
     asked of q (:func:`_semi_chains`).  A cell whose count may be too long
     to print, or whose chain and trial division take the budget's total past
     the guard, is refused before any is counted.  An extended cell expects
@@ -344,15 +343,15 @@ def cmd_table(
         targets += [("extend", g, q, rep_class(g)(q), "closed form") for g, q in EXTEND_CELLS]
     for _, genus, q, _, _ in targets:
         _check_printable(genus, q)
-    genus_max: dict[int, int] = {}  # each q's chain runs to the highest genus asked of it
+    genera: dict[int, set[int]] = {}  # the genera asked of each q, kept from its one chain
     for _, genus, q, _, _ in targets:
         if genus < 1:
             raise ValueError("genus must be >= 1")
-        genus_max[q] = max(genus, genus_max.get(q, genus))
-    chains = _semi_chains(budget, genus_max)[1]
+        genera.setdefault(q, set()).add(genus)
+    chains = _semi_chains(budget, genera)
     computed_cells = []
     for kind, genus, q, expected, source in targets:
-        count = chains[q][genus - 1]
+        count = chains[q][genus]
         details = f"{source} {expected}, counted {count}"
         checks.append(_check(f"{kind}_g{genus}_q{q}", count == expected, details))
         computed_cells.append(
@@ -369,9 +368,10 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     to ``genus_max``, from one sweep of gluing, interpolation at genus 1-3
     and the table oracle against ``semi`` at genus 1-2 over F_q, q = 2-5.
     Every ``semi`` count is read from one chain per q of the largest
-    interpolation plan (:func:`_semi_chains`), on whose fields the oracle's
-    tables are built; one :func:`~affrep.affcount.oracle_counts` sweep per
-    table gives both the oracle's counts and its handle commutators h.  One
+    interpolation plan (:func:`_semi_chains`), and only the oracle's four
+    fields are built.  One :func:`~affrep.affcount.oracle_counts` sweep per
+    table gives the oracle's counts and its handle commutators h, which must
+    equal ``semi``'s :func:`~affrep.affcount.handle_distribution`.  One
     budget takes every charge; the chains' and the sweeps' total is refused
     before any field, table or polynomial work.
     """
@@ -382,15 +382,15 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     _charge_gluing(budget, matrix, genus_max, "gluing, capping and classes", True, True)
     interp_genus, oracle_genus = min(genus_max, 3), min(genus_max, 2)
     # the largest plan holds every smaller plan's orders, among them the oracle's 2-5
-    orders = dict.fromkeys(smallest_prime_powers(4 * interp_genus), interp_genus)
-    steps = sum(count_charge(q, oracle_genus, "naive")[0] for q in ORACLE_ORDERS)
+    genera = dict.fromkeys(smallest_prime_powers(4 * interp_genus), range(1, interp_genus + 1))
+    steps = sum(count_charge(p**n, oracle_genus, "naive")[0] for p, n in ORACLE_FIELDS)
     what = f"the semi chains and {steps} steps of table oracle sweeps at g = {oracle_genus}"
-    fields, chains = _semi_chains(budget, orders, what, steps)
+    chains = _semi_chains(budget, genera, what, steps)
     _check_printable(genus_max)
     sweeps = {}
-    for q in ORACLE_ORDERS:
-        table, ident = aff_group_table(fields[q])
-        sweeps[q] = (ident, *oracle_counts(table, ident, oracle_genus, budget))
+    for p, n in ORACLE_FIELDS:
+        table, ident = aff_group_table(make_field(p, n))
+        sweeps[p**n] = (ident, *oracle_counts(table, ident, oracle_genus, budget))
     checks = []
     geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
     transfers = surface_classes(matrix, genus_max)
@@ -398,17 +398,18 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         details = f"{expected} vs {transfer}"
         checks.append(_check(f"stratification_vs_transfer_g{g}", expected == transfer, details))
     for g in range(1, interp_genus + 1):
-        samples = [(q, chains[q][g - 1]) for q in smallest_prime_powers(4 * g)]
+        samples = [(q, chains[q][g]) for q in smallest_prime_powers(4 * g)]
         interp = epoly_from_samples(g, samples)
         name = f"interpolation_vs_stratification_g{g}"
         checks.append(_check(name, interp == geometric[g], f"interpolated {interp}"))
     for g in range(1, oracle_genus + 1):
         for q, (_, naive_counts, _) in sweeps.items():
-            naive, semi = naive_counts[g - 1], chains[q][g - 1]
+            naive, semi = naive_counts[g - 1], chains[q][g]
             checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
     for q, (ident, _, h) in sweeps.items():
         # semi and tqft assume one handle's commutator is a translation, equally
-        # often each nonzero one; the oracle's h, from the table alone, tests it
+        # often each nonzero one, (N0, N1) times; the oracle's h, from the
+        # table alone, tests it
         translations = range(ident, ident + q)  # (1, b) has index ident + idx(b)
         outside = sum(n for z, n in h.items() if z not in translations)
         nonzero = sorted({h[t] for t in translations[1:]})
@@ -416,7 +417,7 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
             f"h = {h[ident]} at the identity, {nonzero} on the {q - 1} other "
             f"translations, {outside} off the translation subgroup"
         )
-        ok = outside == 0 and len(nonzero) == 1
+        ok = outside == 0 and [h[ident], *nonzero] == list(handle_distribution(q))
         checks.append(_check(f"handle_commutators_on_translations_q{q}", ok, details))
     rep_classes = {str(g): str(expected) for g, expected in geometric.items()}
     inputs = {"genus_max": genus_max, "guard": guard}

@@ -121,6 +121,12 @@ class FieldSpec(Immutable):
             yield FqElem(self, coeffs)
 
 
+def check_order(p: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> None:
+    """Raise :class:`OrderTooLarge` if p^n is over ``max_order``, as :func:`make_field` does."""
+    if p >= 2 and (n > max_order.bit_length() or p**n > max_order):
+        raise OrderTooLarge(f"{p}^{n} exceeds the enumeration bound {max_order}")
+
+
 def make_field(
     p: int,
     n: int,
@@ -137,8 +143,7 @@ def make_field(
     """
     if n < 1:
         raise ValueError("extension degree must be >= 1")
-    if p >= 2 and (n > max_order.bit_length() or p**n > max_order):
-        raise OrderTooLarge(f"{p}^{n} exceeds the enumeration bound {max_order}")
+    check_order(p, n, max_order)
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if modulus is not None:

@@ -48,19 +48,3 @@ def power_class():
 
     return power_class
 
-
-@pytest.fixture(scope="session")
-def handle_distribution():
-    """``commutator_distribution``'s value in closed form, without its (q - 1)^2 pairs.
-
-    The pair of zero shifts has q^2 solutions over the identity, and each
-    other pair q over every translation; a test stubs the distribution with
-    it where a real one at a large q would take seconds.
-    """
-
-    def handle_distribution(field):
-        q = field.order
-        pairs = ((q - 1) ** 2 - 1) * q
-        return q * q + pairs, pairs
-
-    return handle_distribution

@@ -21,12 +21,12 @@ from affrep.affcount import (
     aff_group_table,
     aff_identity,
     commutator,
-    commutator_distribution,
     count_digits_bound,
     count_group_generic,
     count_naive,
     count_points,
     count_semi,
+    handle_distribution,
     oracle_counts,
     semi_counts,
     validate_group_table,
@@ -143,11 +143,11 @@ class TestSemiEngine:
         assert count_semi(F2, 4).count == count_naive(F2, 4).count == 256
 
     def test_budget(self):
-        # the work is the (q-1)^2 scaling pairs of one handle plus one step per handle
+        # one step per handle, each on counts of at most 4g * 5 = 60 bits, one word
         f19 = make_field(19, 1)
-        with pytest.raises(BudgetExceeded, match=r"\(q-1\)\^2"):
-            count_semi(f19, 3, Budget(18**2 + 3 - 1))
-        assert count_semi(f19, 3, Budget(18**2 + 3)).count == 84217678403958
+        with pytest.raises(BudgetExceeded, match="semi count needs 3 units, g = 3 chain steps"):
+            count_semi(f19, 3, Budget(2))
+        assert count_semi(f19, 3, Budget(3)).count == 84217678403958
 
     @pytest.mark.parametrize("genus", [1, 2, 3, 4])
     def test_frobenius_mednykh_formula(self, genus):
@@ -167,7 +167,7 @@ class TestCommutatorDistribution:
         by_translation = {e: 0 for e in field.elements()}
         for x, y in itertools.product(aff_elements(field), repeat=2):
             by_translation[commutator(x, y).b] += 1
-        n0, n1 = commutator_distribution(field)
+        n0, n1 = handle_distribution(q)
         assert by_translation.pop(field.zero()) == n0 == count_naive(field, 1).count
         assert set(by_translation.values()) == {n1}
 
@@ -175,31 +175,61 @@ class TestCommutatorDistribution:
 PRIME_POWERS_TO_64 = tuple(q for q in range(2, 65) if prime_power(q))
 
 
+def _rank_tally(field):
+    # (N0, N1) of one handle by visiting the (q - 1)^2 shifted scaling pairs
+    # (alpha_1, alpha_2), alpha_i != -1, of the linear-form model: the form
+    # alpha_1 beta_2 - alpha_2 beta_1 has q^2 solutions over the identity at
+    # rank 0 and, at rank 1, q over each translation
+    alphas = [a for a in field.elements() if a != -field.one()]
+    n0 = n1 = 0
+    for a1, a2 in itertools.product(alphas, repeat=2):
+        if a1.is_zero() and a2.is_zero():
+            n0 += field.order**2
+        else:
+            n0, n1 = n0 + field.order, n1 + field.order
+    return n0, n1
+
+
 class TestSemiChain:
     @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
     def test_chain_matches_each_count(self, q):
         field = make_field(*prime_power(q))
         for genus_max in range(1, 7):
-            chain = semi_counts(field, genus_max)
-            assert chain == [count_semi(field, g).count for g in range(1, genus_max + 1)]
-            assert chain == [closed_count(q, g) for g in range(1, genus_max + 1)]
+            chain = semi_counts(q, range(1, genus_max + 1))
+            assert list(chain) == list(range(1, genus_max + 1))
+            assert list(chain.values()) == [count_semi(field, g).count for g in chain]
+            assert list(chain.values()) == [closed_count(q, g) for g in chain]
 
     @pytest.mark.parametrize("q", PRIME_POWERS_TO_64 + (81, 125, 128, 256))
-    def test_distribution_matches_its_closed_value(self, q, handle_distribution):
-        field = make_field(*prime_power(q))
-        assert commutator_distribution(field) == handle_distribution(field)
+    def test_distribution_matches_its_closed_value(self, q):
+        assert handle_distribution(q) == _rank_tally(make_field(*prime_power(q)))
+
+    def test_chain_keeps_only_the_genera_asked(self):
+        assert semi_counts(5, [3, 1]) == {1: 100, 3: 12812500}
 
     def test_chain_is_charged_once(self):
-        # (q - 1)^2 + genus_max for the whole chain, not per genus
-        f19, budget = make_field(19, 1), Budget(18**2 + 5)
-        assert semi_counts(f19, 5, budget)[2] == 84217678403958
-        assert budget.used == 18**2 + 5
-        with pytest.raises(BudgetExceeded, match="semi count needs 329 steps"):
-            semi_counts(f19, 5, Budget(18**2 + 4))
+        # g = 5 steps on counts of at most 4g * 5 = 100 bits, two words each,
+        # for the whole chain, not per genus
+        budget = Budget(10)
+        assert semi_counts(19, range(1, 6), budget)[3] == 84217678403958
+        assert budget.used == 10
+        with pytest.raises(BudgetExceeded, match="semi count needs 10 units"):
+            semi_counts(19, range(1, 6), Budget(9))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 47, 4096])
+    def test_charge_tracks_the_words_performed(self, q):
+        # step k multiplies u and v, both at most u_k, the count at genus k, by
+        # numbers of a few words; performed is the words of u_k summed over
+        # the steps, and the charge is between it and 8 times it
+        for genus in (1, 2, 10, 100, 1000):
+            chain = semi_counts(q, range(1, genus + 1)).values()
+            performed = sum(-(-u.bit_length() // 64) for u in chain)
+            charge = affcount.count_charge(q, genus, "semi")[0]
+            assert performed <= charge <= 8 * performed, (genus, performed, charge)
 
     def test_chain_needs_a_positive_genus(self):
         with pytest.raises(ValueError, match="genus must be >= 1"):
-            semi_counts(F3, 0)
+            semi_counts(3, [0])
 
 
 class TestClosedForm:
@@ -569,7 +599,7 @@ class TestFoldAgainstBruteForce:
         table, ident = aff_group_table(F3)
         h = oracle_counts(table, ident, 1)[1]
         assert dict(h) == {ident: 18, ident + 1: 9, ident + 2: 9}
-        assert (h[ident], h[ident + 1]) == commutator_distribution(F3)
+        assert (h[ident], h[ident + 1]) == handle_distribution(3)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
     def test_genus_one_oracle_memory_at_q31(self):

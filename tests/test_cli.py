@@ -47,12 +47,12 @@ def _forbid_building(monkeypatch):
 
 @pytest.fixture
 def chains(monkeypatch):
-    # (q, genus_max) of every semi chain the CLI runs, in order
+    # (q, the genera kept) of every semi chain the CLI runs, in order
     ran, chain = [], cli.semi_counts
 
-    def counted_chain(field, genus_max, budget=None):
-        ran.append((field.order, genus_max))
-        return chain(field, genus_max, budget)
+    def counted_chain(q, genera, budget=None):
+        ran.append((q, sorted(genera)))
+        return chain(q, genera, budget)
 
     monkeypatch.setattr(cli, "semi_counts", counted_chain)
     return ran
@@ -194,6 +194,22 @@ class TestCount:
             "error: closed form needs 1958759768750 units, 1953759768750 to build the "
             "genus-100000 class and 4g = 400000 Horner steps on a count of up to 800000 bits "
             "at q = 2 (guard 100000000)\n"
+        )
+
+    def test_semi_count_without_a_printing_limit_is_bounded_by_the_guard(
+        self, capsys, monkeypatch
+    ):
+        # with no printing limit only the guard refuses the genus-10^5 chain
+        # over F_47: 10^5 steps on counts of up to 4g * 6 = 2.4 million bits,
+        # 37500 words each, refused before the chain's first step
+        monkeypatch.setattr(cli, "int_str_limit", lambda: 0)
+        monkeypatch.setattr(affcount, "handle_distribution", lambda q: pytest.fail("chain ran"))
+        argv = ["count", "--engine", "semi", "--genus", "100000", "--field", "47"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: semi count needs 3750000000 units, g = 100000 chain steps on counts of "
+            "up to 2400000 bits at q = 47 (guard 100000000)\n"
         )
 
     def test_huge_characteristic_is_refused_before_trial_division(self, capsys):
@@ -603,22 +619,41 @@ class TestTable:
         code, out, err = run_cli(capsys, ["table", "--golden", str(path)])
         assert (code, out, err) == (1, "", "error: genus must be >= 1\n")
 
-    def test_one_chain_per_field(self, monkeypatch, chains):
-        # 32 cells over 12 distinct q: each field is built once, and its one
-        # chain runs to the highest genus any cell asks of that q
-        built, field_of = [], cli.make_field
-
-        def counted_field(p, n):
-            built.append(p**n)
-            return field_of(p, n)
-
-        monkeypatch.setattr(cli, "make_field", counted_field)
+    def test_one_chain_per_field(self, chains):
+        # 32 cells over 12 distinct q: each q runs one chain, to the highest
+        # genus any cell asks of it, and keeps the genera the cells ask
         report = cmd_table(extend=True)
         assert report.passed
         assert len(report.checks) == 1 + 32
         orders = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
-        assert built == list(orders)
-        assert chains == [(q, 3) for q in orders]
+        asked = [(q, sorted(c["genus"] for c in report.rows if c["q"] == q)) for q in orders]
+        assert chains == asked
+        assert asked[4] == (7, [1, 2, 3]) and asked[8] == (13, [2, 3])
+
+    def test_extend_builds_no_field(self, monkeypatch):
+        # a semi chain needs q alone, so the table builds no field at all
+        from affrep import finitefield, interpolate
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        for module in (cli, finitefield, interpolate):
+            monkeypatch.setattr(module, "make_field", no_field)
+        assert cmd_table(extend=True).passed
+
+    @pytest.mark.parametrize(
+        "q,err",
+        [
+            (4099, "4099^1 exceeds the enumeration bound 4096"),
+            (8192, "2^13 exceeds the enumeration bound 4096"),
+            (4100, "4100 is not a prime power"),
+        ],
+    )
+    def test_order_is_refused_as_a_field_build_would(self, capsys, tmp_path, q, err):
+        path = tmp_path / "golden.csv"
+        path.write_text(f"genus,q,count\n1,2,4\n1,{q},5\n")
+        code, out, stderr = run_cli(capsys, ["table", "--golden", str(path)])
+        assert (code, out, stderr) == (1, "", f"error: {err}\n")
 
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, ["table", "--output", "csv"])
@@ -647,13 +682,25 @@ class TestVerify:
             "0 off the translation subgroup"
         )
 
+    @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
+    def test_handle_commutators_are_checked_against_semi(self, monkeypatch, shift):
+        # h has the right shape at every q, so only semi's (N0, N1) can fail it
+        def shifted(q):
+            n0, n1 = affcount.handle_distribution(q)
+            return n0 + shift[0], n1 + shift[1]
+
+        monkeypatch.setattr(cli, "handle_distribution", shifted)
+        checks = cmd_verify(1).checks
+        failed = [c["name"] for c in checks if not c["pass"]]
+        assert failed == [f"handle_commutators_on_translations_q{q}" for q in (2, 3, 4, 5)]
+
     def test_oracle_guard_boundary(self, monkeypatch):
-        # the whole run charges 2243: gluing, capping and classes 35 + 153;
+        # the whole run charges 1964: gluing, capping and classes 35 + 153;
         # then, refused as one total before any field, group table or
         # polynomial work, the semi chains, one per q = 2, 3, 4, 5, 7, 8, 9,
-        # 11 of the genus-2 plan, to genus 2, isqrt(q) - 1 + (q - 1)^2 + 2
-        # each: 8 + 279 + 16 = 303, and the sweeps' (g + 1)|G|^2 = 3|G|^2 at
-        # q = 2, 3, 4, 5, 12 + 108 + 432 + 1200 = 1752
+        # 11 of the genus-2 plan, to genus 2, isqrt(q) - 1 trial divisions
+        # and 2 steps of one word each: 8 + 16 = 24, and the sweeps'
+        # (g + 1)|G|^2 = 3|G|^2 at q = 2, 3, 4, 5, 12 + 108 + 432 + 1200 = 1752
         def no_work(*args):
             raise AssertionError("work done before the guard decided")
 
@@ -661,16 +708,17 @@ class TestVerify:
         monkeypatch.setattr(cli, "aff_group_table", no_work)
         monkeypatch.setattr(cli, "surface_classes", no_work)
         with pytest.raises(BudgetExceeded, match=r"the semi chains and 1752 steps of table oracle "
-                           r"sweeps at g = 2, to q = 11, need 2055 units in all, .*, with 188 "
-                           r"already charged \(guard 2242\)"):
-            cmd_verify(2, guard=2242)
+                           r"sweeps at g = 2, to q = 11, need 1776 units in all, .*, with 188 "
+                           r"already charged \(guard 1963\)"):
+            cmd_verify(2, guard=1963)
         monkeypatch.undo()
-        assert cmd_verify(2, guard=2243).passed
+        assert cmd_verify(2, guard=1964).passed
 
     def test_one_semi_chain_per_field(self, monkeypatch, chains):
         # each q of the largest interpolation plan, smallest_prime_powers(4g)
-        # with g = min(genus_max, 3), is built once and runs one chain to g;
-        # every interpolation and naive_vs_semi check reads those chains
+        # with g = min(genus_max, 3), runs one chain to g and keeps genus 1
+        # to g; every interpolation and naive_vs_semi check reads those
+        # chains, and the only fields built are the oracle's, q = 2-5
         built, field_of = [], cli.make_field
 
         def counted_field(p, n):
@@ -689,8 +737,8 @@ class TestVerify:
             chains.clear()
             report = cmd_verify(genus_max)
             assert report.passed
-            assert built == list(orders)
-            assert chains == [(q, chain_genus) for q in orders]
+            assert built == [2, 3, 4, 5]
+            assert chains == [(q, list(range(1, chain_genus + 1))) for q in orders]
             names = [c["name"] for c in report.checks if c["name"].startswith("naive_vs_semi")]
             genera = range(1, min(genus_max, 2) + 1)
             assert names == [f"naive_vs_semi_g{g}_q{q}" for g in genera for q in (2, 3, 4, 5)]
@@ -761,44 +809,42 @@ class TestLedger:
     """--guard bounds the whole command: one Budget, charged phase by phase."""
 
     def test_epoly_plan_is_refused_before_counting(self, capsys, ledgers):
-        # the default genus-3 plan 2, 3, 4, ..., 19 charges (q - 1)^2 + 3 per
-        # count, 1264 in all: refused before the first count, not at q = 19
-        code, out, err = run_cli(capsys, ["epoly", "--genus", "3", "--guard", "1000"])
-        _assert_refused_within(code, out, err, ledgers, 1000)
-        assert err == "error: the plan's 12 semi counts, to q = 19, need 1264 units in all (guard 1000)\n"
+        # the default genus-3 plan 2, 3, 4, ..., 19 charges 3 chain steps on
+        # counts of at most 12 * 5 = 60 bits, one word, per count, 36 in all:
+        # refused before the first count, not at q = 19
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "3", "--guard", "35"])
+        _assert_refused_within(code, out, err, ledgers, 35)
+        assert err == "error: the plan's 12 semi counts, to q = 19, need 36 units in all (guard 35)\n"
         assert ledgers[0].used == 0
         ledgers.clear()
-        assert run_cli(capsys, ["epoly", "--genus", "3", "--guard", "1264"])[0] == 0
-        assert ledgers[0].used == 1264
+        assert run_cli(capsys, ["epoly", "--genus", "3", "--guard", "36"])[0] == 0
+        assert ledgers[0].used == 36
 
-    @pytest.mark.parametrize("genus,used", [(57, 96265258), (58, 0)])
-    def test_epoly_default_plan_boundary(
-        self, capsys, ledgers, monkeypatch, handle_distribution, genus, used
-    ):
-        # the default plan's counts charge 96265258 at genus 57 and 102561658
-        # at genus 58, refused before any count
-        monkeypatch.setattr(affcount, "commutator_distribution", handle_distribution)
+    @pytest.mark.parametrize("genus,used", [(151, 9205866), (152, 0)])
+    def test_epoly_default_plan_boundary(self, capsys, ledgers, genus, used):
+        # the default guard admits the default plan as far as it goes: its
+        # counts charge 9205866 at genus 151, and genus 152 has no plan, as
+        # 608 prime powers are needed and 604 are at most 4096
         code, out, err = run_cli(capsys, ["epoly", "--genus", str(genus)])
         assert ledgers[0].used == used
-        if genus == 57:
+        if genus == 151:
             assert (code, err) == (0, "")
-            assert json.loads(out)["results"]["epoly"] == str(rep_class(57))
+            assert json.loads(out)["results"]["epoly"] == str(rep_class(151))
         else:
-            _assert_refused_within(code, out, err, ledgers, 10**8)
-            assert "the plan's 232 semi counts, to q = 1277, need 102561658 units in all" in err
+            assert (code, out) == (1, "")
+            assert err == (
+                "error: no default plan for genus 152: 608 prime powers needed, "
+                "only 604 are <= 4096, the largest field order\n"
+            )
 
-    def test_golden_rows_are_refused_before_counting(
-        self, capsys, tmp_path, ledgers, monkeypatch, handle_distribution
-    ):
+    def test_golden_rows_are_refused_before_counting(self, capsys, tmp_path, ledgers):
         # the rows 1,4096 / 2,4096 / 3,4096 share one semi chain to genus 3,
-        # 4095^2 + 3 steps, and one factoring of 4096, 63 trial divisions; the
-        # handle distribution is stubbed with its value, so the chain does not
-        # take the seconds of a real q = 4096 distribution
-        monkeypatch.setattr(affcount, "commutator_distribution", handle_distribution)
+        # 3 steps on counts of at most 12 * 13 = 156 bits, 3 words, and one
+        # factoring of 4096, 63 trial divisions
         rows = "".join(f"{g},4096,{closed_count(4096, g)}\n" for g in (1, 2, 3))
         path = tmp_path / "golden.csv"
         path.write_text("genus,q,count\n" + rows)
-        total = 4095**2 + 3 + 63
+        total = 3 * 3 + 63
         argv = ["table", "--golden", str(path), "--guard", str(total - 1)]
         code, out, err = run_cli(capsys, argv)
         _assert_refused_within(code, out, err, ledgers, total - 1)

@@ -218,14 +218,15 @@ class TestGoldenFile:
             assert check["name"] == f"cell_g{genus}_q{q}"
 
     def test_over_guard_abscissa_is_refused_by_its_charge(self):
-        # isqrt(q) - 1 = 999999 trial divisions and (q - 1)^2 + 1 semi steps
-        # for q = 10^12 + 39, refused before any
+        # isqrt(q) - 1 = 999999 trial divisions and 1 semi step on a count of
+        # at most 4 * 40 = 160 bits, 3 words, for q = 10^12 + 39, refused
+        # before any
         q = 10**12 + 39
         body = f"genus,q,count\n1,{q},5\n".encode()
         code, out, err = _run(["table", "--golden", "INPUT", "--guard", "3000"], body)
         _assert_one_error_line(code, out, err)
         assert err == (
-            f"error: the cells, to q = {q}, need {999999 + (q - 1) ** 2 + 1} units in all, "
+            f"error: the cells, to q = {q}, need {999999 + 3} units in all, "
             "to factor q and count (guard 3000)\n"
         )
 
