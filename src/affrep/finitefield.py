@@ -5,7 +5,10 @@ irreducible polynomial over F_p.  Everything is deterministic: the default
 modulus is the lexicographically smallest monic irreducible polynomial of
 degree n (coefficients compared constant term first), so two runs always
 build the same field.  Orders in scope are tiny, so irreducibility is
-checked by exhaustive trial division.
+checked by trial division, skipping what X divides: for n >= 2 a candidate
+with constant term 0 is a multiple of X, so the search starts at constant
+term 1, and a polynomial that X does not divide has no divisor that X
+divides, so only divisors with a nonzero constant term are tried.
 """
 
 from __future__ import annotations
@@ -58,12 +61,19 @@ def _poly_rem(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
 
 
 def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    # Trial division by every monic polynomial of degree 1..deg/2.
+    """Whether the monic ``poly`` (low-to-high, reduced mod p) is irreducible over F_p.
+
+    Of degree >= 2, a zero constant term means X divides it, so it is
+    refused at once.  Otherwise no multiple of X divides it either, so trial
+    division runs over the monic divisors of degree 1..deg/2 whose constant
+    term is nonzero.
+    """
     deg = len(poly) - 1
+    if deg >= 2 and poly[0] == 0:
+        return False
     for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            if not _poly_rem(poly, divisor, p):
+        for tail in itertools.product(range(1, p), *[range(p)] * (d - 1)):
+            if not _poly_rem(poly, tail + (1,), p):
                 return False
     return True
 
@@ -127,6 +137,14 @@ def check_order(p: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> None:
         raise OrderTooLarge(f"{p}^{n} exceeds the enumeration bound {max_order}")
 
 
+def _check_field(p: int, n: int, max_order: int) -> None:
+    if n < 1:
+        raise ValueError("extension degree must be >= 1")
+    check_order(p, n, max_order)
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def make_field(
     p: int,
     n: int,
@@ -135,17 +153,16 @@ def make_field(
 ) -> FieldSpec:
     """Build F_{p^n}, picking the lex-smallest irreducible modulus by default.
 
-    An explicit ``modulus`` (low-to-high, monic, degree n) may be supplied;
-    it is validated for irreducibility.  The order bound is checked before
-    primality, so a huge p is refused without trial division; as p^n >= 2^n,
-    an n beyond the bit length of ``max_order`` is refused without building
-    p^n.
+    The default is the first irreducible candidate in lex order, constant
+    term compared first; for n >= 2 the candidates with constant term 0 are
+    skipped, as X divides them all (see :func:`_is_irreducible`).  An
+    explicit ``modulus`` (low-to-high, monic, degree n) may be supplied; it
+    is validated for irreducibility, so X^2 is refused and X accepted.  The
+    order bound is checked before primality, so a huge p is refused without
+    trial division; as p^n >= 2^n, an n beyond the bit length of
+    ``max_order`` is refused without building p^n.
     """
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
-    check_order(p, n, max_order)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    _check_field(p, n, max_order)
     if modulus is not None:
         mod = tuple(c % p for c in modulus)
         if len(mod) != n + 1 or mod[-1] != 1:
@@ -158,14 +175,22 @@ def make_field(
 
 
 def _irreducible_moduli(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    for tail in itertools.product(range(p), repeat=n):
-        cand = tuple(tail) + (1,)
+    # lex order, constant term first; past n = 1 the scan starts at constant
+    # term 1, as X divides every candidate before it
+    first = range(p) if n == 1 else range(1, p)
+    for tail in itertools.product(first, *[range(p)] * (n - 1)):
+        cand = tail + (1,)
         if _is_irreducible(cand, p):
             yield cand
 
 
 def irreducible_moduli(p: int, n: int) -> list[tuple[int, ...]]:
-    """Every monic irreducible polynomial of degree n over F_p, lex order."""
+    """Every monic irreducible polynomial of degree n over F_p, lex order.
+
+    Refuses what :func:`make_field` refuses, with the same errors: n < 1, a
+    p that is not prime, and an order over ``DEFAULT_MAX_ORDER``.
+    """
+    _check_field(p, n, DEFAULT_MAX_ORDER)
     return list(_irreducible_moduli(p, n))
 
 

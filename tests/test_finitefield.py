@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from affrep import finitefield
 from affrep.finitefield import (
     FieldMismatch,
     InverseOfZero,
@@ -21,6 +22,50 @@ SMALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
 
 def _quadratic_has_root(c0, c1, p):
     return any((x * x + c1 * x + c0) % p == 0 for x in range(p))
+
+
+def _prime_powers(max_order):
+    return [
+        (p, n)
+        for p in range(2, max_order + 1)
+        if is_prime(p)
+        for n in range(1, max_order.bit_length())
+        if p**n <= max_order
+    ]
+
+
+def _mobius(d):
+    sign, k = 1, 2
+    while k * k <= d:
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return 0
+            sign = -sign
+        k += 1
+    return -sign if d > 1 else sign
+
+
+def _monic(p, d):
+    # every monic polynomial of degree d, low-to-high
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=d)]
+
+
+def _product(f, g, p):
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] = (prod[i + j] + a * b) % p
+    return tuple(prod)
+
+
+def _first_irreducible_by_sieve(p, n):
+    # the lex-first monic candidate (constant term first, zero included) that
+    # no product of two monic factors of degree >= 1 hits; no trial division
+    reducible = {
+        _product(f, g, p) for d in range(1, n) for f in _monic(p, d) for g in _monic(p, n - d)
+    }
+    return next(c for c in _monic(p, n) if c not in reducible)
 
 
 class TestConstruction:
@@ -62,14 +107,61 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_field(2, 2, modulus=(1, 0, 1))  # (X+1)^2 over F_2
 
+    @pytest.mark.parametrize(
+        "p,n,modulus", [(2, 2, (0, 0, 1)), (3, 3, (0, 1, 0, 1))], ids=["X^2", "X^3+X"]
+    )
+    def test_explicit_modulus_divisible_by_x_rejected(self, p, n, modulus):
+        with pytest.raises(ValueError, match="not irreducible"):
+            make_field(p, n, modulus=modulus)
+
+    def test_x_is_accepted_as_a_prime_field_modulus(self):
+        for p in (2, 3, 5, 7):
+            assert make_field(p, 1, modulus=(0, 1)).modulus == (0, 1)
+
     def test_default_modulus_is_the_first_irreducible_one(self):
-        orders = [(p, n) for p in range(2, 257) if is_prime(p) for n in range(1, 9)]
-        for p, n in orders:
-            if p**n <= 256:
-                assert make_field(p, n).modulus == irreducible_moduli(p, n)[0], (p, n)
+        for p, n in _prime_powers(256):
+            assert make_field(p, n).modulus == _first_irreducible_by_sieve(p, n), (p, n)
+
+    def test_irreducible_count_is_gauss_formula(self):
+        # (1/n) sum over d | n of mu(d) p^(n/d) monic irreducibles of degree n
+        for p, n in _prime_powers(1024):
+            gauss = sum(_mobius(d) * p ** (n // d) for d in range(1, n + 1) if n % d == 0)
+            assert len(irreducible_moduli(p, n)) * n == gauss, (p, n)
+
+    def test_plan_field_moduli_are_pinned(self):
+        # the four fields of `epoly --plan 2048,2187,3125,4096`
+        texts = [make_field(p, n).modulus_text() for p, n in [(2, 11), (3, 7), (5, 5), (2, 12)]]
+        assert texts == ["X^11 + X^9 + 1", "X^7 + 2X^6 + X^5 + 1", "X^5 + 4X^4 + 1", "X^12 + X^9 + 1"]
+
+    def test_f4096_search_tests_five_candidates(self, monkeypatch):
+        # X divides the 2048 candidates with constant term 0; none is tested
+        tested = []
+        is_irreducible = finitefield._is_irreducible
+
+        def counting(poly, p):
+            tested.append(poly)
+            return is_irreducible(poly, p)
+
+        monkeypatch.setattr(finitefield, "_is_irreducible", counting)
+        make_field(2, 12)
+        assert len(tested) == 5
 
     def test_two_irreducible_cubics_over_f2(self):
         assert irreducible_moduli(2, 3) == [(1, 0, 1, 1), (1, 1, 0, 1)]
+
+    @pytest.mark.parametrize(
+        "p,n,error",
+        [(2, 0, ValueError), (3, -1, ValueError), (4, 2, NotPrime), (10**6 + 3, 2, OrderTooLarge)],
+        ids=["degree-0", "negative-degree", "not-prime", "order-over-bound"],
+    )
+    def test_irreducible_moduli_refuses_what_make_field_refuses(self, p, n, error):
+        t0 = time.perf_counter()
+        with pytest.raises(error) as listed:
+            irreducible_moduli(p, n)
+        with pytest.raises(error) as built:
+            make_field(p, n)
+        assert str(listed.value) == str(built.value)
+        assert time.perf_counter() - t0 < 1
 
     def test_is_prime(self):
         assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
