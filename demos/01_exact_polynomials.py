@@ -5,7 +5,10 @@ coefficients: classes of varieties multiply and add like polynomials, and
 exact division takes the place of localization.
 """
 
-from affrep import ONE, Q, IntPoly, NotDivisible, PolyMatrix
+from itertools import islice
+
+from affrep import ONE, Q, ZERO, NotDivisible
+from affrep.exactpoly import chain
 
 group_class = Q * (Q - ONE)
 print(f"class of the affine group of the line: {group_class}")
@@ -25,6 +28,7 @@ try:
 except NotDivisible as exc:
     print(f"as expected: {exc}")
 
-# polynomial matrices scale and take traces exactly, entry by entry
-fib = PolyMatrix.from_rows([[Q, ONE], [ONE, IntPoly()]])
-print(f"trace of (q - 1) [[q, 1], [1, 0]]: {fib.scale(Q - ONE).trace()}")
+# a 2x2 matrix is a pair of rows; its chain, the top-left entries of its
+# powers, is what glues surfaces: [[q, 1], [1, 0]] gives Fibonacci polynomials
+for k, fib in enumerate(islice(chain(((Q, ONE), (ONE, ZERO))), 5), start=1):
+    print(f"top-left of [[q, 1], [1, 0]]^{k}: {fib}")

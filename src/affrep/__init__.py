@@ -24,15 +24,7 @@ from .affcount import (
     count_semi,
     semi_counts,
 )
-from .exactpoly import (
-    ONE,
-    Q,
-    ZERO,
-    DimensionMismatch,
-    IntPoly,
-    NotDivisible,
-    PolyMatrix,
-)
+from .exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible
 from .finitefield import (
     FieldMismatch,
     FieldSpec,
@@ -63,11 +55,9 @@ from .interpolate import (
 )
 from .tqft import (
     LOCALIZATION_CAVEAT,
-    CircleState,
     ReconstructionError,
     TransferConsistencyError,
     TransferData,
-    apply_transfer,
     build_transfer,
     close_surface,
     eigen_verify,

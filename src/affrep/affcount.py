@@ -12,8 +12,8 @@ the identity.  Two independent engines count them; a third evaluates the closed 
 * ``count_semi``   -- one handle at a time: its commutators are counted by
   the rank of a linear form, which depends on q alone
   (:func:`handle_distribution`), and the g handles are chained by a 2x2
-  integer recurrence over the translation subgroup (:func:`semi_counts`,
-  one chain for every genus up to a bound),
+  integer matrix over the translation subgroup (:func:`semi_counts`, one
+  :func:`~affrep.exactpoly.chain` for every genus up to a bound),
 * ``closed``       -- the stratification's :func:`~affrep.geomstrat.rep_class` at q.
 
 The naive engine works on the group law and the semi engine works on the
@@ -30,7 +30,7 @@ from collections import Counter, defaultdict
 from operator import eq, itemgetter
 from typing import Iterable, Sequence
 
-from .exactpoly import Immutable, Record
+from .exactpoly import Immutable, Record, chain
 from .finitefield import FieldMismatch, FieldSpec, FqElem
 from .geomstrat import class_charge, rep_class
 
@@ -222,16 +222,17 @@ def semi_counts(q: int, genera: Iterable[int], budget: Budget | None = None) -> 
     the distribution of :func:`handle_distribution`: N0 at the identity
     and N1 at each nonzero translation.  Chaining the g handles is a
     convolution over T; as the distribution is constant on T - {0}, it
-    reduces to g steps of the integer recurrence
+    reduces to g passes of the integer matrix
 
-        (u, v) <- (N0 u + (q-1) N1 v,  N1 u + (N0 + (q-2) N1) v)
+        [[N0, (q-1) N1], [N1, N0 + (q-2) N1]]
 
-    from (1, 0), where u counts tuples whose commutator product is the
-    identity and v those whose product is one fixed nonzero translation;
-    the genus-g count is u after step g.  One chain to the highest genus
-    asked keeps the genera asked.  Its steps, weighted by the 64-bit words
-    of the counts (:func:`count_charge`), are charged once to ``budget`` (a
-    fresh default-guard :class:`Budget` if None) before the first.
+    over (u, v) from (1, 0), where u counts tuples whose commutator
+    product is the identity and v those whose product is one fixed nonzero
+    translation; the genus-g count is u after pass g, the g-th value of
+    :func:`~affrep.exactpoly.chain`.  One chain to the highest genus asked
+    keeps the genera asked.  Its steps, weighted by the 64-bit words of the
+    counts (:func:`count_charge`), are charged once to ``budget`` (a fresh
+    default-guard :class:`Budget` if None) before the first.
     """
     keep = set(genera)
     if min(keep, default=0) < 1:
@@ -239,12 +240,9 @@ def semi_counts(q: int, genera: Iterable[int], budget: Budget | None = None) -> 
     genus_max = max(keep)
     (budget or Budget()).charge(*count_charge(q, genus_max, "semi"))
     n0, n1 = handle_distribution(q)
-    counts, u, v = {}, 1, 0
-    for genus in range(1, genus_max + 1):
-        u, v = n0 * u + (q - 1) * n1 * v, n1 * u + (n0 + (q - 2) * n1) * v
-        if genus in keep:
-            counts[genus] = u
-    return counts
+    matrix = ((n0, (q - 1) * n1), (n1, n0 + (q - 2) * n1))
+    counts = zip(range(1, genus_max + 1), chain(matrix))
+    return {genus: u for genus, u in counts if genus in keep}
 
 
 def count_semi(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:

@@ -46,7 +46,7 @@ from .affcount import (
     oracle_counts,
     semi_counts,
 )
-from .exactpoly import ONE, PolyMatrix, Record
+from .exactpoly import ONE, Record
 from .finitefield import check_order, make_field, parse_descriptor
 from .geomstrat import character_class, class_charge, moduli_class, rep_class
 from .interpolate import (
@@ -55,6 +55,7 @@ from .interpolate import (
     epoly_from_counts,
     epoly_from_samples,
     int_str_limit,
+    interpolation_charge,
     plan_from_text,
     prime_power,
     row_error,
@@ -166,15 +167,16 @@ def _semi_chains(budget: Budget, genera: dict[int, set[int]], what="the cells", 
     return {q: semi_counts(q, gs, budget) for q, gs in genera.items()}
 
 
-def _charge_gluing(
-    budget: Budget, matrix: PolyMatrix, genus: int, what: str, sweep=False, classes=False
-) -> None:
-    """Charge gluing ``genus`` tori by ``matrix`` genus by genus, so as to refuse early.
+def _charge_gluing(budget: Budget, matrix, capped, what: str, classes=False) -> None:
+    """Charge gluing by ``matrix`` to the last of the ascending genera ``capped``.
 
-    A sweep caps, and builds ``classes``, at every genus; else one cap at the last.
+    Genus by genus, each charges its gluing, its cap if it is in ``capped``
+    (a tuple or a range) and, with ``classes``, building its class; so a run
+    far over the guard is refused early.
     """
+    genus = capped[-1]
     for g, (glue, capping) in zip(range(1, genus + 1), gluing_charges(matrix)):
-        units = glue + (capping if sweep or g == genus else 0) + (class_charge(g) if classes else 0)
+        units = glue + (capping if g in capped else 0) + (class_charge(g) if classes else 0)
         products = "genus {} needs {} coefficient products, weighted by 64-bit words, for {} at"
         budget.charge(units, products + " genus {}", genus, units, what, g)
 
@@ -223,7 +225,8 @@ def cmd_epoly(
     A CSV excludes a plan and an engine, as nothing is counted; a plan is
     counted by ``semi`` unless an engine is given.  An empty CSV path or
     plan is an error, not a request for the default plan.  The trial
-    division that factors the abscissae is refused as one total before any.
+    division that factors the abscissae is refused as one total before any,
+    and the interpolation is charged before it starts.
     """
     if counts_file is not None and plan_text is not None:
         raise ValueError("--plan and --counts exclude each other; give one of them")
@@ -238,6 +241,8 @@ def cmd_epoly(
         for q, _ in samples:
             if prime_power(q, budget) is None:
                 raise ValueError(f"sample abscissa {q} is not a prime power")
+        bits = max((abs(c).bit_length() for _, c in samples), default=0)
+        budget.charge(*interpolation_charge(genus, len(samples), bits))
         epoly = epoly_from_samples(genus, samples)
         counts = [{"q": q, "count": str(c), "engine": "csv"} for q, c in samples]
     else:
@@ -279,9 +284,9 @@ def cmd_tqft(
     """Transfer-matrix class of the genus-g surface, with optional identity checks."""
     budget = Budget(guard)
     data = build_transfer()
-    _charge_gluing(budget, data.matrix, genus, "gluing and capping")
+    _charge_gluing(budget, data.matrix, (genus,), "gluing and capping")
     if reconstruct:
-        _charge_gluing(budget, data.matrix, 6, "the sweep to reconstruct from", True)
+        _charge_gluing(budget, data.matrix, range(1, 7), "the sweep to reconstruct from")
     _check_printable(genus)
     results: dict = {"virtual_class": str(close_surface(genus, data))}
     checks = []
@@ -290,12 +295,12 @@ def cmd_tqft(
     if verify_eigen:
         checks += [_check(name, ok) for name, ok in eigen_verify(data)]
     if reconstruct:
-        classes = surface_classes(data.matrix, 6)
-        a, b, d = reconstruct_transfer(*classes[:3])
+        classes = surface_classes(data.matrix, range(1, 7))
+        a, b, d = reconstruct_transfer(classes[1], classes[2], classes[3])
         results["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
-        rebuilt = PolyMatrix.from_rows([[a, b], [ONE, d]])
-        _charge_gluing(budget, rebuilt, 6, "the sweep of the rebuilt matrix", True)
-        roundtrip = surface_classes(rebuilt, 6) == classes
+        rebuilt = ((a, b), (ONE, d))
+        _charge_gluing(budget, rebuilt, range(1, 7), "the sweep of the rebuilt matrix")
+        roundtrip = surface_classes(rebuilt, range(1, 7)) == classes
         checks.append(_check("reconstruction_roundtrip", roundtrip, "genus 1-6 classes"))
     inputs = {
         "genus": genus,
@@ -378,8 +383,8 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
     budget = Budget(guard)
-    matrix = build_transfer().matrix
-    _charge_gluing(budget, matrix, genus_max, "gluing, capping and classes", True, True)
+    matrix, surfaces = build_transfer().matrix, range(1, genus_max + 1)
+    _charge_gluing(budget, matrix, surfaces, "gluing, capping and classes", classes=True)
     interp_genus, oracle_genus = min(genus_max, 3), min(genus_max, 2)
     # the largest plan holds every smaller plan's orders, among them the oracle's 2-5
     genera = dict.fromkeys(smallest_prime_powers(4 * interp_genus), range(1, interp_genus + 1))
@@ -392,9 +397,9 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         table, ident = aff_group_table(make_field(p, n))
         sweeps[p**n] = (ident, *oracle_counts(table, ident, oracle_genus, budget))
     checks = []
-    geometric = {g: rep_class(g) for g in range(1, genus_max + 1)}
-    transfers = surface_classes(matrix, genus_max)
-    for (g, expected), transfer in zip(geometric.items(), transfers):
+    geometric = {g: rep_class(g) for g in surfaces}
+    transfers = surface_classes(matrix, surfaces)
+    for (g, expected), transfer in zip(geometric.items(), transfers.values()):
         details = f"{expected} vs {transfer}"
         checks.append(_check(f"stratification_vs_transfer_g{g}", expected == transfer, details))
     for g in range(1, interp_genus + 1):

@@ -1,8 +1,10 @@
-"""Exact univariate polynomial and polynomial-matrix arithmetic.
+"""Exact univariate polynomial arithmetic, and the 2x2 chain both engines run.
 
 Polynomials live in Z[q] with a dense coefficient list, index i holding
 the coefficient of q^i.  Coefficients are Python ints, so there is no
 overflow and no rounding anywhere; every operation here is exact or raises.
+A 2x2 matrix is a plain pair of rows ``((a, b), (c, d))``, over ints or
+polynomials; :func:`chain` iterates it.
 
 The zero polynomial stores an empty coefficient tuple and its ``degree`` is
 ``None`` rather than an integer, so a degree of -1 can never be confused
@@ -18,10 +20,6 @@ from typing import Iterable, Iterator
 
 class NotDivisible(ArithmeticError):
     """Exact division was requested but a nonzero remainder appeared."""
-
-
-class DimensionMismatch(ValueError):
-    """Matrix shapes are incompatible for the requested operation."""
 
 
 class Record:
@@ -241,56 +239,20 @@ ONE = IntPoly([1])
 Q = IntPoly([0, 1])
 
 
-class PolyMatrix(Immutable):
-    """A rows x cols matrix over :class:`IntPoly`, stored row-major."""
+def chain(matrix) -> Iterator:
+    """The first coordinate of M^k (1, 0) for k = 1, 2, ..., without end.
 
-    __slots__ = ("rows", "cols", "entries")
-    rows: int
-    cols: int
-    entries: tuple[IntPoly, ...]
+    ``matrix`` is M as its rows ``((a, b), (c, d))``, over ints or
+    :class:`IntPoly`.  Each step after the first is one pass of M over the
+    vector (u, v): four products, each with M's entry on the left, and two
+    sums.
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[IntPoly | int]):
-        es = tuple(_as_poly(e) for e in entries)
-        if rows <= 0 or cols <= 0:
-            raise DimensionMismatch("matrix dimensions must be positive")
-        if len(es) != rows * cols:
-            raise DimensionMismatch(
-                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(es)}"
-            )
-        super().__init__(rows, cols, es)
-
-    @staticmethod
-    def from_rows(rows: Iterable[Iterable[IntPoly | int]]) -> PolyMatrix:
-        rs = [list(r) for r in rows]
-        if not rs or any(len(r) != len(rs[0]) for r in rs):
-            raise DimensionMismatch("rows must be non-empty and of equal length")
-        return PolyMatrix(len(rs), len(rs[0]), [e for r in rs for e in r])
-
-    def entry(self, i: int, j: int) -> IntPoly:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[IntPoly, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def scale(self, f: IntPoly | int) -> PolyMatrix:
-        f = _as_poly(f)
-        return PolyMatrix(self.rows, self.cols, [f * e for e in self.entries])
-
-    def exact_div_scalar(self, d: IntPoly) -> PolyMatrix:
-        """Entry-wise exact division; raises :class:`NotDivisible` on failure."""
-        return PolyMatrix(self.rows, self.cols, [e.exact_div(d) for e in self.entries])
-
-    def trace(self) -> IntPoly:
-        if self.rows != self.cols:
-            raise DimensionMismatch("trace requires a square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.entry(i, i)
-        return acc
-
-    def __iter__(self) -> Iterator[tuple[IntPoly, ...]]:
-        return (self.row(i) for i in range(self.rows))
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self) + "]"
-
+    >>> from itertools import islice
+    >>> list(islice(chain(((1, 1), (1, 0))), 6))
+    [1, 2, 3, 5, 8, 13]
+    """
+    (a, b), (c, d) = matrix
+    u, v = a, c
+    while True:
+        yield u
+        u, v = a * u + b * v, c * u + d * v

@@ -194,6 +194,19 @@ class EPolyResult(Record):
     epoly: IntPoly
 
 
+def interpolation_charge(genus: int, samples: int, bits: int) -> tuple:
+    """``Budget.charge``'s arguments to interpolate ``samples`` points at genus g.
+
+    The divided differences and the Newton expansion of the first 4g points
+    take about (4g)^2 steps, and checking each surplus point takes 4g
+    Horner steps: 4g steps per point, each weighted by the 64-bit words of
+    the largest sample, of up to ``bits`` bits.
+    """
+    steps = 4 * genus * samples * max(1, -(-bits // 64))
+    what = "interpolating {} samples of up to {} bits at genus {} needs {} units"
+    return steps, what, samples, bits, genus, steps
+
+
 def epoly_from_samples(genus: int, samples: Sequence[tuple[int, int]]) -> IntPoly:
     """Interpolate pre-computed (q, count) samples for the given genus.
 
@@ -219,8 +232,10 @@ def epoly_from_counts(
 ) -> EPolyResult:
     """Count points at each prime power of the plan and interpolate.
 
-    Each count charges ``budget``, and their total is refused before the first.
-    The returned polynomial reproduces every gathered count by construction
+    Each count charges ``budget``, then the interpolation
+    (:func:`interpolation_charge`, on counts of up to 4g times the bits of
+    the largest q), and their total is refused before the first count.  The
+    returned polynomial reproduces every gathered count by construction
     (the interpolation verifies surplus points and the plan covers the
     degree bound exactly or better).
     """
@@ -229,13 +244,15 @@ def epoly_from_counts(
     if plan.genus != genus:
         raise ValueError(f"plan is for genus {plan.genus}, not {genus}")
     budget, powers = budget or Budget(), plan.prime_powers
-    total = sum(count_charge(m, genus, engine)[0] for m in powers)
-    what = "the plan's {} {} counts, to q = {}, need {} units in all"
+    interpolation = interpolation_charge(genus, len(powers), 4 * genus * max(powers).bit_length())
+    total = sum(count_charge(m, genus, engine)[0] for m in powers) + interpolation[0]
+    what = "the plan's {} {} counts and their interpolation, to q = {}, need {} units in all"
     charge_ahead(budget, total, what, len(powers), engine, max(powers), total)
     records = []
     for m in plan.prime_powers:
         field = make_field(*_prime_power(m))  # the plan checked, and charged, m
         records.append(count_points(field, genus, engine=engine, budget=budget))
+    budget.charge(*interpolation)
     samples = [(rec.q, rec.count) for rec in records]
     epoly = epoly_from_samples(genus, samples)
     return EPolyResult(genus, plan, records, epoly)

@@ -8,8 +8,9 @@ class supported at the identity and the class supported on the punctured
 translation subgroup; the matrix columns are the classes of the commutator
 map's fibers over those loci.
 
-The holed tori are glued onto the disc one at a time (:func:`glued_states`)
-and the surface is capped (:func:`cap`), so one sweep gives every genus.
+The holed tori are glued onto the disc one at a time, each a pass of the
+matrix (:func:`~affrep.exactpoly.chain`), and the surface is capped by an
+exact division, so one chain gives every genus (:func:`surface_classes`).
 
 Everything stays in Z[q] with exact division instead of localizing away
 q and q - 1, so each step is checkable; results hold up to annihilators of
@@ -18,10 +19,10 @@ q and q - 1 in the Grothendieck ring (see :data:`LOCALIZATION_CAVEAT`).
 
 from __future__ import annotations
 
-from itertools import count, islice
-from typing import Iterator
+from itertools import count
+from typing import Iterable, Iterator
 
-from .exactpoly import ONE, Q, ZERO, Immutable, IntPoly, PolyMatrix
+from .exactpoly import ONE, Q, Immutable, IntPoly, chain
 from .geomstrat import GenusOutOfRange
 
 LOCALIZATION_CAVEAT = (
@@ -40,16 +41,11 @@ class ReconstructionError(ValueError):
     """The genus 1-3 data is inconsistent with a rank-2 transfer matrix."""
 
 
-class CircleState(Immutable):
-    """Coordinates of a circle state over the two module generators."""
-
-    __slots__ = ("c_i", "c_j")
-    c_i: IntPoly  # coefficient of the generator supported at the identity
-    c_j: IntPoly  # coefficient of the generator on the punctured translations
+Matrix = tuple[tuple[IntPoly, IntPoly], tuple[IntPoly, IntPoly]]  # ((a, b), (c, d))
 
 
 class TransferData(Immutable):
-    """The transfer matrix together with the fiber classes that assemble it."""
+    """The transfer matrix, as its two rows, with the fiber classes that assemble it."""
 
     __slots__ = (
         "matrix",
@@ -59,7 +55,7 @@ class TransferData(Immutable):
         "fiber_identity_twisted",
         "fiber_generic_twisted",
     )
-    matrix: PolyMatrix
+    matrix: Matrix
     group_class: IntPoly
     fiber_identity: IntPoly  # commutator-map fiber over the identity
     fiber_generic: IntPoly  # commutator-map fiber over a nonzero translation
@@ -70,10 +66,10 @@ class TransferData(Immutable):
 def build_transfer() -> TransferData:
     """Assemble the transfer data from the fiber stratifications and verify it.
 
-    Each fiber class is built as the sum of its strata, compared with its
-    factored form, checked against the complement identities inside
-    (K*)^3 x K^3, and finally assembled column-wise into the matrix, which
-    must match q(q-1) [[q^3-q^2, q^4-3q^3+2q^2], [q^3-2q^2, q^4-3q^3+3q^2]].
+    Each fiber class is built as the sum of its strata, the once-shifted
+    map's as complements inside (K*)^3 x K^3, and the four are assembled
+    column-wise into the matrix, each entry of which must match its
+    factored form in q(q-1) [[q^3-q^2, q^4-3q^3+2q^2], [q^3-2q^2, q^4-3q^3+3q^2]].
     """
     qm1 = Q - ONE
     group_class = Q * qm1
@@ -87,31 +83,19 @@ def build_transfer() -> TransferData:
     fiber_identity_twisted = ambient - fiber_identity
     fiber_generic_twisted = ambient - fiber_generic
 
-    checks = [
-        (fiber_identity, group_class * (Q**3 - Q**2)),
-        (fiber_generic, group_class * (Q**3 - 2 * Q**2)),
-        (fiber_identity_twisted, group_class * (Q**4 - 3 * Q**3 + 2 * Q**2)),
-        (fiber_generic_twisted, group_class * (Q**4 - 3 * Q**3 + 3 * Q**2)),
-    ]
-    for got, expected in checks:
-        if got != expected:
-            raise TransferConsistencyError(f"fiber class {got} != {expected}")
-
     # column 1: image of the identity generator; column 2: image of the other
-    matrix = PolyMatrix.from_rows(
-        [
-            [fiber_identity, fiber_identity_twisted],
-            [fiber_generic, fiber_generic_twisted],
-        ]
+    matrix = (
+        (fiber_identity, fiber_identity_twisted),
+        (fiber_generic, fiber_generic_twisted),
     )
-    literal = PolyMatrix.from_rows(
-        [
-            [Q**3 - Q**2, Q**4 - 3 * Q**3 + 2 * Q**2],
-            [Q**3 - 2 * Q**2, Q**4 - 3 * Q**3 + 3 * Q**2],
-        ]
-    ).scale(group_class)
-    if matrix != literal:
-        raise TransferConsistencyError("assembled matrix disagrees with its closed form")
+    literal = (
+        (Q**3 - Q**2, Q**4 - 3 * Q**3 + 2 * Q**2),
+        (Q**3 - 2 * Q**2, Q**4 - 3 * Q**3 + 3 * Q**2),
+    )
+    for row, literal_row in zip(matrix, literal):
+        for got, entry in zip(row, literal_row):
+            if got != group_class * entry:
+                raise TransferConsistencyError(f"fiber class {got} != {group_class * entry}")
     return TransferData(
         matrix,
         group_class,
@@ -122,46 +106,30 @@ def build_transfer() -> TransferData:
     )
 
 
-def apply_transfer(state: CircleState, matrix: PolyMatrix) -> CircleState:
-    """Glue one holed torus onto a circle state: one pass of ``matrix``."""
-    return CircleState(
-        matrix.entry(0, 0) * state.c_i + matrix.entry(0, 1) * state.c_j,
-        matrix.entry(1, 0) * state.c_i + matrix.entry(1, 1) * state.c_j,
-    )
+def surface_classes(matrix: Matrix, genera: Iterable[int]) -> dict[int, IntPoly]:
+    """The class at each genus of ``genera``, from one chain of gluing.
 
-
-def glued_states(matrix: PolyMatrix) -> Iterator[CircleState]:
-    """The disc state with 1, 2, 3, ... holed tori glued on, without end."""
-    state = CircleState(ONE, ZERO)
-    while True:
-        state = apply_transfer(state, matrix)
-        yield state
-
-
-def cap(state: CircleState, genus: int) -> IntPoly:
-    """The genus-g class: the identity coordinate of g glued tori over (q(q-1))^g.
-
-    The division normalizes for the g + 1 basepoints of the decomposition; a
-    remainder raises, as it would contradict the divisibility behind that.
+    The chain glues to the largest genus asked; at each genus g asked, the
+    identity coordinate of g glued tori is capped by an exact division by
+    :data:`GROUP_CLASS`^g.  The division normalizes for the g + 1
+    basepoints of the decomposition; a remainder raises, as it would
+    contradict the divisibility behind that.
     """
-    return state.c_i.exact_div(GROUP_CLASS**genus)
-
-
-def surface_classes(matrix: PolyMatrix, genus_max: int) -> list[IntPoly]:
-    """The classes of genus 1 to ``genus_max``, capped from one sweep of gluing."""
-    return [cap(state, g) for g, state in zip(range(1, genus_max + 1), glued_states(matrix))]
+    keep = set(genera)
+    if min(keep, default=0) < 1:
+        raise GenusOutOfRange("genus must be >= 1")
+    glued = zip(range(1, max(keep) + 1), chain(matrix))
+    return {g: c_i.exact_div(GROUP_CLASS**g) for g, c_i in glued if g in keep}
 
 
 def close_surface(genus: int, data: TransferData | None = None) -> IntPoly:
     """Virtual class of the genus-g representation variety: glue g tori, cap once."""
-    if genus < 1:
-        raise GenusOutOfRange("genus must be >= 1")
     if data is None:
         data = build_transfer()
-    return cap(next(islice(glued_states(data.matrix), genus - 1, None)), genus)
+    return surface_classes(data.matrix, (genus,))[genus]
 
 
-def gluing_charges(matrix: PolyMatrix) -> Iterator[tuple[int, int]]:
+def gluing_charges(matrix: Matrix) -> Iterator[tuple[int, int]]:
     """Weighted coefficient products of gluing the g-th torus and of capping at g.
 
     Yields the pair for g = 1, 2, ...; a state of k tori has at most k times
@@ -171,9 +139,10 @@ def gluing_charges(matrix: PolyMatrix) -> Iterator[tuple[int, int]]:
     weighs the 64-bit words of its wider factor: up to about a thousand bits
     the loop dominates, so it costs about as many word-sized products.
     """
-    nonzero = sum(1 for e in matrix.entries for c in e.coeffs if c)
-    degree = max(e.degree or 0 for e in matrix.entries)
-    bits = max(abs(c).bit_length() for e in matrix.entries for c in e.coeffs)
+    entries = [e for row in matrix for e in row]
+    nonzero = sum(1 for e in entries for c in e.coeffs if c)
+    degree = max(e.degree or 0 for e in entries)
+    bits = max(abs(c).bit_length() for e in entries for c in e.coeffs)
     divisor = GROUP_CLASS.degree
     for g in count(1):
         # the first gluing's wider factor is the matrix's, later ones the state's
@@ -218,25 +187,19 @@ def eigen_verify(data: TransferData | None = None) -> tuple[tuple[str, bool], ..
     """
     if data is None:
         data = build_transfer()
-    m = data.matrix.exact_div_scalar(data.group_class)
+    (a, b), (c, d) = ([e.exact_div(data.group_class) for e in row] for row in data.matrix)
     qm1 = Q - ONE
     lam1 = Q**2
     lam2 = Q**2 * qm1**2
 
     def apply(v0: IntPoly, v1: IntPoly) -> tuple[IntPoly, IntPoly]:
-        return (
-            m.entry(0, 0) * v0 + m.entry(0, 1) * v1,
-            m.entry(1, 0) * v0 + m.entry(1, 1) * v1,
-        )
+        return a * v0 + b * v1, c * v0 + d * v1
 
     got1 = apply(qm1, -ONE)
     got2 = apply(ONE, ONE)
     return (
         ("eigenvector_scaling", got1 == (lam1 * qm1, lam1 * -ONE)),
         ("eigenvector_diagonal", got2 == (lam2 * ONE, lam2 * ONE)),
-        ("trace", m.trace() == lam1 + lam2),
-        (
-            "determinant",
-            m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0) == lam1 * lam2,
-        ),
+        ("trace", a + d == lam1 + lam2),
+        ("determinant", a * d - b * c == lam1 * lam2),
     )

@@ -14,7 +14,7 @@ from affrep.affcount import (
     count_semi,
 )
 from affrep.cli import cmd_table
-from affrep.exactpoly import ONE, Q, IntPoly, PolyMatrix
+from affrep.exactpoly import ONE, Q, IntPoly
 from affrep.finitefield import irreducible_moduli, make_field
 from affrep.geomstrat import character_class, moduli_class, rep_class
 from affrep.interpolate import epoly_from_counts, lagrange_interpolate, prime_power
@@ -97,7 +97,7 @@ def test_criterion_6_reconstruction(power_class):
         and b == QM1**3 * (Q - 2) ** 2 * Q**6
         and d == (Q**2 - 3 * Q + 3) * QM1 * Q**3
     )
-    matrix = PolyMatrix.from_rows([[a, b], [ONE, d]])
+    matrix = ((a, b), (ONE, d))
     roundtrip_ok = all(power_class(matrix, g) == close_surface(g, data) for g in range(1, 7))
     _report(6, "matrix entries recovered from genus 1-3 data, powers close correctly", entries_ok and roundtrip_ok)
 

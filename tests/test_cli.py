@@ -23,6 +23,7 @@ from affrep.affcount import ENGINES, BudgetExceeded
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
+from affrep.interpolate import prime_power
 from affrep.tqft import build_transfer, gluing_charges
 from conftest import closed_count
 
@@ -35,14 +36,14 @@ def run_cli(capsys, argv):
 
 
 def _forbid_building(monkeypatch):
-    # a class built or a holed torus glued from here on fails the test
+    # a class built or a chain of holed tori glued from here on fails the test
     from affrep import geomstrat, tqft
 
     def built(*args):
         raise AssertionError("a class was built before the guard decided")
 
     monkeypatch.setattr(geomstrat, "scaling_power", built)
-    monkeypatch.setattr(tqft, "apply_transfer", built)
+    monkeypatch.setattr(tqft, "chain", built)
 
 
 @pytest.fixture
@@ -337,10 +338,19 @@ class TestEPoly:
             "error: the 4 abscissae, to q = 1000000007, need up to 31622 trial divisions "
             "in all, to factor them (guard 31621)\n"
         )
-        # admitted at the whole total: the counts interpolate, while the plan
-        # goes on to fail on the field order bound
+        # the plan goes on to fail at the whole total; the counts go on to their
+        # interpolation, 4g = 4 steps for each of 4 samples of up to 90 bits,
+        # two words: 32 more units, and admitted at that total they interpolate
         argv[-1] = "31622"
-        assert run_cli(capsys, argv)[0] == (1 if source == "--plan" else 0)
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (1, "")
+        if source == "--counts":
+            assert err == (
+                "error: interpolating 4 samples of up to 90 bits at genus 1 needs 32 units, "
+                "with 31622 already charged (guard 31622)\n"
+            )
+            argv[-1] = str(31622 + 32)
+            assert run_cli(capsys, argv)[0] == 0
 
     def test_bad_plan_token(self, capsys):
         code, out, err = run_cli(capsys, ["epoly", "--genus", "1", "--plan", "2,3,x"])
@@ -810,23 +820,29 @@ class TestLedger:
 
     def test_epoly_plan_is_refused_before_counting(self, capsys, ledgers):
         # the default genus-3 plan 2, 3, 4, ..., 19 charges 3 chain steps on
-        # counts of at most 12 * 5 = 60 bits, one word, per count, 36 in all:
+        # counts of at most 12 * 5 = 60 bits, one word, per count, 36 in all,
+        # and their interpolation 4g = 12 steps per count of one word, 144:
         # refused before the first count, not at q = 19
-        code, out, err = run_cli(capsys, ["epoly", "--genus", "3", "--guard", "35"])
-        _assert_refused_within(code, out, err, ledgers, 35)
-        assert err == "error: the plan's 12 semi counts, to q = 19, need 36 units in all (guard 35)\n"
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "3", "--guard", "179"])
+        _assert_refused_within(code, out, err, ledgers, 179)
+        assert err == (
+            "error: the plan's 12 semi counts and their interpolation, to q = 19, "
+            "need 180 units in all (guard 179)\n"
+        )
         assert ledgers[0].used == 0
         ledgers.clear()
-        assert run_cli(capsys, ["epoly", "--genus", "3", "--guard", "36"])[0] == 0
-        assert ledgers[0].used == 36
+        assert run_cli(capsys, ["epoly", "--genus", "3", "--guard", "180"])[0] == 0
+        assert ledgers[0].used == 180
 
-    @pytest.mark.parametrize("genus,used", [(151, 9205866), (152, 0)])
-    def test_epoly_default_plan_boundary(self, capsys, ledgers, genus, used):
+    @pytest.mark.parametrize("genus,counted", [(151, 9205866), (152, 0)])
+    def test_epoly_default_plan_boundary(self, capsys, ledgers, genus, counted):
         # the default guard admits the default plan as far as it goes: its
-        # counts charge 9205866 at genus 151, and genus 152 has no plan, as
-        # 608 prime powers are needed and 604 are at most 4096
+        # counts charge 9205866 at genus 151, and its interpolation 4g = 604
+        # steps per count, each of up to 4g * 13 = 7852 bits, 123 words; genus
+        # 152 has no plan, as 608 prime powers are needed and 604 are at most 4096
         code, out, err = run_cli(capsys, ["epoly", "--genus", str(genus)])
-        assert ledgers[0].used == used
+        interpolated = 604 * 604 * 123 if genus == 151 else 0
+        assert ledgers[0].used == counted + interpolated
         if genus == 151:
             assert (code, err) == (0, "")
             assert json.loads(out)["results"]["epoly"] == str(rep_class(151))
@@ -872,10 +888,29 @@ class TestLedger:
             f"in all, to factor them (guard {total - 1})\n"
         )
         assert ledgers[0].used == 0
+        # then the interpolation, 4g = 4 steps for each of 5 samples of up to
+        # 90 bits, two words: 40 units
         ledgers.clear()
-        argv[-1] = str(total)
+        argv[-1] = str(total + 40)
         assert run_cli(capsys, argv)[0] == 0
-        assert ledgers[0].used == total
+        assert ledgers[0].used == total + 40
+
+    def test_interpolation_is_refused_before_it_starts(self, capsys, tmp_path, ledgers):
+        # the first 8000 prime powers, every count 7, at genus 2000: factoring
+        # them takes 1439021 trial divisions, and interpolating them 4g = 8000
+        # steps for each of the 8000 one-word samples, refused before any
+        qs = itertools.islice(filter(prime_power, itertools.count(2)), 8000)
+        path = tmp_path / "constant.csv"
+        path.write_text("".join(f"{q},7\n" for q in qs))
+        argv = ["epoly", "--genus", "2000", "--counts", str(path), "--guard", "1500000"]
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - t0 < 1
+        _assert_refused_within(code, out, err, ledgers, 1500000)
+        assert err == (
+            "error: interpolating 8000 samples of up to 3 bits at genus 2000 needs 64000000 "
+            "units, with 1439021 already charged (guard 1500000)\n"
+        )
 
     @pytest.mark.parametrize("engine", ["naive", "generic"])
     def test_naive_count_charges_the_oracle_once(self, capsys, ledgers, engine):

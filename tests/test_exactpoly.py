@@ -1,18 +1,12 @@
-"""Exact polynomial and polynomial-matrix arithmetic."""
+"""Exact polynomial arithmetic and the 2x2 chain."""
+
+import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from affrep.exactpoly import (
-    ONE,
-    Q,
-    ZERO,
-    DimensionMismatch,
-    IntPoly,
-    NotDivisible,
-    PolyMatrix,
-)
+from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, chain
 from affrep.finitefield import make_field
 
 QM1 = Q - ONE
@@ -135,23 +129,24 @@ class TestRingProperties:
             assert (a * b).degree == a.degree + b.degree
 
 
-def _transfer_matrix() -> PolyMatrix:
-    return PolyMatrix.from_rows(
-        [
-            [Q**3 - Q**2, Q**4 - 3 * Q**3 + 2 * Q**2],
-            [Q**3 - 2 * Q**2, Q**4 - 3 * Q**3 + 3 * Q**2],
-        ]
-    ).scale(Q * QM1)
+def _transfer_matrix():
+    return tuple(
+        tuple(Q * QM1 * e for e in row)
+        for row in (
+            (Q**3 - Q**2, Q**4 - 3 * Q**3 + 2 * Q**2),
+            (Q**3 - 2 * Q**2, Q**4 - 3 * Q**3 + 3 * Q**2),
+        )
+    )
 
 
 class TestMatrices:
     def test_squared_top_left_pattern(self):
         # top-left of the squared transfer matrix is (q(q-1))^2 (a^2 + b c)
         # in terms of the normalized entries
-        m = _transfer_matrix()
+        (m00, m01), (m10, _) = _transfer_matrix()
         a, b = Q**3 - Q**2, Q**4 - 3 * Q**3 + 2 * Q**2
         c = Q**3 - 2 * Q**2
-        top_left = m.entry(0, 0) * m.entry(0, 0) + m.entry(0, 1) * m.entry(1, 0)
+        top_left = m00 * m00 + m01 * m10
         assert top_left == (Q * QM1) ** 2 * (a * a + b * c)
 
     def test_squared_top_left_counts_genus_two(self, power_class):
@@ -160,16 +155,38 @@ class TestMatrices:
         oracle = count_semi(make_field(3, 1), 2).count
         assert power_class(_transfer_matrix(), 2)(3) == oracle == 486
 
-    def test_dimension_mismatch(self):
-        a = PolyMatrix(2, 3, [ONE] * 6)
-        with pytest.raises(DimensionMismatch):
-            a.trace()
-        with pytest.raises(DimensionMismatch):
-            PolyMatrix.from_rows([[ONE, ONE], [ONE]])
 
-    def test_entry_count_checked(self):
-        with pytest.raises(DimensionMismatch):
-            PolyMatrix(2, 2, [ONE])
+def _top_left_powers(matrix, count):
+    # top-left of M, M^2, ..., M^count from full 2x2 products
+    power, out = matrix, []
+    for _ in range(count):
+        out.append(power[0][0])
+        power = [[sum(r[k] * matrix[k][j] for k in range(2)) for j in range(2)] for r in power]
+    return out
+
+
+class TestChain:
+    def test_fibonacci_numbers(self):
+        assert list(itertools.islice(chain(((1, 1), (1, 0))), 10)) == [
+            1, 2, 3, 5, 8, 13, 21, 34, 55, 89
+        ]
+
+    def test_fibonacci_polynomials(self):
+        # the chain of [[q, 1], [1, 0]] gives F_(k+1)(q), with F_(k+2) = q F_(k+1) + F_k
+        values = list(itertools.islice(chain(((Q, ONE), (ONE, ZERO))), 5))
+        assert [str(v) for v in values] == [
+            "q", "q^2 + 1", "q^3 + 2q", "q^4 + 3q^2 + 1", "q^5 + 4q^3 + 3q"
+        ]
+
+    @given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+    def test_integers_match_the_matrix_powers(self, entries):
+        a, b, c, d = entries
+        matrix = ((a, b), (c, d))
+        assert list(itertools.islice(chain(matrix), 8)) == _top_left_powers(matrix, 8)
+
+    def test_polynomials_match_the_matrix_powers(self):
+        matrix = _transfer_matrix()
+        assert list(itertools.islice(chain(matrix), 5)) == _top_left_powers(matrix, 5)
 
 
 # every power of two and its predecessor, where the top bit moves, plus all of 0..300

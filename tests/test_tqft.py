@@ -6,19 +6,15 @@ import pytest
 
 from affrep import tqft
 from affrep.affcount import count_semi, handle_distribution
-from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, PolyMatrix
+from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, chain
 from affrep.finitefield import make_field
 from affrep.geomstrat import GenusOutOfRange, rep_class
 from affrep.interpolate import prime_power
 from affrep.tqft import (
-    CircleState,
     ReconstructionError,
-    apply_transfer,
     build_transfer,
-    cap,
     close_surface,
     eigen_verify,
-    glued_states,
     reconstruct_transfer,
     surface_classes,
 )
@@ -34,7 +30,7 @@ def data():
 
 class TestTransferData:
     def test_top_left_entry(self, data):
-        assert data.matrix.entry(0, 0) == GROUP * (Q**3 - Q**2) == Q**3 * QM1**2
+        assert data.matrix[0][0] == GROUP * (Q**3 - Q**2) == Q**3 * QM1**2
 
     def test_generic_fiber_vanishes_at_two(self, data):
         assert data.fiber_generic(2) == 0
@@ -45,36 +41,77 @@ class TestTransferData:
         assert data.fiber_generic_twisted == ambient - data.fiber_generic
 
     def test_columns_assemble_the_matrix(self, data):
-        assert data.matrix.entry(0, 0) == data.fiber_identity
-        assert data.matrix.entry(1, 0) == data.fiber_generic
-        assert data.matrix.entry(0, 1) == data.fiber_identity_twisted
-        assert data.matrix.entry(1, 1) == data.fiber_generic_twisted
+        assert data.matrix == (
+            (data.fiber_identity, data.fiber_identity_twisted),
+            (data.fiber_generic, data.fiber_generic_twisted),
+        )
 
     def test_group_class(self, data):
         assert data.group_class == Q**2 - Q
 
     def test_normalized_matrix_is_the_commutator_distribution(self, data):
-        normalized = data.matrix.exact_div_scalar(data.group_class)
+        normalized = [[e.exact_div(data.group_class) for e in row] for row in data.matrix]
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19):
             n0, n1 = handle_distribution(q)
-            evaluated = [[normalized.entry(i, j)(q) for j in range(2)] for i in range(2)]
+            evaluated = [[e(q) for e in row] for row in normalized]
             assert evaluated == [[n0, (q - 1) * n1], [n1, n0 + (q - 2) * n1]]
 
 
+def _states(matrix):
+    # the circle states M^k (1, 0) for k = 1, 2, ...: the first coordinate
+    # u_k from the chain, the second from u_(k+1) = a u_k + b v_k
+    (a, b), _ = matrix
+    values = chain(matrix)
+    u = next(values)
+    for u_next in values:
+        yield u, (u_next - a * u).exact_div(b)
+        u = u_next
+
+
+@pytest.fixture
+def glued(monkeypatch):
+    # every value drawn from the chain tqft glues with, one per holed torus
+    drawn = []
+
+    def counted_chain(matrix):
+        for u in chain(matrix):
+            drawn.append(u)
+            yield u
+
+    monkeypatch.setattr(tqft, "chain", counted_chain)
+    return drawn
+
+
+@pytest.fixture
+def divided(monkeypatch):
+    # the divisor of every exact division, in order
+    divisors, exact_div = [], IntPoly.exact_div
+
+    def counted_div(self, d):
+        divisors.append(d)
+        return exact_div(self, d)
+
+    monkeypatch.setattr(IntPoly, "exact_div", counted_div)
+    return divisors
+
+
 class TestApplyTransfer:
+    """One pass of the transfer matrix over a circle state, read from its chain."""
+
     def test_image_of_the_identity_generator(self, data):
-        out = apply_transfer(CircleState(ONE, ZERO), data.matrix)
-        assert out.c_i == GROUP * (Q**3 - Q**2)
-        assert out.c_j == GROUP * (Q**3 - 2 * Q**2)
+        assert next(_states(data.matrix)) == (GROUP * (Q**3 - Q**2), GROUP * (Q**3 - 2 * Q**2))
 
     def test_linearity_at_zero(self, data):
-        out = apply_transfer(CircleState(ZERO, ZERO), data.matrix)
-        assert out.c_i == ZERO and out.c_j == ZERO
+        # a matrix sending (1, 0) to the zero state keeps it there
+        (_, b), (_, d) = data.matrix
+        zero_column = ((ZERO, b), (ZERO, d))
+        assert list(itertools.islice(chain(zero_column), 4)) == [ZERO] * 4
 
     def test_image_of_the_punctured_generator(self, data):
-        out = apply_transfer(CircleState(ZERO, ONE), data.matrix)
-        assert out.c_i == data.fiber_identity_twisted
-        assert out.c_j == data.fiber_generic_twisted
+        # M (0, 1) is the image of (1, 0) under M with the generators swapped
+        (a, b), (c, d) = data.matrix
+        swapped = ((d, c), (b, a))
+        assert next(_states(swapped)) == (data.fiber_generic_twisted, data.fiber_identity_twisted)
 
 
 class TestCloseSurface:
@@ -117,40 +154,45 @@ class TestCloseSurface:
             cmd_tqft(0)
 
     def test_semigroup_law(self, data):
-        state = CircleState(ONE, ZERO)
-        for genus in range(1, 6):
-            state = apply_transfer(state, data.matrix)
-            assert state.c_i == data.group_class**genus * close_surface(genus, data)
+        for genus, c_i in zip(range(1, 6), chain(data.matrix)):
+            assert c_i == data.group_class**genus * close_surface(genus, data)
 
     def test_projection_law(self, data):
         # gluing by hand and projecting onto the identity coordinate agrees
         # with close_surface
-        state = CircleState(ONE, ZERO)
-        for genus in range(1, 6):
-            state = apply_transfer(state, data.matrix)
-            assert state.c_i.exact_div(data.group_class**genus) == close_surface(genus, data)
+        for genus, c_i in zip(range(1, 6), chain(data.matrix)):
+            assert c_i.exact_div(data.group_class**genus) == close_surface(genus, data)
 
     def test_gluing_matches_the_matrix_power(self, data, power_class):
         # the route that does not glue: top-left of M^g from 2x2 products
         for genus in range(1, 13):
             assert close_surface(genus, data) == power_class(data.matrix, genus)
 
-    def test_one_sweep_gives_every_genus(self, data, monkeypatch):
-        glued = []
-        glue = tqft.apply_transfer
-
-        def counted_glue(state, matrix):
-            glued.append(1)
-            return glue(state, matrix)
-
-        monkeypatch.setattr(tqft, "apply_transfer", counted_glue)
-        assert surface_classes(data.matrix, 12) == [rep_class(g) for g in range(1, 13)]
+    def test_one_sweep_gives_every_genus(self, data, glued):
+        assert surface_classes(data.matrix, range(1, 13)) == {g: rep_class(g) for g in range(1, 13)}
         assert len(glued) == 12
 
-    def test_failed_division_is_fatal(self, data):
-        # a state whose identity coordinate is not a multiple of q(q-1)
+    def test_only_the_genera_asked_are_capped(self, data, glued, divided):
+        assert surface_classes(data.matrix, [9, 2, 5]) == {g: rep_class(g) for g in (2, 5, 9)}
+        assert len(glued) == 9
+        assert divided == [GROUP**2, GROUP**5, GROUP**9]
+
+    @pytest.mark.parametrize("genus", [1, 2, 7])
+    def test_close_surface_glues_g_tori_and_caps_once(self, data, glued, divided, genus):
+        assert close_surface(genus, data) == rep_class(genus)
+        assert len(glued) == genus
+        assert divided == [GROUP**genus]
+
+    def test_genera_below_one_are_rejected(self, data):
+        with pytest.raises(GenusOutOfRange):
+            surface_classes(data.matrix, [0, 3])
+        with pytest.raises(GenusOutOfRange):
+            surface_classes(data.matrix, [])
+
+    def test_failed_division_is_fatal(self):
+        # a matrix whose chain starts at a class that is not a multiple of q(q-1)
         with pytest.raises(NotDivisible):
-            cap(CircleState(Q + ONE, ZERO), 1)
+            surface_classes(((Q + ONE, ZERO), (ZERO, ZERO)), [1])
 
 
 class TestReconstruction:
@@ -163,11 +205,11 @@ class TestReconstruction:
         assert d == (Q**2 - 3 * Q + 3) * QM1 * Q**3
 
     def test_reconstructed_matrix_reproduces_the_classes(self, data, power_class):
-        a, b, d = reconstruct_transfer(*surface_classes(data.matrix, 3))
-        matrix = PolyMatrix.from_rows([[a, b], [ONE, d]])
+        a, b, d = reconstruct_transfer(*surface_classes(data.matrix, range(1, 4)).values())
+        matrix = ((a, b), (ONE, d))
         for genus in range(1, 7):
             assert power_class(matrix, genus) == close_surface(genus, data)
-        assert surface_classes(matrix, 6) == surface_classes(data.matrix, 6)
+        assert surface_classes(matrix, range(1, 7)) == surface_classes(data.matrix, range(1, 7))
 
     def test_zero_data_is_degenerate(self):
         with pytest.raises(ReconstructionError):
@@ -198,9 +240,9 @@ class TestEigenIdentities:
 
     def test_trace_and_determinant_expansions(self, data):
         # independent symbolic expansion of the normalized matrix
-        m = data.matrix.exact_div_scalar(data.group_class)
-        trace = m.entry(0, 0) + m.entry(1, 1)
-        det = m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
+        (a, b), (c, d) = ([e.exact_div(data.group_class) for e in row] for row in data.matrix)
+        trace = a + d
+        det = a * d - b * c
         assert trace == Q**2 + Q**2 * QM1**2
         assert det == Q**4 * QM1**2
 
@@ -216,8 +258,8 @@ def _charge_shape(entries):
 class TestPolynomialGuardModel:
     def test_powers_stay_within_the_modelled_span_and_bits(self, data):
         # gluing_charges takes a state of k tori to degree 6k with 3k-bit coefficients
-        for k, state in zip(range(1, 65), glued_states(data.matrix)):
-            low, degree, bits = _charge_shape([state.c_i, state.c_j])
+        for k, state in zip(range(1, 65), _states(data.matrix)):
+            low, degree, bits = _charge_shape(state)
             assert low >= 3 * k and degree <= 6 * k and bits <= 3 * k
 
     def test_charges_follow_the_matrix_shape(self, data):
@@ -225,7 +267,8 @@ class TestPolynomialGuardModel:
         # with 80-bit coefficients weighs two words per product from the start
         charges = list(itertools.islice(tqft.gluing_charges(data.matrix), 3))
         assert charges == [(14, 5 * 3), (14 * 7, 9 * 5), (14 * 13, 13 * 7)]
-        wide = list(itertools.islice(tqft.gluing_charges(data.matrix.scale(2**77)), 2))
+        wide_matrix = tuple(tuple(2**77 * e for e in row) for row in data.matrix)
+        wide = list(itertools.islice(tqft.gluing_charges(wide_matrix), 2))
         assert wide == [(14 * 2, 5 * 3 * 2), (14 * 7 * 2, 9 * 5 * 3)]
 
     def test_matrix_charge_tracks_the_products_performed(self, data, monkeypatch):

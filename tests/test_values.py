@@ -7,10 +7,10 @@ import pytest
 
 from affrep.affcount import AffElem, CountRecord
 from affrep.cli import Report
-from affrep.exactpoly import ONE, Q, IntPoly, PolyMatrix
+from affrep.exactpoly import ONE, Q, IntPoly
 from affrep.finitefield import make_field
 from affrep.interpolate import EPolyResult, SamplePlan
-from affrep.tqft import CircleState, TransferData, build_transfer
+from affrep.tqft import TransferData, build_transfer
 
 
 def _transfer_data():
@@ -29,12 +29,10 @@ def _transfer_data():
 # field named beside it is one the test tries to assign
 FROZEN = {
     "IntPoly": (lambda: IntPoly([1, 2]), "coeffs"),
-    "PolyMatrix": (lambda: PolyMatrix(1, 2, [Q, ONE]), "rows"),
     "FieldSpec": (lambda: make_field(3, 2), "p"),
     "FqElem": (lambda: make_field(3, 2).from_int(5), "coeffs"),
     "AffElem": (lambda: AffElem(make_field(5, 1).from_int(2), make_field(5, 1).one()), "b"),
     "SamplePlan": (lambda: SamplePlan(1, (2, 3, 4, 5)), "genus"),
-    "CircleState": (lambda: CircleState(ONE, Q), "c_i"),
     "TransferData": (_transfer_data, "matrix"),
 }
 
