@@ -33,9 +33,10 @@ for q, (p, n) in [(2, (2, 1)), (3, (3, 1)), (4, (2, 2)), (5, (5, 1))]:
     print(f"  q={q}: naive={naive} semi={semi} closed={closed}  [{marker}]")
 
 # naive counts on the group-law table alone, |G|^2 = (q(q-1))^2 entries: the
-# commuting pairs at genus 1, and above it the tuples folded by the value of
-# their commutator product; semi counts one handle's commutators from q
-# alone and chains the handles by a 2x2 recurrence
+# commuting pairs at genus 1, |G| per conjugacy class, from q class gathers
+# of about 3|G| steps (an abelian table would take |G| of them), and above it
+# the tuples folded by the value of their commutator product; semi counts one
+# handle's commutators from q alone and chains the handles by a 2x2 recurrence
 f19 = make_field(19, 1)
 record = count_semi(f19, 3)
 print(f"\ngenus 3 over F_19: {record.count}")

@@ -6,7 +6,8 @@ the identity.  Two independent engines count them; a third evaluates the closed 
 
 * ``count_naive``  -- the table oracle: the group-law table is composed from
   the index tables of F_q and :func:`count_group_generic` counts the
-  tuples on it, the commuting pairs at genus 1 and otherwise by folding
+  tuples on it, at genus 1 the commuting pairs as |G| times the number of
+  conjugacy classes (:func:`conjugacy_classes`) and otherwise by folding
   them by the value of their commutator product (:func:`oracle_counts`,
   one sweep for every genus up to a bound),
 * ``count_semi``   -- one handle at a time: its commutators are counted by
@@ -27,7 +28,7 @@ import itertools
 import random
 import time
 from collections import Counter, defaultdict
-from operator import eq, itemgetter
+from operator import eq, getitem, itemgetter
 from typing import Iterable, Sequence
 
 from .exactpoly import Immutable, Record, chain
@@ -186,9 +187,11 @@ def count_naive(field: FieldSpec, genus: int, budget: Budget | None = None) -> C
     Builds :func:`aff_group_table`, with |G| = q(q - 1), and takes the
     count of :func:`count_group_generic` on it, which charges (g + 1)|G|^2
     to ``budget`` (a fresh default-guard :class:`Budget` if None); a charge
-    over the guard is refused before the table is built.  The default guard
-    admits genus 1 up to q = 83 and refuses q = 89.  Memory is the table,
-    8 bytes of pointer per entry: at q = 47 (|G|^2 = 4.67 million entries)
+    over the guard is refused before the table is built.  At genus 1 the
+    count takes q class gathers of about 3|G| steps each, as Aff(1, F_q)
+    has q conjugacy classes.  The default guard admits genus 1 up to q = 83
+    and refuses q = 89.  Memory is the table, 8 bytes of pointer per
+    entry: at q = 47 (|G|^2 = 4.67 million entries)
     ``count`` peaks at 58 MB of VmHWM (2-core Xeon, CPython 3.11.7).
     """
     t0 = time.perf_counter()
@@ -317,7 +320,7 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
         inv.append(y)
     for x, y in _associativity_pairs(n):
         row = table[x]
-        left, right = list(table[row[y]]), [row[z] for z in table[y]]
+        left, right = tuple(table[row[y]]), _gather(table[y])(row)
         if left != right:
             z = list(map(eq, left, right)).index(False)
             raise InvalidGroupTable(f"associativity fails on ({x}, {y}, {z})")
@@ -342,14 +345,36 @@ def _associativity_pairs(n: int) -> Iterable[tuple[int, int]]:
     return zip(picks[0::2], picks[1::2])
 
 
-def _commuting_pairs(table: Sequence[Sequence[int]]) -> int:
-    # the pairs with x y = y x: row x against column x above the diagonal,
-    # compared in C, doubled for the pairs below it, plus the |G| on it
-    upper = sum(
-        sum(map(eq, row[x + 1 :], map(itemgetter(x), table[x + 1 :])))
-        for x, row in enumerate(table)
-    )
-    return 2 * upper + len(table)
+def _gather(indices: Sequence[int]):
+    # a C-level gather of a sequence at ``indices``, as a tuple: itemgetter of
+    # one index returns the item itself, hence the trivial group's own
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    (index,) = indices
+    return lambda row: (row[index],)
+
+
+def conjugacy_classes(table: Sequence[Sequence[int]], inv: Sequence[int]) -> list[frozenset[int]]:
+    """The conjugacy classes of a validated group table, in order of least element.
+
+    ``inv`` holds the inverse of every element, as :func:`validate_group_table`
+    returns them.  Each pass takes the least unclassified x and gathers its
+    class {y x y^-1 : y in G} in C: column x of the table is y x for every y,
+    and row y x read at y^-1 is y x y^-1.  So each class costs one gather of
+    about 3|G| steps, k(G) gathers in all, and the centralizer of x has
+    |G| / |class of x| elements.  Aff(1, F_q) has k = q classes, so the pass
+    takes about 3q|G| steps; an abelian table is the worst case, as each of
+    its |G| classes is a singleton and the pass takes about 3|G|^2 steps.
+    """
+    classes: list[frozenset[int]] = []
+    classified: set[int] = set()
+    for x in range(len(table)):
+        if x not in classified:
+            conjugates = map(table.__getitem__, map(itemgetter(x), table))
+            found = frozenset(map(getitem, conjugates, inv))
+            classes.append(found)
+            classified |= found
+    return classes
 
 
 def oracle_counts(
@@ -373,8 +398,7 @@ def oracle_counts(
     inv = validate_group_table(table, identity)
     # [x, y] = (x y)(x^-1 y^-1) for one x per row, read from the rows of x and
     # x^-1 alone: the latter is gathered at the inverses once per row, in C
-    # (itemgetter of one index returns no tuple, hence the trivial group's own)
-    at_inverses = itemgetter(*inv) if len(inv) > 1 else lambda row: [row[inv[0]]]
+    at_inverses = _gather(inv)
     h: Counter = Counter()
     for row, inv_x in zip(table, inv):
         h.update([table[xy][xiyi] for xy, xiyi in zip(row, at_inverses(table[inv_x]))])
@@ -399,18 +423,22 @@ def count_group_generic(
     Independent of any affine structure: an oracle for cross-checking the
     other engines on the same group fed back as an opaque table.  At genus 1
     a handle (x, y) has commutator the identity exactly when x y = y x, so
-    the count is the commuting pairs, read off the validated table by
-    comparing each row with its column above the diagonal: |G|^2 / 2
-    comparisons in C and no commutator built.  At genus >= 2 it is the last
-    count of :func:`oracle_counts`, which folds the tuples by the value of
-    their commutator product.  Either way (g + 1)|G|^2 is charged to
-    ``budget`` (a fresh default-guard :class:`Budget` if None) first.
+    the count is the commuting pairs.  The y that commute with x are its
+    centralizer, of |G| / |class of x| elements, so each conjugacy class
+    holds |G| commuting pairs and the count is |G| k(G), by the class
+    equation: k(G) class gathers of about 3|G| steps in C over the validated
+    table (:func:`conjugacy_classes`), and no commutator built.  An abelian
+    table is the worst case, with |G| classes of one element.  At genus >= 2
+    it is the last count of :func:`oracle_counts`, which folds the tuples by
+    the value of their commutator product.  Either way (g + 1)|G|^2 is
+    charged to ``budget`` (a fresh default-guard :class:`Budget` if None)
+    first, which bounds the pass on an abelian table too.
     """
     if genus > 1:
         return oracle_counts(table, identity, genus, budget)[0][-1]
     (budget or Budget()).charge(*_table_charge(len(table), genus))
-    validate_group_table(table, identity)
-    return _commuting_pairs(table)
+    inv = validate_group_table(table, identity)
+    return len(table) * len(conjugacy_classes(table, inv))
 
 
 def _addition_rows(field: FieldSpec, elems: list[FqElem]) -> list[list[int]]:

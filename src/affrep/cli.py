@@ -38,6 +38,7 @@ from .affcount import (
     Budget,
     aff_group_table,
     charge_ahead,
+    conjugacy_classes,
     count_charge,
     count_digits_bound,
     count_points,
@@ -376,9 +377,11 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     interpolation plan (:func:`_semi_chains`), and only the oracle's four
     fields are built.  One :func:`~affrep.affcount.oracle_counts` sweep per
     table gives the oracle's counts and its handle commutators h, which must
-    equal ``semi``'s :func:`~affrep.affcount.handle_distribution`.  One
-    budget takes every charge; the chains' and the sweeps' total is refused
-    before any field, table or polynomial work.
+    equal ``semi``'s :func:`~affrep.affcount.handle_distribution`; h at the
+    identity, the commuting pairs tallied one by one, must also equal |G|
+    k(G) from the table's :func:`~affrep.affcount.conjugacy_classes`, by the
+    class equation.  One budget takes every charge; the chains' and the
+    sweeps' total is refused before any field, table or polynomial work.
     """
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
@@ -395,7 +398,10 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     sweeps = {}
     for p, n in ORACLE_FIELDS:
         table, ident = aff_group_table(make_field(p, n))
-        sweeps[p**n] = (ident, *oracle_counts(table, ident, oracle_genus, budget))
+        counts, h = oracle_counts(table, ident, oracle_genus, budget)
+        # the sweep validated the table, so each row holds the identity once, at the inverse
+        inv = [row.index(ident) for row in table]
+        sweeps[p**n] = (ident, counts, h, len(table), len(conjugacy_classes(table, inv)))
     checks = []
     geometric = {g: rep_class(g) for g in surfaces}
     transfers = surface_classes(matrix, surfaces)
@@ -408,10 +414,10 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         name = f"interpolation_vs_stratification_g{g}"
         checks.append(_check(name, interp == geometric[g], f"interpolated {interp}"))
     for g in range(1, oracle_genus + 1):
-        for q, (_, naive_counts, _) in sweeps.items():
+        for q, (_, naive_counts, *_) in sweeps.items():
             naive, semi = naive_counts[g - 1], chains[q][g]
             checks.append(_check(f"naive_vs_semi_g{g}_q{q}", naive == semi, f"{naive} vs {semi}"))
-    for q, (ident, _, h) in sweeps.items():
+    for q, (ident, _, h, order, classes) in sweeps.items():
         # semi and tqft assume one handle's commutator is a translation, equally
         # often each nonzero one, (N0, N1) times; the oracle's h, from the
         # table alone, tests it
@@ -424,6 +430,8 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         )
         ok = outside == 0 and [h[ident], *nonzero] == list(handle_distribution(q))
         checks.append(_check(f"handle_commutators_on_translations_q{q}", ok, details))
+        details = f"{h[ident]} commuting pairs vs |G| k(G) = {order} * {classes}"
+        checks.append(_check(f"class_equation_q{q}", h[ident] == order * classes, details))
     rep_classes = {str(g): str(expected) for g, expected in geometric.items()}
     inputs = {"genus_max": genus_max, "guard": guard}
     return Report("verify", inputs, {"rep_classes": rep_classes}, checks)

@@ -1,6 +1,7 @@
 """The affine group and the counting engines."""
 
 import itertools
+import operator
 import random
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from affrep.affcount import (
     aff_group_table,
     aff_identity,
     commutator,
+    conjugacy_classes,
     count_digits_bound,
     count_group_generic,
     count_naive,
@@ -519,7 +521,9 @@ class TestGenericEngine:
                 if "associativity" not in str(exc):
                     continue
                 x, y, z = map(int, str(exc).split("(")[1].rstrip(")").split(", "))
+                # the first z of the row pair (x, y) at which the rows differ
                 assert table[table[x][y]][z] != table[x][table[y][z]]
+                assert all(table[table[x][y]][w] == table[x][table[y][w]] for w in range(z))
                 refused += 1
         assert refused > len(tables) // 2
 
@@ -545,12 +549,28 @@ class TestGenericEngine:
             assert all(table[y][x] == ident for x, y in enumerate(expected))
             assert validate_group_table(table, ident) == expected
 
+    def test_rows_may_be_tuples(self):
+        # rows compared after a gather are tuples either way
+        for _, table, ident in _small_tables():
+            rows = [tuple(row) for row in table]
+            assert validate_group_table(rows, ident) == validate_group_table(table, ident)
+
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_rejects_out_of_range_entry(self, bad):
         table = [[(i + j) % 5 for j in range(5)] for i in range(5)]
         table[3][4] = bad
         with pytest.raises(InvalidGroupTable, match="element indices"):
             count_group_generic(table, 0, 1)
+
+
+def _commuting_pairs(table):
+    # the pairs with x y = y x: row x against column x above the diagonal,
+    # doubled for the pairs below it, plus the |G| on it
+    upper = sum(
+        sum(map(operator.eq, row[x + 1 :], map(operator.itemgetter(x), table[x + 1 :])))
+        for x, row in enumerate(table)
+    )
+    return 2 * upper + len(table)
 
 
 def _brute_force_count(table, identity, genus):
@@ -673,9 +693,57 @@ class TestOracleOnRelabelledTables:
             if n ** (2 * genus) <= 10**5:
                 assert count == _brute_force_count(relabelled, ident, genus)
         assert oracle_counts(relabelled, ident, 3)[0] == singles
-        # the commuting pairs read row against column: the diagonal and the
-        # triangle's bounds must not depend on where the labels put them
+        # the classes are gathered from the least unclassified label up, so
+        # their order moves with the labels, their sizes must not
         assert singles[0] == count_group_generic(table, identity, 1)
+        assert singles[0] == _commuting_pairs(relabelled)
+        classes = conjugacy_classes(relabelled, validate_group_table(relabelled, ident))
+        original = conjugacy_classes(table, validate_group_table(table, identity))
+        assert sorted(map(len, classes)) == sorted(map(len, original))
+
+
+# Aff(1, F_q) for q <= 16 in the reference grid, Z_n for n <= 12, Q8 and S3
+CLASS_EQUATION_GROUPS = [
+    (f"aff{q}", aff_group_table(make_field(*prime_power(q)))) for q in REFERENCE_GRID if q <= 16
+] + [group for group in RELABELLING_GROUPS if not group[0].startswith("aff")]
+
+
+class TestConjugacyClasses:
+    @pytest.mark.parametrize("q", [q for q in REFERENCE_GRID if q <= 16])
+    def test_class_sizes_of_aff(self, q):
+        # the identity, the q - 1 nontrivial translations, and for each scaling
+        # a != 1 its q elements (a, b); the centralizers are G, F_q and a torus
+        # of order q - 1, |G| over each size.  F_2 is abelian: two singletons.
+        table, ident = aff_group_table(make_field(*prime_power(q)))
+        classes = conjugacy_classes(table, validate_group_table(table, ident))
+        assert sorted(map(len, classes)) == sorted([1, q - 1] + [q] * (q - 2))
+        assert {ident} in classes
+
+    def test_classes_of_aff_f3(self):
+        # (a, b) has index (idx(a) - 1) * 3 + idx(b): the identity is 0, the
+        # translations 1 and 2, and the scalings by 2 are 3, 4 and 5
+        table, ident = aff_group_table(F3)
+        assert conjugacy_classes(table, validate_group_table(table, ident)) == [
+            {0},
+            {1, 2},
+            {3, 4, 5},
+        ]
+
+    @pytest.mark.parametrize(
+        "table,ident", [pytest.param(*group, id=name) for name, group in CLASS_EQUATION_GROUPS]
+    )
+    def test_class_equation_counts_the_commuting_pairs(self, table, ident):
+        # the classes partition G in order of least element, each is the set
+        # of z with y x = z y for some y, and |G| k(G) is the row-against-
+        # column count (an abelian table has |G| singleton classes)
+        n = len(table)
+        classes = conjugacy_classes(table, validate_group_table(table, ident))
+        assert sorted(itertools.chain.from_iterable(classes)) == list(range(n))
+        assert [min(c) for c in classes] == sorted(min(c) for c in classes)
+        for c in classes:
+            x = min(c)
+            assert c == {z for z in range(n) if any(table[y][x] == table[z][y] for y in range(n))}
+        assert n * len(classes) == _commuting_pairs(table) == count_group_generic(table, ident, 1)
 
 
 class TestDispatch:

@@ -692,6 +692,22 @@ class TestVerify:
             "0 off the translation subgroup"
         )
 
+    def test_class_equation(self):
+        checks = {c["name"]: c for c in cmd_verify(1).checks}
+        for q in (2, 3, 4, 5):
+            assert checks[f"class_equation_q{q}"]["pass"]
+        details = checks["class_equation_q5"]["details"]
+        assert details == "100 commuting pairs vs |G| k(G) = 20 * 5"
+
+    def test_class_equation_is_checked_against_the_tally(self, monkeypatch):
+        # a pass that loses a class fails only the class equation, at every q
+        def one_class_lost(table, inv):
+            return affcount.conjugacy_classes(table, inv)[1:]
+
+        monkeypatch.setattr(cli, "conjugacy_classes", one_class_lost)
+        failed = [c["name"] for c in cmd_verify(2).checks if not c["pass"]]
+        assert failed == [f"class_equation_q{q}" for q in (2, 3, 4, 5)]
+
     @pytest.mark.parametrize("shift", [(1, 0), (0, 1)])
     def test_handle_commutators_are_checked_against_semi(self, monkeypatch, shift):
         # h has the right shape at every q, so only semi's (N0, N1) can fail it
