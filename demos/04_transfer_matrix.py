@@ -33,9 +33,10 @@ a, b, d = reconstruct_transfer(
 print("\nreconstructed from genus 1-3 data (lower-left normalized to 1):")
 print(f"  a = {a}\n  b = {b}\n  d = {d}")
 
-# gluing by hand: the chain passes the disc's state (1, 0) through the
-# matrix once per holed torus and keeps the identity coordinate; the cap is
-# one exact division by the g-th power of the group class
+# gluing by hand: the chain gives the identity coordinate of k glued tori,
+# the top-left entry of M^k, by the recurrence x_k = tr(M) x_(k-1) - det(M)
+# x_(k-2), two products per holed torus; the cap is one exact division by
+# the g-th power of the group class
 print()
 glued = next(islice(chain(data.matrix), 2, None))  # three holed tori
 capped = glued.exact_div(data.group_class**3)

@@ -231,7 +231,8 @@ def semi_counts(q: int, genera: Iterable[int], budget: Budget | None = None) -> 
 
     over (u, v) from (1, 0), where u counts tuples whose commutator
     product is the identity and v those whose product is one fixed nonzero
-    translation; the genus-g count is u after pass g, the g-th value of
+    translation; the genus-g count is u after pass g, the top-left entry
+    of the g-th power, which is the g-th value of
     :func:`~affrep.exactpoly.chain`.  One chain to the highest genus asked
     keeps the genera asked.  Its steps, weighted by the 64-bit words of the
     counts (:func:`count_charge`), are charged once to ``budget`` (a fresh

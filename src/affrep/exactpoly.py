@@ -4,7 +4,8 @@ Polynomials live in Z[q] with a dense coefficient list, index i holding
 the coefficient of q^i.  Coefficients are Python ints, so there is no
 overflow and no rounding anywhere; every operation here is exact or raises.
 A 2x2 matrix is a plain pair of rows ``((a, b), (c, d))``, over ints or
-polynomials; :func:`chain` iterates it.
+polynomials; :func:`chain` gives the top-left entries of its powers by
+the Cayley-Hamilton recurrence.
 
 The zero polynomial stores an empty coefficient tuple and its ``degree`` is
 ``None`` rather than an integer, so a degree of -1 can never be confused
@@ -239,20 +240,38 @@ ONE = IntPoly([1])
 Q = IntPoly([0, 1])
 
 
-def chain(matrix) -> Iterator:
-    """The first coordinate of M^k (1, 0) for k = 1, 2, ..., without end.
+def cayley_hamilton(matrix) -> tuple:
+    """tr(M) and -det(M) = bc - ad, the coefficients of M^2 = tr(M) M - det(M) I.
 
     ``matrix`` is M as its rows ``((a, b), (c, d))``, over ints or
-    :class:`IntPoly`.  Each step after the first is one pass of M over the
-    vector (u, v): four products, each with M's entry on the left, and two
-    sums.
+    :class:`IntPoly`; forming -det(M) takes the two products bc and ad.
+
+    >>> cayley_hamilton(((1, 1), (1, 0)))
+    (1, 1)
+    """
+    (a, b), (c, d) = matrix
+    return a + d, b * c - a * d
+
+
+def chain(matrix) -> Iterator:
+    """The top-left entry x_k of M^k for k = 1, 2, ..., without end.
+
+    ``matrix`` is M as its rows ``((a, b), (c, d))``, over ints or
+    :class:`IntPoly`.  By Cayley-Hamilton the entries follow
+    x_k = tr(M) x_(k-1) - det(M) x_(k-2) from x_0 = 1 and x_1 = a.  The
+    first value is a itself and the second tr(M) a - det(M), with tr(M) and
+    -det(M) formed once, before it (:func:`cayley_hamilton`).  Each later
+    value is two products, each with the matrix-derived factor on the left,
+    and one sum.
 
     >>> from itertools import islice
     >>> list(islice(chain(((1, 1), (1, 0))), 6))
     [1, 2, 3, 5, 8, 13]
     """
-    (a, b), (c, d) = matrix
-    u, v = a, c
+    (a, _), _ = matrix
+    yield a
+    trace, codet = cayley_hamilton(matrix)
+    prev, x = a, trace * a + codet
     while True:
-        yield u
-        u, v = a * u + b * v, c * u + d * v
+        yield x
+        prev, x = x, trace * x + codet * prev

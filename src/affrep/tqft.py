@@ -8,9 +8,12 @@ class supported at the identity and the class supported on the punctured
 translation subgroup; the matrix columns are the classes of the commutator
 map's fibers over those loci.
 
-The holed tori are glued onto the disc one at a time, each a pass of the
-matrix (:func:`~affrep.exactpoly.chain`), and the surface is capped by an
-exact division, so one chain gives every genus (:func:`surface_classes`).
+The holed tori are glued onto the disc one at a time by the matrix's
+Cayley-Hamilton recurrence: the top-left entry x_k of M^k, the identity
+coordinate of k glued tori, is tr(M) x_(k-1) - det(M) x_(k-2), two
+products per torus (:func:`~affrep.exactpoly.chain`).  Each genus asked is
+then capped by an exact division, so one chain gives every genus
+(:func:`surface_classes`).
 
 Everything stays in Z[q] with exact division instead of localizing away
 q and q - 1, so each step is checkable; results hold up to annihilators of
@@ -22,7 +25,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Iterable, Iterator
 
-from .exactpoly import ONE, Q, Immutable, IntPoly, chain
+from .exactpoly import ONE, Q, Immutable, IntPoly, cayley_hamilton, chain, power
 from .geomstrat import GenusOutOfRange
 
 LOCALIZATION_CAVEAT = (
@@ -129,26 +132,69 @@ def close_surface(genus: int, data: TransferData | None = None) -> IntPoly:
     return surface_classes(data.matrix, (genus,))[genus]
 
 
+def _shape(p: IntPoly) -> tuple[int, int, int, int]:
+    # nonzero coefficients, lowest nonzero power, degree (-1 for zero) and widest bits
+    powers = [i for i, c in enumerate(p.coeffs) if c]
+    bits = max((abs(c).bit_length() for c in p.coeffs), default=0)
+    return len(powers), powers[0] if powers else 0, len(p.coeffs) - 1, bits
+
+
+def _power_products(e: int, span: int, degree: int) -> int:
+    # coefficient products of exactpoly.power raising a polynomial to e >= 1, when
+    # its i-th power has at most span * i + 1 nonzero coefficients of degree * i + 1;
+    # power runs on the exponents, so the schedule is the one it follows
+    products = []
+
+    def product(i: int, j: int) -> int:
+        products.append((span * i + 1) * (degree * j + 1))
+        return i + j
+
+    power(1, e, 0, product)
+    return sum(products)
+
+
 def gluing_charges(matrix: Matrix) -> Iterator[tuple[int, int]]:
     """Weighted coefficient products of gluing the g-th torus and of capping at g.
 
-    Yields the pair for g = 1, 2, ...; a state of k tori has at most k times
-    the matrix's degree and widest coefficient's bits.  Gluing multiplies each
-    nonzero entry coefficient by every state coefficient, capping each quotient
-    coefficient by every coefficient of :data:`GROUP_CLASS`^g.  A product
-    weighs the 64-bit words of its wider factor: up to about a thousand bits
-    the loop dominates, so it costs about as many word-sized products.
+    Yields the pair for g = 1, 2, ..., following :func:`~affrep.exactpoly.chain`.
+    The first torus is the entry a and costs nothing; the second forms
+    -det(M) = bc - ad and multiplies tr(M) by a.  From the third on, gluing
+    the k-th multiplies each nonzero coefficient of tr(M) by every
+    coefficient of the state x_(k-1), and each of -det(M) by every one of
+    x_(k-2).  A state's powers lie between the lowest and the highest that
+    the recurrence reaches, and its bits are at most k times the widest entry
+    coefficient's.  Capping at g raises :data:`GROUP_CLASS` to g and divides
+    by the power, multiplying every divisor coefficient by each quotient
+    coefficient, which lies in the state's span less the divisor's.  A
+    product weighs the 64-bit words of its wider factor: up to about a
+    thousand bits the loop dominates, so it costs about as many word-sized
+    products.
     """
-    entries = [e for row in matrix for e in row]
-    nonzero = sum(1 for e in entries for c in e.coeffs if c)
-    degree = max(e.degree or 0 for e in entries)
-    bits = max(abs(c).bit_length() for e in entries for c in e.coeffs)
-    divisor = GROUP_CLASS.degree
+    (a, b), (c, d) = matrix
+    factors = [_shape(p) for p in cayley_hamilton(matrix)]  # tr(M) and -det(M)
+    bits = max(_shape(e)[3] for row in matrix for e in row)
+    forming = (_shape(b)[0] * len(c.coeffs) + _shape(a)[0] * len(d.coeffs)) * -(-bits // 64)
+    _, divisor_low, divisor_high, _ = _shape(GROUP_CLASS)
+    divisor_span = divisor_high - divisor_low
+    # the lowest power and the degree of x_(g-1) and of x_g, from x_0 = 1 and x_1 = a
+    states = [(0, 0), _shape(a)[1:3]]
+    glue = 0
     for g in count(1):
-        # the first gluing's wider factor is the matrix's, later ones the state's
-        glue = nonzero * (degree * (g - 1) + 1) * -(-bits * max(g - 1, 1) // 64)
-        capping = ((degree - divisor) * g + 1) * (divisor * g + 1) * -(-bits * g // 64)
-        yield glue, capping
+        low, high = states[1]
+        quotient = max(high - low - divisor_span * g + 1, 0)
+        divisor = _power_products(g, divisor_span, divisor_high)
+        yield glue, (quotient * (divisor_high * g + 1) + divisor) * -(-bits * g // 64)
+        # x_(g+1) = tr(M) x_g - det(M) x_(g-1); the first step also forms -det(M)
+        glue = forming if g == 1 else 0
+        reach = []
+        for (nonzero, f_low, f_high, f_bits), (s_low, s_high), k in zip(
+            factors, states[::-1], (g, g - 1)
+        ):
+            if k:  # x_0 = 1 is added, not multiplied
+                glue += nonzero * (s_high + 1) * -(-max(f_bits, bits * k) // 64)
+            reach.append((f_low + s_low, f_high + s_high))
+        lows, highs = zip(*reach)
+        states = [states[1], (min(lows), max(highs))]
 
 
 def reconstruct_transfer(

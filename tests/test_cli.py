@@ -439,13 +439,14 @@ class TestTqft:
     @pytest.mark.parametrize("command", ["tqft", "classes", "verify"])
     def test_guard(self, capsys, command):
         # three classes of (2g+1) w (1+w), w = ceil(2g/64); a sweep of gluing
-        # stops at its first genus over the guard: one gluing for tqft, and
-        # for verify one gluing, one capping and the genus-1 class
+        # stops at its first genus over the guard: for tqft the second gluing,
+        # as the first torus is the entry a and costs nothing, and for verify
+        # one capping, 9, and the genus-1 class, 6
         refusal = {
-            "tqft": "genus 100000 needs 14 coefficient products, weighted by 64-bit words, "
-            "for gluing and capping at genus 1 ",
+            "tqft": "genus 100000 needs 69 coefficient products, weighted by 64-bit words, "
+            "for gluing and capping at genus 2 ",
             "classes": "genus 100000 needs 5861279306250 ",
-            "verify": "genus 100000 needs 35 coefficient products, weighted by 64-bit words, "
+            "verify": "genus 100000 needs 15 coefficient products, weighted by 64-bit words, "
             "for gluing, capping and classes at genus 1 ",
         }[command]
         genus_flag = "--genus-max" if command == "verify" else "--genus"
@@ -480,9 +481,9 @@ class TestTqft:
     @pytest.mark.parametrize(
         "argv,first_work",
         [
-            (["tqft", "--genus", "384"], "close_surface"),
+            (["tqft", "--genus", "449"], "close_surface"),
             (["classes", "--genus", "2560"], "rep_class"),
-            (["verify", "--genus-max", "172"], "rep_class"),
+            (["verify", "--genus-max", "197"], "rep_class"),
         ],
     )
     def test_default_guard_boundary(self, capsys, monkeypatch, argv, first_work):
@@ -721,7 +722,7 @@ class TestVerify:
         assert failed == [f"handle_commutators_on_translations_q{q}" for q in (2, 3, 4, 5)]
 
     def test_oracle_guard_boundary(self, monkeypatch):
-        # the whole run charges 1964: gluing, capping and classes 35 + 153;
+        # the whole run charges 1901: gluing, capping and classes 15 + 110;
         # then, refused as one total before any field, group table or
         # polynomial work, the semi chains, one per q = 2, 3, 4, 5, 7, 8, 9,
         # 11 of the genus-2 plan, to genus 2, isqrt(q) - 1 trial divisions
@@ -734,11 +735,11 @@ class TestVerify:
         monkeypatch.setattr(cli, "aff_group_table", no_work)
         monkeypatch.setattr(cli, "surface_classes", no_work)
         with pytest.raises(BudgetExceeded, match=r"the semi chains and 1752 steps of table oracle "
-                           r"sweeps at g = 2, to q = 11, need 1776 units in all, .*, with 188 "
-                           r"already charged \(guard 1963\)"):
-            cmd_verify(2, guard=1963)
+                           r"sweeps at g = 2, to q = 11, need 1776 units in all, .*, with 125 "
+                           r"already charged \(guard 1900\)"):
+            cmd_verify(2, guard=1900)
         monkeypatch.undo()
-        assert cmd_verify(2, guard=1964).passed
+        assert cmd_verify(2, guard=1901).passed
 
     def test_one_semi_chain_per_field(self, monkeypatch, chains):
         # each q of the largest interpolation plan, smallest_prime_powers(4g)
@@ -951,7 +952,8 @@ class TestLedger:
         # the two genus-6 sweeps of --reconstruct come on top of gluing and capping
         assert run_cli(capsys, ["tqft", "--genus", "2"])[0] == 0
         plain = ledgers.pop().used
-        assert plain == 14 + 14 * 7 + 9 * 5
+        # genus 1 is not capped; genus 2 glues for 69 and caps for 31
+        assert plain == 69 + 31
         assert run_cli(capsys, ["tqft", "--genus", "2", "--reconstruct"])[0] == 0
         total = ledgers.pop().used
         first = sum(map(sum, itertools.islice(gluing_charges(build_transfer().matrix), 6)))

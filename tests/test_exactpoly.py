@@ -165,6 +165,17 @@ def _top_left_powers(matrix, count):
     return out
 
 
+_ENTRIES = st.integers(-50, 50)
+# matrices ((a, b), (c, d)): any, of trace 0, and of determinant 0 as outer products
+_MATRICES = st.one_of(
+    st.tuples(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES).map(lambda e: ((e[0], e[1]), (e[2], e[3]))),
+    st.tuples(_ENTRIES, _ENTRIES, _ENTRIES).map(lambda e: ((e[0], e[1]), (e[2], -e[0]))),
+    st.tuples(_ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES).map(
+        lambda e: ((e[0] * e[2], e[0] * e[3]), (e[1] * e[2], e[1] * e[3]))
+    ),
+)
+
+
 class TestChain:
     def test_fibonacci_numbers(self):
         assert list(itertools.islice(chain(((1, 1), (1, 0))), 10)) == [
@@ -178,15 +189,28 @@ class TestChain:
             "q", "q^2 + 1", "q^3 + 2q", "q^4 + 3q^2 + 1", "q^5 + 4q^3 + 3q"
         ]
 
-    @given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))
-    def test_integers_match_the_matrix_powers(self, entries):
-        a, b, c, d = entries
-        matrix = ((a, b), (c, d))
-        assert list(itertools.islice(chain(matrix), 8)) == _top_left_powers(matrix, 8)
+    @given(_MATRICES)
+    def test_integers_match_the_matrix_powers(self, matrix):
+        assert list(itertools.islice(chain(matrix), 12)) == _top_left_powers(matrix, 12)
 
     def test_polynomials_match_the_matrix_powers(self):
         matrix = _transfer_matrix()
         assert list(itertools.islice(chain(matrix), 5)) == _top_left_powers(matrix, 5)
+
+    def test_two_products_per_value_after_the_second(self, monkeypatch):
+        # the first value is the entry a; the second forms bc, ad and tr(M) a
+        matrix, calls, mul = _transfer_matrix(), [], IntPoly.__mul__
+
+        def counting_mul(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+        per_value = []
+        for _ in itertools.islice(chain(matrix), 12):
+            per_value.append(len(calls))
+            calls.clear()
+        assert per_value == [0, 3] + [2] * 10
 
 
 # every power of two and its predecessor, where the top bit moves, plus all of 0..300

@@ -255,6 +255,28 @@ def _charge_shape(entries):
     return low, degree, bits
 
 
+@pytest.fixture
+def counted_products(monkeypatch):
+    # the coefficient products performed: for each nonzero left coefficient
+    # one per right coefficient in IntPoly.__mul__, and one per divisor
+    # coefficient for each nonzero quotient coefficient in IntPoly.exact_div
+    performed = []
+    mul, exact_div = IntPoly.__mul__, IntPoly.exact_div
+
+    def counting_mul(self, other):
+        performed.append(sum(1 for c in self.coeffs if c) * len(other.coeffs))
+        return mul(self, other)
+
+    def counting_div(self, d):
+        quotient = exact_div(self, d)
+        performed.append(sum(1 for c in quotient.coeffs if c) * len(d.coeffs))
+        return quotient
+
+    monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(IntPoly, "exact_div", counting_div)
+    return performed
+
+
 class TestPolynomialGuardModel:
     def test_powers_stay_within_the_modelled_span_and_bits(self, data):
         # gluing_charges takes a state of k tori to degree 6k with 3k-bit coefficients
@@ -263,37 +285,28 @@ class TestPolynomialGuardModel:
             assert low >= 3 * k and degree <= 6 * k and bits <= 3 * k
 
     def test_charges_follow_the_matrix_shape(self, data):
-        # 14 nonzero entry coefficients, degree 6, 3-bit coefficients; a matrix
-        # with 80-bit coefficients weighs two words per product from the start
+        # tr(M) has 4 nonzero coefficients and -det(M) 5, all of 3 bits; a state
+        # of k tori spans powers 3k to 6k - 1.  Genus 1 glues nothing; genus 2
+        # forms bc and ad, 4 * 6 + 3 * 7, and tr(M) a, 4 * 6; genus 3 multiplies
+        # x_2 by tr(M) and x_1 by -det(M), 4 * 12 + 5 * 6.  Capping at g divides
+        # 2g quotient by 2g + 1 divisor coefficients after 3, 11 and 19 products
+        # raise q(q - 1) to g
         charges = list(itertools.islice(tqft.gluing_charges(data.matrix), 3))
-        assert charges == [(14, 5 * 3), (14 * 7, 9 * 5), (14 * 13, 13 * 7)]
+        assert charges == [(0, 2 * 3 + 3), (45 + 24, 4 * 5 + 11), (48 + 30, 6 * 7 + 19)]
+        # with 80-bit entries a product weighs two words, and one by -det(M),
+        # of 157 bits, three
         wide_matrix = tuple(tuple(2**77 * e for e in row) for row in data.matrix)
-        wide = list(itertools.islice(tqft.gluing_charges(wide_matrix), 2))
-        assert wide == [(14 * 2, 5 * 3 * 2), (14 * 7 * 2, 9 * 5 * 3)]
+        wide = list(itertools.islice(tqft.gluing_charges(wide_matrix), 3))
+        assert wide == [(0, 9 * 2), (69 * 2, 31 * 3), (48 * 3 + 30 * 3, 61 * 4)]
 
-    def test_matrix_charge_tracks_the_products_performed(self, data, monkeypatch):
+    def test_matrix_charge_tracks_the_products_performed(self, data, counted_products):
         # for g <= 16 every coefficient glued or divided has at most 48 bits, so
         # every word weight is 1 and tqft's charge is a count of coefficient
-        # products: for each nonzero left coefficient one per right coefficient
-        # in IntPoly.__mul__, and one per divisor coefficient for each nonzero
-        # quotient coefficient in IntPoly.exact_div
+        # products
         from affrep.affcount import BudgetExceeded
         from affrep.cli import cmd_tqft
 
-        performed = []
-        mul, exact_div = IntPoly.__mul__, IntPoly.exact_div
-
-        def counting_mul(self, other):
-            performed.append(sum(1 for c in self.coeffs if c) * len(other.coeffs))
-            return mul(self, other)
-
-        def counting_div(self, d):
-            quotient = exact_div(self, d)
-            performed.append(sum(1 for c in quotient.coeffs if c) * len(d.coeffs))
-            return quotient
-
-        monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
-        monkeypatch.setattr(IntPoly, "exact_div", counting_div)
+        performed = counted_products
         for genus in range(8, 17):
             performed.clear()
             close_surface(genus, data)
@@ -302,3 +315,17 @@ class TestPolynomialGuardModel:
             with pytest.raises(BudgetExceeded):
                 cmd_tqft(genus, guard=sum(performed) - 1)
             cmd_tqft(genus, guard=int(1.15 * sum(performed)))
+
+    def test_sweep_charge_tracks_the_products_performed(self, data, counted_products):
+        # verify's sweep glues to N and caps every genus 1..N, charged as
+        # cli._charge_gluing charges it; with word weights of 1, as above
+        from affrep.affcount import Budget
+        from affrep.cli import _charge_gluing
+
+        for genus_max in range(8, 17):
+            counted_products.clear()
+            surface_classes(data.matrix, range(1, genus_max + 1))
+            performed = sum(counted_products)
+            budget = Budget(10**9)
+            _charge_gluing(budget, data.matrix, range(1, genus_max + 1), "the sweep")
+            assert performed <= budget.used <= 1.15 * performed
