@@ -3,15 +3,16 @@
 Cutting the genus-g surface into a disc, g holed tori and a cap reduces the
 class computation to gluing: the disc's circle state passes through one
 matrix once per holed torus (the matrix's chain), and the cap keeps the
-identity coordinate, divided by the g-th power of the group class.  The
-matrix is assembled from fiber classes and passes its eigen-identities as
-exact polynomial equalities.
+identity coordinate.  The matrix is normalized once, before the chain, by
+the group class q(q-1), so the identity coordinate is the class itself.
+The matrix is assembled from fiber classes and passes its eigen-identities
+as exact polynomial equalities.
 """
 
 from itertools import islice
 
 from affrep import build_transfer, close_surface, eigen_verify, reconstruct_transfer
-from affrep.exactpoly import chain
+from affrep.exactpoly import ONE, chain
 
 data = build_transfer()  # every assembly identity is re-verified here
 print("transfer matrix:")
@@ -33,12 +34,15 @@ a, b, d = reconstruct_transfer(
 print("\nreconstructed from genus 1-3 data (lower-left normalized to 1):")
 print(f"  a = {a}\n  b = {b}\n  d = {d}")
 
-# gluing by hand: the chain gives the identity coordinate of k glued tori,
-# the top-left entry of M^k, by the recurrence x_k = tr(M) x_(k-1) - det(M)
-# x_(k-2), two products per holed torus; the cap is one exact division by
-# the g-th power of the group class
+# gluing by hand: normalize the matrix once, dividing a and d by the group
+# class s = q(q-1) and bc by s^2; the chain then gives the identity
+# coordinate of k glued tori, the top-left entry of the normalized M^k, by
+# the recurrence x_k = tr x_(k-1) - det x_(k-2), two products per holed
+# torus, with no division after it
 print()
-glued = next(islice(chain(data.matrix), 2, None))  # three holed tori
-capped = glued.exact_div(data.group_class**3)
-verdict = "" if capped == close_surface(3, data) else "  MISMATCH"
-print(f"glue three tori and cap: {capped}{verdict}")
+(a, b), (c, d) = data.matrix
+s = data.group_class
+normalized = ((a.exact_div(s), (b * c).exact_div(s * s)), (ONE, d.exact_div(s)))
+glued = next(islice(chain(normalized), 2, None))  # three holed tori
+verdict = "" if glued == close_surface(3, data) else "  MISMATCH"
+print(f"normalize once and glue three tori: {glued}{verdict}")

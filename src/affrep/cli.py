@@ -168,16 +168,13 @@ def _semi_chains(budget: Budget, genera: dict[int, set[int]], what="the cells", 
     return {q: semi_counts(q, gs, budget) for q, gs in genera.items()}
 
 
-def _charge_gluing(budget: Budget, matrix, capped, what: str, classes=False) -> None:
-    """Charge gluing by ``matrix`` to the last of the ascending genera ``capped``.
+def _charge_gluing(budget: Budget, matrix, genus: int, what: str, prints: int = 0) -> None:
+    """Charge gluing by ``matrix`` to ``genus``, genus by genus, so a run far over is refused early.
 
-    Genus by genus, each charges its gluing, its cap if it is in ``capped``
-    (a tuple or a range) and, with ``classes``, building its class; so a run
-    far over the guard is refused early.
+    With ``prints``, each genus also charges its class built once and printed ``prints`` times.
     """
-    genus = capped[-1]
-    for g, (glue, capping) in zip(range(1, genus + 1), gluing_charges(matrix)):
-        units = glue + (capping if g in capped else 0) + (class_charge(g) if classes else 0)
+    for g, glue in zip(range(1, genus + 1), gluing_charges(matrix)):
+        units = glue + (class_charge(g, prints) if prints else 0)
         products = "genus {} needs {} coefficient products, weighted by 64-bit words, for {} at"
         budget.charge(units, products + " genus {}", genus, units, what, g)
 
@@ -285,9 +282,9 @@ def cmd_tqft(
     """Transfer-matrix class of the genus-g surface, with optional identity checks."""
     budget = Budget(guard)
     data = build_transfer()
-    _charge_gluing(budget, data.matrix, (genus,), "gluing and capping")
+    _charge_gluing(budget, data.matrix, genus, "gluing")
     if reconstruct:
-        _charge_gluing(budget, data.matrix, range(1, 7), "the sweep to reconstruct from")
+        _charge_gluing(budget, data.matrix, 6, "the sweep to reconstruct from")
     _check_printable(genus)
     results: dict = {"virtual_class": str(close_surface(genus, data))}
     checks = []
@@ -300,7 +297,7 @@ def cmd_tqft(
         a, b, d = reconstruct_transfer(classes[1], classes[2], classes[3])
         results["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
         rebuilt = ((a, b), (ONE, d))
-        _charge_gluing(budget, rebuilt, range(1, 7), "the sweep of the rebuilt matrix")
+        _charge_gluing(budget, rebuilt, 6, "the sweep of the rebuilt matrix")
         roundtrip = surface_classes(rebuilt, range(1, 7)) == classes
         checks.append(_check("reconstruction_roundtrip", roundtrip, "genus 1-6 classes"))
     inputs = {
@@ -387,7 +384,8 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         raise ValueError("genus-max must be >= 1")
     budget = Budget(guard)
     matrix, surfaces = build_transfer().matrix, range(1, genus_max + 1)
-    _charge_gluing(budget, matrix, surfaces, "gluing, capping and classes", classes=True)
+    # rep_class builds each class; it prints twice in its check's details, once in rep_classes
+    _charge_gluing(budget, matrix, genus_max, "gluing and classes", prints=3)
     interp_genus, oracle_genus = min(genus_max, 3), min(genus_max, 2)
     # the largest plan holds every smaller plan's orders, among them the oracle's 2-5
     genera = dict.fromkeys(smallest_prime_powers(4 * interp_genus), range(1, interp_genus + 1))

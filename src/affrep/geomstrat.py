@@ -34,14 +34,14 @@ def scaling_power(s: int, shift: int = 0) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def class_charge(genus: int) -> int:
-    """Word-weighted cost of building and printing a genus-g class, (2g+1) w (1+w).
+def class_charge(genus: int, prints: int = 1) -> int:
+    """Word-weighted cost of building a genus-g class and printing it p times, (2g+1) w (1+pw).
 
     Its 2g + 1 nonzero coefficients are below 2^2g, so of w = ceil(2g/64) words.
     Building each costs about w, and printing it w^2: CPython's int-to-str is quadratic.
     """
     words = -(-2 * genus // 64)
-    return (2 * genus + 1) * words * (1 + words)
+    return (2 * genus + 1) * words * (1 + prints * words)
 
 
 def xs_recursive(s: int) -> IntPoly:

@@ -8,12 +8,12 @@ class supported at the identity and the class supported on the punctured
 translation subgroup; the matrix columns are the classes of the commutator
 map's fibers over those loci.
 
-The holed tori are glued onto the disc one at a time by the matrix's
-Cayley-Hamilton recurrence: the top-left entry x_k of M^k, the identity
-coordinate of k glued tori, is tr(M) x_(k-1) - det(M) x_(k-2), two
-products per torus (:func:`~affrep.exactpoly.chain`).  Each genus asked is
-then capped by an exact division, so one chain gives every genus
-(:func:`surface_classes`).
+The matrix is normalized once by the group class (:func:`normalized`), and
+the holed tori are glued onto the disc one at a time by its Cayley-Hamilton
+recurrence: the top-left entry x_k of its k-th power, the identity
+coordinate of k glued tori and the genus-k class, is tr x_(k-1) - det x_(k-2),
+two products per torus (:func:`~affrep.exactpoly.chain`), so one chain
+gives every genus (:func:`surface_classes`).
 
 Everything stays in Z[q] with exact division instead of localizing away
 q and q - 1, so each step is checkable; results hold up to annihilators of
@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Iterable, Iterator
 
-from .exactpoly import ONE, Q, Immutable, IntPoly, cayley_hamilton, chain, power
+from .exactpoly import ONE, Q, Immutable, IntPoly, cayley_hamilton, chain
 from .geomstrat import GenusOutOfRange
 
 LOCALIZATION_CAVEAT = (
@@ -109,24 +109,32 @@ def build_transfer() -> TransferData:
     )
 
 
+def normalized(matrix: Matrix) -> Matrix:
+    """M' = ((a/s, bc/s^2), (1, d/s)) with s = q(q-1), whose chain is M's over s^k.
+
+    The top-left entry x_k of M^k depends only on a, d and bc, so x_k(M') =
+    x_k(M)/s^k, the class itself.  Each of the three divisions is exact or
+    raises :class:`~affrep.exactpoly.NotDivisible`; only M's own entries are read.
+    """
+    ((a, b), (c, d)), s = matrix, GROUP_CLASS
+    return (a.exact_div(s), (b * c).exact_div(s * s)), (ONE, d.exact_div(s))
+
+
 def surface_classes(matrix: Matrix, genera: Iterable[int]) -> dict[int, IntPoly]:
     """The class at each genus of ``genera``, from one chain of gluing.
 
-    The chain glues to the largest genus asked; at each genus g asked, the
-    identity coordinate of g glued tori is capped by an exact division by
-    :data:`GROUP_CLASS`^g.  The division normalizes for the g + 1
-    basepoints of the decomposition; a remainder raises, as it would
-    contradict the divisibility behind that.
+    The chain of the matrix, :func:`normalized` once, glues to the largest
+    genus asked; the identity coordinate of g glued tori is the genus-g class.
     """
     keep = set(genera)
     if min(keep, default=0) < 1:
         raise GenusOutOfRange("genus must be >= 1")
-    glued = zip(range(1, max(keep) + 1), chain(matrix))
-    return {g: c_i.exact_div(GROUP_CLASS**g) for g, c_i in glued if g in keep}
+    glued = zip(range(1, max(keep) + 1), chain(normalized(matrix)))
+    return {g: c_i for g, c_i in glued if g in keep}
 
 
 def close_surface(genus: int, data: TransferData | None = None) -> IntPoly:
-    """Virtual class of the genus-g representation variety: glue g tori, cap once."""
+    """Virtual class of the genus-g representation variety: glue g normalized tori."""
     if data is None:
         data = build_transfer()
     return surface_classes(data.matrix, (genus,))[genus]
@@ -139,52 +147,41 @@ def _shape(p: IntPoly) -> tuple[int, int, int, int]:
     return len(powers), powers[0] if powers else 0, len(p.coeffs) - 1, bits
 
 
-def _power_products(e: int, span: int, degree: int) -> int:
-    # coefficient products of exactpoly.power raising a polynomial to e >= 1, when
-    # its i-th power has at most span * i + 1 nonzero coefficients of degree * i + 1;
-    # power runs on the exponents, so the schedule is the one it follows
-    products = []
-
-    def product(i: int, j: int) -> int:
-        products.append((span * i + 1) * (degree * j + 1))
-        return i + j
-
-    power(1, e, 0, product)
-    return sum(products)
+def _products(*pairs: tuple[IntPoly, IntPoly]) -> int:
+    # IntPoly.__mul__ multiplies each nonzero coefficient of the left factor by
+    # every one of the right, and exact_div each nonzero quotient's by the divisor's
+    return sum(_shape(left)[0] * len(right.coeffs) for left, right in pairs)
 
 
-def gluing_charges(matrix: Matrix) -> Iterator[tuple[int, int]]:
-    """Weighted coefficient products of gluing the g-th torus and of capping at g.
+def gluing_charges(matrix: Matrix) -> Iterator[int]:
+    """Weighted coefficient products of gluing the g-th torus, for g = 1, 2, ...
 
-    Yields the pair for g = 1, 2, ..., following :func:`~affrep.exactpoly.chain`.
-    The first torus is the entry a and costs nothing; the second forms
-    -det(M) = bc - ad and multiplies tr(M) by a.  From the third on, gluing
-    the k-th multiplies each nonzero coefficient of tr(M) by every
-    coefficient of the state x_(k-1), and each of -det(M) by every one of
+    Follows :func:`surface_classes`, on M' = ((a', b'), (1, d')) :func:`normalized`.
+    The first torus is the entry a' and costs the normalization: the products
+    bc and q(q-1) squared, and the three divisions.  The second forms
+    -det(M') = b' - a'd' and multiplies tr(M') by a'.  From the third on,
+    gluing the k-th multiplies each nonzero coefficient of tr(M') by every
+    coefficient of the state x_(k-1), and each of -det(M') by every one of
     x_(k-2).  A state's powers lie between the lowest and the highest that
     the recurrence reaches, and its bits are at most k times the widest entry
-    coefficient's.  Capping at g raises :data:`GROUP_CLASS` to g and divides
-    by the power, multiplying every divisor coefficient by each quotient
-    coefficient, which lies in the state's span less the divisor's.  A
-    product weighs the 64-bit words of its wider factor: up to about a
-    thousand bits the loop dominates, so it costs about as many word-sized
-    products.
+    coefficient's of M'.  A product weighs the 64-bit words of its wider
+    factor, the normalization's those of the widest of a, bc and d: up to
+    about a thousand bits the loop dominates, so it costs about as many
+    word-sized products.
     """
     (a, b), (c, d) = matrix
-    factors = [_shape(p) for p in cayley_hamilton(matrix)]  # tr(M) and -det(M)
-    bits = max(_shape(e)[3] for row in matrix for e in row)
-    forming = (_shape(b)[0] * len(c.coeffs) + _shape(a)[0] * len(d.coeffs)) * -(-bits // 64)
-    _, divisor_low, divisor_high, _ = _shape(GROUP_CLASS)
-    divisor_span = divisor_high - divisor_low
-    # the lowest power and the degree of x_(g-1) and of x_g, from x_0 = 1 and x_1 = a
-    states = [(0, 0), _shape(a)[1:3]]
-    glue = 0
+    (a1, b1), (c1, d1) = scaled = normalized(matrix)
+    s, square = GROUP_CLASS, GROUP_CLASS * GROUP_CLASS
+    glue = _products((b, c), (s, s), (a1, s), (b1, square), (d1, s))
+    glue *= -(-max(_shape(p)[3] for p in (a, b * c, d)) // 64)
+    factors = [_shape(p) for p in cayley_hamilton(scaled)]  # tr(M') and -det(M')
+    bits = max(_shape(e)[3] for row in scaled for e in row)
+    forming = _products((b1, c1), (a1, d1)) * -(-bits // 64)
+    # the lowest power and the degree of x_(g-1) and of x_g, from x_0 = 1 and x_1 = a'
+    states = [(0, 0), _shape(a1)[1:3]]
     for g in count(1):
-        low, high = states[1]
-        quotient = max(high - low - divisor_span * g + 1, 0)
-        divisor = _power_products(g, divisor_span, divisor_high)
-        yield glue, (quotient * (divisor_high * g + 1) + divisor) * -(-bits * g // 64)
-        # x_(g+1) = tr(M) x_g - det(M) x_(g-1); the first step also forms -det(M)
+        yield glue
+        # x_(g+1) = tr(M') x_g - det(M') x_(g-1); the first step also forms -det(M')
         glue = forming if g == 1 else 0
         reach = []
         for (nonzero, f_low, f_high, f_bits), (s_low, s_high), k in zip(

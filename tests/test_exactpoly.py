@@ -89,7 +89,7 @@ class TestExactDivision:
 
     @pytest.mark.parametrize("genus", range(1, 9))
     def test_capping_divisor_with_zero_coefficients(self, genus):
-        # q^g (q-1)^g, the capping divisor, has g zero coefficients below q^g;
+        # q^g (q-1)^g, a power of the group class, has g zero coefficients below q^g;
         # q^k is never a multiple of it, so every product plus q^k must raise
         divisor = (Q * QM1) ** genus
         quotient = (Q + 3) ** (2 * genus) - 5 * Q**genus + 7

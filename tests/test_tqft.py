@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affrep import tqft
 from affrep.affcount import count_semi, handle_distribution
@@ -15,6 +17,7 @@ from affrep.tqft import (
     build_transfer,
     close_surface,
     eigen_verify,
+    normalized,
     reconstruct_transfer,
     surface_classes,
 )
@@ -172,16 +175,28 @@ class TestCloseSurface:
         assert surface_classes(data.matrix, range(1, 13)) == {g: rep_class(g) for g in range(1, 13)}
         assert len(glued) == 12
 
-    def test_only_the_genera_asked_are_capped(self, data, glued, divided):
-        assert surface_classes(data.matrix, [9, 2, 5]) == {g: rep_class(g) for g in (2, 5, 9)}
-        assert len(glued) == 9
-        assert divided == [GROUP**2, GROUP**5, GROUP**9]
+    @pytest.mark.parametrize("genera", [[9, 2, 5], range(1, 41)])
+    def test_any_genera_asked_divide_three_times(self, data, glued, divided, genera):
+        # the matrix is normalized once, before the chain: a by q(q-1), bc by
+        # its square and d by q(q-1); no genus divides again
+        classes = surface_classes(data.matrix, genera)
+        assert classes == {g: rep_class(g) for g in sorted(genera)}
+        assert len(glued) == max(genera)
+        assert divided == [GROUP, GROUP**2, GROUP]
 
     @pytest.mark.parametrize("genus", [1, 2, 7])
-    def test_close_surface_glues_g_tori_and_caps_once(self, data, glued, divided, genus):
+    def test_close_surface_glues_g_tori_and_divides_three_times(self, data, glued, divided, genus):
         assert close_surface(genus, data) == rep_class(genus)
         assert len(glued) == genus
-        assert divided == [GROUP**genus]
+        assert divided == [GROUP, GROUP**2, GROUP]
+
+    @given(*[st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=4))] * 3)
+    def test_a_scaled_matrix_glues_as_its_unscaled_one(self, a, b, d):
+        # a matrix whose chain's k-th value is (q(q-1))^k times that of
+        # ((a, b), (1, d)) gives that matrix's chain, exactly, at genus 1-8
+        scaled = ((GROUP * a, GROUP**2 * b), (ONE, GROUP * d))
+        unscaled = dict(zip(range(1, 9), chain(((a, b), (ONE, d)))))
+        assert surface_classes(scaled, range(1, 9)) == unscaled
 
     def test_genera_below_one_are_rejected(self, data):
         with pytest.raises(GenusOutOfRange):
@@ -193,6 +208,17 @@ class TestCloseSurface:
         # a matrix whose chain starts at a class that is not a multiple of q(q-1)
         with pytest.raises(NotDivisible):
             surface_classes(((Q + ONE, ZERO), (ZERO, ZERO)), [1])
+
+    @pytest.mark.parametrize("entry", [0, 1, 2])
+    def test_each_entry_must_normalize(self, data, entry):
+        # a and d must each be divisible by q(q-1), and bc by its square, even
+        # for genus 1 alone, whose class is a / q(q-1)
+        (a, b), (c, d) = data.matrix
+        entries = [a, b * c, d]
+        entries[entry] += Q
+        broken = ((entries[0], entries[1]), (ONE, entries[2]))
+        with pytest.raises(NotDivisible):
+            surface_classes(broken, [1])
 
 
 class TestReconstruction:
@@ -225,6 +251,16 @@ class TestReconstruction:
     def test_inconsistent_triple_is_not_divisible(self):
         with pytest.raises(NotDivisible):
             reconstruct_transfer(ZERO, Q + ONE, ONE)
+
+    def test_rebuilt_matrix_of_corrupted_data_is_refused(self, data):
+        # adding (q-2)^2 q^3 to the genus-3 class still rebuilds a matrix,
+        # with d one more than it should be; that d is no multiple of q(q-1),
+        # so the rebuilt matrix raises before it glues any genus
+        e1, e2, e3 = surface_classes(data.matrix, range(1, 4)).values()
+        a, b, d = reconstruct_transfer(e1, e2, e3 + (Q - 2) ** 2 * Q**3)
+        assert d == reconstruct_transfer(e1, e2, e3)[2] + ONE
+        with pytest.raises(NotDivisible):
+            surface_classes(((a, b), (ONE, d)), range(1, 4))
 
 
 class TestEigenIdentities:
@@ -279,28 +315,30 @@ def counted_products(monkeypatch):
 
 class TestPolynomialGuardModel:
     def test_powers_stay_within_the_modelled_span_and_bits(self, data):
-        # gluing_charges takes a state of k tori to degree 6k with 3k-bit coefficients
-        for k, state in zip(range(1, 65), _states(data.matrix)):
-            low, degree, bits = _charge_shape(state)
-            assert low >= 3 * k and degree <= 6 * k and bits <= 3 * k
+        # gluing_charges takes the state of k tori to powers 2k to 4k - 1, and
+        # its bits to at most k times the 4 of the widest normalized entry
+        for k, state in zip(range(1, 65), chain(normalized(data.matrix))):
+            low, degree, bits = _charge_shape([state])
+            assert low >= 2 * k and degree <= 4 * k - 1 and bits <= 4 * k
 
     def test_charges_follow_the_matrix_shape(self, data):
-        # tr(M) has 4 nonzero coefficients and -det(M) 5, all of 3 bits; a state
-        # of k tori spans powers 3k to 6k - 1.  Genus 1 glues nothing; genus 2
-        # forms bc and ad, 4 * 6 + 3 * 7, and tr(M) a, 4 * 6; genus 3 multiplies
-        # x_2 by tr(M) and x_1 by -det(M), 4 * 12 + 5 * 6.  Capping at g divides
-        # 2g quotient by 2g + 1 divisor coefficients after 3, 11 and 19 products
-        # raise q(q - 1) to g
+        # genus 1 normalizes: bc, 4 * 6, q(q-1) squared, 2 * 3, and the
+        # quotients a' = q^3 - q^2, b' of 4 nonzero coefficients and d' of 3,
+        # 2 * 3 + 4 * 5 + 3 * 3; genus 2 forms b' 1 and a'd', 4 + 2 * 5, and
+        # tr(M') a', 3 * 4; tr(M') and -det(M') have 3 nonzero coefficients
+        # each, and a state of k tori spans powers 2k to 4k - 1, so genus 3
+        # multiplies x_2 by tr(M') and x_1 by -det(M'), 3 * 8 + 3 * 4
         charges = list(itertools.islice(tqft.gluing_charges(data.matrix), 3))
-        assert charges == [(0, 2 * 3 + 3), (45 + 24, 4 * 5 + 11), (48 + 30, 6 * 7 + 19)]
-        # with 80-bit entries a product weighs two words, and one by -det(M),
-        # of 157 bits, three
+        assert charges == [24 + 6 + 35, 14 + 12, 24 + 12]
+        # with entries of 80 bits, bc and b' have 157, so the normalization
+        # and forming weigh three words a product; from genus 3 on, x_2 is
+        # taken to have 2 * 157 bits, five words, and -det(M') has 157
         wide_matrix = tuple(tuple(2**77 * e for e in row) for row in data.matrix)
         wide = list(itertools.islice(tqft.gluing_charges(wide_matrix), 3))
-        assert wide == [(0, 9 * 2), (69 * 2, 31 * 3), (48 * 3 + 30 * 3, 61 * 4)]
+        assert wide == [65 * 3, 26 * 3, 24 * 5 + 12 * 3]
 
     def test_matrix_charge_tracks_the_products_performed(self, data, counted_products):
-        # for g <= 16 every coefficient glued or divided has at most 48 bits, so
+        # for g <= 16 every coefficient glued is modelled at 4g <= 64 bits, so
         # every word weight is 1 and tqft's charge is a count of coefficient
         # products
         from affrep.affcount import BudgetExceeded
@@ -317,15 +355,18 @@ class TestPolynomialGuardModel:
             cmd_tqft(genus, guard=int(1.15 * sum(performed)))
 
     def test_sweep_charge_tracks_the_products_performed(self, data, counted_products):
-        # verify's sweep glues to N and caps every genus 1..N, charged as
-        # cli._charge_gluing charges it; with word weights of 1, as above
+        # verify's sweep glues to N, charged as cli._charge_gluing charges it,
+        # and so does the matrix --reconstruct rebuilds, [[a, b], [1, d]];
+        # with word weights of 1, as above
         from affrep.affcount import Budget
         from affrep.cli import _charge_gluing
 
-        for genus_max in range(8, 17):
-            counted_products.clear()
-            surface_classes(data.matrix, range(1, genus_max + 1))
-            performed = sum(counted_products)
-            budget = Budget(10**9)
-            _charge_gluing(budget, data.matrix, range(1, genus_max + 1), "the sweep")
-            assert performed <= budget.used <= 1.15 * performed
+        a, b, d = reconstruct_transfer(*surface_classes(data.matrix, range(1, 4)).values())
+        for matrix in (data.matrix, ((a, b), (ONE, d))):
+            for genus_max in range(8, 17):
+                counted_products.clear()
+                surface_classes(matrix, range(1, genus_max + 1))
+                performed = sum(counted_products)
+                budget = Budget(10**9)
+                _charge_gluing(budget, matrix, genus_max, "the sweep")
+                assert performed <= budget.used <= 1.15 * performed
