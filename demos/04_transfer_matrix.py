@@ -13,23 +13,24 @@ from itertools import islice
 
 from affrep import build_transfer, close_surface, eigen_verify, reconstruct_transfer
 from affrep.exactpoly import ONE, chain
+from affrep.tqft import GROUP_CLASS
 
-data = build_transfer()  # every assembly identity is re-verified here
+matrix = build_transfer()  # a pair of rows; every assembly identity is re-verified here
 print("transfer matrix:")
-for row in data.matrix:  # a pair of rows
+for row in matrix:
     print("  [" + ", ".join(str(e) for e in row) + "]")
 
 print("\nclosed surfaces:")
 for genus in range(1, 6):
-    print(f"  genus {genus}: {close_surface(genus, data)}")
+    print(f"  genus {genus}: {close_surface(genus, matrix)}")
 
 print("\neigen-identities of the normalized matrix:")
-for name, ok in eigen_verify(data):
+for name, ok in eigen_verify(matrix):
     print(f"  {name}: {'pass' if ok else 'FAIL'}")
 
 # the whole matrix can be rebuilt from the three smallest closed surfaces
 a, b, d = reconstruct_transfer(
-    close_surface(1, data), close_surface(2, data), close_surface(3, data)
+    close_surface(1, matrix), close_surface(2, matrix), close_surface(3, matrix)
 )
 print("\nreconstructed from genus 1-3 data (lower-left normalized to 1):")
 print(f"  a = {a}\n  b = {b}\n  d = {d}")
@@ -40,9 +41,9 @@ print(f"  a = {a}\n  b = {b}\n  d = {d}")
 # the recurrence x_k = tr x_(k-1) - det x_(k-2), two products per holed
 # torus, with no division after it
 print()
-(a, b), (c, d) = data.matrix
-s = data.group_class
+(a, b), (c, d) = matrix
+s = GROUP_CLASS
 normalized = ((a.exact_div(s), (b * c).exact_div(s * s)), (ONE, d.exact_div(s)))
 glued = next(islice(chain(normalized), 2, None))  # three holed tori
-verdict = "" if glued == close_surface(3, data) else "  MISMATCH"
+verdict = "" if glued == close_surface(3, matrix) else "  MISMATCH"
 print(f"normalize once and glue three tori: {glued}{verdict}")

@@ -57,7 +57,6 @@ from .tqft import (
     LOCALIZATION_CAVEAT,
     ReconstructionError,
     TransferConsistencyError,
-    TransferData,
     build_transfer,
     close_surface,
     eigen_verify,

@@ -31,7 +31,7 @@ from collections import Counter, defaultdict
 from operator import eq, getitem, itemgetter
 from typing import Iterable, Sequence
 
-from .exactpoly import Immutable, Record, chain
+from .exactpoly import Immutable, Record, chain, words
 from .finitefield import FieldMismatch, FieldSpec, FqElem
 from .geomstrat import class_charge, rep_class
 
@@ -171,11 +171,11 @@ def count_charge(q: int, genus: int, engine: str) -> tuple:
     # the count is below |G|^2g < q^4g, as is each u, v of a chain: u + (q-1)v = |G|^2k
     bits = 4 * genus * q.bit_length()
     if engine == "semi":
-        steps = genus * -(-bits // 64)
+        steps = genus * words(bits)
         what = "semi count needs {} units, g = {} chain steps on counts of up to {} bits at q = {}"
         return steps, what, steps, genus, bits, q
     building = class_charge(genus)
-    steps = building + 4 * genus * -(-bits // 64)
+    steps = building + 4 * genus * words(bits)
     what = "closed form needs {} units, {} to build the genus-{} class and 4g = {} Horner steps"
     what += " on a count of up to {} bits at q = {}"
     return steps, what, steps, building, genus, 4 * genus, bits, q

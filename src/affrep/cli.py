@@ -68,7 +68,7 @@ from .tqft import (
     build_transfer,
     close_surface,
     eigen_verify,
-    gluing_charges,
+    gluing_charge,
     reconstruct_transfer,
     surface_classes,
 )
@@ -168,13 +168,13 @@ def _semi_chains(budget: Budget, genera: dict[int, set[int]], what="the cells", 
     return {q: semi_counts(q, gs, budget) for q, gs in genera.items()}
 
 
-def _charge_gluing(budget: Budget, matrix, genus: int, what: str, prints: int = 0) -> None:
-    """Charge gluing by ``matrix`` to ``genus``, genus by genus, so a run far over is refused early.
+def _charge_gluing(budget: Budget, genus: int, what: str, prints: int = 0) -> None:
+    """Charge gluing to ``genus``, genus by genus, so a run far over is refused early.
 
     With ``prints``, each genus also charges its class built once and printed ``prints`` times.
     """
-    for g, glue in zip(range(1, genus + 1), gluing_charges(matrix)):
-        units = glue + (class_charge(g, prints) if prints else 0)
+    for g in range(1, genus + 1):
+        units = gluing_charge(g) + (class_charge(g, prints) if prints else 0)
         products = "genus {} needs {} coefficient products, weighted by 64-bit words, for {} at"
         budget.charge(units, products + " genus {}", genus, units, what, g)
 
@@ -281,23 +281,23 @@ def cmd_tqft(
 ) -> Report:
     """Transfer-matrix class of the genus-g surface, with optional identity checks."""
     budget = Budget(guard)
-    data = build_transfer()
-    _charge_gluing(budget, data.matrix, genus, "gluing")
+    matrix = build_transfer()
+    _charge_gluing(budget, genus, "gluing")
     if reconstruct:
-        _charge_gluing(budget, data.matrix, 6, "the sweep to reconstruct from")
+        _charge_gluing(budget, 6, "the sweep to reconstruct from")
     _check_printable(genus)
-    results: dict = {"virtual_class": str(close_surface(genus, data))}
+    results: dict = {"virtual_class": str(close_surface(genus, matrix))}
     checks = []
     if show_matrix:
-        results["matrix"] = [[str(e) for e in row] for row in data.matrix]
+        results["matrix"] = [[str(e) for e in row] for row in matrix]
     if verify_eigen:
-        checks += [_check(name, ok) for name, ok in eigen_verify(data)]
+        checks += [_check(name, ok) for name, ok in eigen_verify(matrix)]
     if reconstruct:
-        classes = surface_classes(data.matrix, range(1, 7))
+        classes = surface_classes(matrix, range(1, 7))
         a, b, d = reconstruct_transfer(classes[1], classes[2], classes[3])
         results["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
         rebuilt = ((a, b), (ONE, d))
-        _charge_gluing(budget, rebuilt, 6, "the sweep of the rebuilt matrix")
+        _charge_gluing(budget, 6, "the sweep of the rebuilt matrix")
         roundtrip = surface_classes(rebuilt, range(1, 7)) == classes
         checks.append(_check("reconstruction_roundtrip", roundtrip, "genus 1-6 classes"))
     inputs = {
@@ -383,9 +383,9 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
     if genus_max < 1:
         raise ValueError("genus-max must be >= 1")
     budget = Budget(guard)
-    matrix, surfaces = build_transfer().matrix, range(1, genus_max + 1)
+    matrix, surfaces = build_transfer(), range(1, genus_max + 1)
     # rep_class builds each class; it prints twice in its check's details, once in rep_classes
-    _charge_gluing(budget, matrix, genus_max, "gluing and classes", prints=3)
+    _charge_gluing(budget, genus_max, "gluing and classes", prints=3)
     interp_genus, oracle_genus = min(genus_max, 3), min(genus_max, 2)
     # the largest plan holds every smaller plan's orders, among them the oracle's 2-5
     genera = dict.fromkeys(smallest_prime_powers(4 * interp_genus), range(1, interp_genus + 1))

@@ -96,6 +96,15 @@ def power(base, e: int, one, product):
     return result
 
 
+def words(bits: int) -> int:
+    """The 64-bit words that an integer of ``bits`` bits weighs, at least one.
+
+    >>> words(0), words(64), words(65)
+    (1, 1, 2)
+    """
+    return max(1, -(-bits // 64))
+
+
 def _render(coeffs, var: str = "q") -> str:
     # Descending powers, explicit signs: "q^3 - q^2", "2q - 2", "7", "0".
     if not coeffs:

@@ -13,7 +13,7 @@ polynomials, a separate code path that serves as an oracle for the closed form.
 
 from __future__ import annotations
 
-from .exactpoly import ONE, Q, IntPoly
+from .exactpoly import ONE, Q, IntPoly, words
 
 
 class GenusOutOfRange(ValueError):
@@ -40,8 +40,8 @@ def class_charge(genus: int, prints: int = 1) -> int:
     Its 2g + 1 nonzero coefficients are below 2^2g, so of w = ceil(2g/64) words.
     Building each costs about w, and printing it w^2: CPython's int-to-str is quadratic.
     """
-    words = -(-2 * genus // 64)
-    return (2 * genus + 1) * words * (1 + prints * words)
+    w = words(2 * genus)
+    return (2 * genus + 1) * w * (1 + prints * w)
 
 
 def xs_recursive(s: int) -> IntPoly:

@@ -18,7 +18,7 @@ from math import isqrt
 from typing import Sequence
 
 from .affcount import Budget, CountRecord, charge_ahead, count_charge, count_points
-from .exactpoly import Immutable, IntPoly, Record
+from .exactpoly import Immutable, IntPoly, Record, words
 from .finitefield import DEFAULT_MAX_ORDER, make_field
 
 
@@ -202,7 +202,7 @@ def interpolation_charge(genus: int, samples: int, bits: int) -> tuple:
     Horner steps: 4g steps per point, each weighted by the 64-bit words of
     the largest sample, of up to ``bits`` bits.
     """
-    steps = 4 * genus * samples * max(1, -(-bits // 64))
+    steps = 4 * genus * samples * words(bits)
     what = "interpolating {} samples of up to {} bits at genus {} needs {} units"
     return steps, what, samples, bits, genus, steps
 

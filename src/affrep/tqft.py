@@ -13,7 +13,9 @@ the holed tori are glued onto the disc one at a time by its Cayley-Hamilton
 recurrence: the top-left entry x_k of its k-th power, the identity
 coordinate of k glued tori and the genus-k class, is tr x_(k-1) - det x_(k-2),
 two products per torus (:func:`~affrep.exactpoly.chain`), so one chain
-gives every genus (:func:`surface_classes`).
+gives every genus (:func:`surface_classes`).  As every matrix glued
+normalizes to the same one, the guard charges each torus by a closed form
+in the genus (:func:`gluing_charge`).
 
 Everything stays in Z[q] with exact division instead of localizing away
 q and q - 1, so each step is checkable; results hold up to annihilators of
@@ -22,10 +24,9 @@ q and q - 1 in the Grothendieck ring (see :data:`LOCALIZATION_CAVEAT`).
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .exactpoly import ONE, Q, Immutable, IntPoly, cayley_hamilton, chain
+from .exactpoly import ONE, Q, IntPoly, chain, words
 from .geomstrat import GenusOutOfRange
 
 LOCALIZATION_CAVEAT = (
@@ -47,49 +48,26 @@ class ReconstructionError(ValueError):
 Matrix = tuple[tuple[IntPoly, IntPoly], tuple[IntPoly, IntPoly]]  # ((a, b), (c, d))
 
 
-class TransferData(Immutable):
-    """The transfer matrix, as its two rows, with the fiber classes that assemble it."""
+def build_transfer() -> Matrix:
+    """The transfer matrix, as its two rows, assembled from the fiber stratifications.
 
-    __slots__ = (
-        "matrix",
-        "group_class",
-        "fiber_identity",
-        "fiber_generic",
-        "fiber_identity_twisted",
-        "fiber_generic_twisted",
-    )
-    matrix: Matrix
-    group_class: IntPoly
-    fiber_identity: IntPoly  # commutator-map fiber over the identity
-    fiber_generic: IntPoly  # commutator-map fiber over a nonzero translation
-    fiber_identity_twisted: IntPoly  # same two fibers for the once-shifted map
-    fiber_generic_twisted: IntPoly
-
-
-def build_transfer() -> TransferData:
-    """Assemble the transfer data from the fiber stratifications and verify it.
-
-    Each fiber class is built as the sum of its strata, the once-shifted
-    map's as complements inside (K*)^3 x K^3, and the four are assembled
-    column-wise into the matrix, each entry of which must match its
-    factored form in q(q-1) [[q^3-q^2, q^4-3q^3+2q^2], [q^3-2q^2, q^4-3q^3+3q^2]].
+    Each fiber class of the commutator map is built as the sum of its
+    strata, the once-shifted map's as complements inside (K*)^3 x K^3, and
+    the four are assembled column-wise into the matrix, each entry of which
+    must match its factored form in q(q-1) [[q^3-q^2, q^4-3q^3+2q^2],
+    [q^3-2q^2, q^4-3q^3+3q^2]] or raise :class:`TransferConsistencyError`.
     """
     qm1 = Q - ONE
-    group_class = Q * qm1
-
     # fiber of the conjugated-commutator map over the identity: three strata
     fiber_identity = (Q - 2) * qm1**2 * Q**2 + qm1 * Q**3 + (Q - 2) * qm1 * Q**2
     # over a nonzero translation: two strata
     fiber_generic = (Q - 2) * qm1**2 * Q**2 + (Q - 2) * qm1 * Q**2
     # the once-shifted map's fibers are complements inside (K*)^3 x K^3
     ambient = qm1**3 * Q**3
-    fiber_identity_twisted = ambient - fiber_identity
-    fiber_generic_twisted = ambient - fiber_generic
-
     # column 1: image of the identity generator; column 2: image of the other
     matrix = (
-        (fiber_identity, fiber_identity_twisted),
-        (fiber_generic, fiber_generic_twisted),
+        (fiber_identity, ambient - fiber_identity),
+        (fiber_generic, ambient - fiber_generic),
     )
     literal = (
         (Q**3 - Q**2, Q**4 - 3 * Q**3 + 2 * Q**2),
@@ -97,16 +75,9 @@ def build_transfer() -> TransferData:
     )
     for row, literal_row in zip(matrix, literal):
         for got, entry in zip(row, literal_row):
-            if got != group_class * entry:
-                raise TransferConsistencyError(f"fiber class {got} != {group_class * entry}")
-    return TransferData(
-        matrix,
-        group_class,
-        fiber_identity,
-        fiber_generic,
-        fiber_identity_twisted,
-        fiber_generic_twisted,
-    )
+            if got != GROUP_CLASS * entry:
+                raise TransferConsistencyError(f"fiber class {got} != {GROUP_CLASS * entry}")
+    return matrix
 
 
 def normalized(matrix: Matrix) -> Matrix:
@@ -133,65 +104,37 @@ def surface_classes(matrix: Matrix, genera: Iterable[int]) -> dict[int, IntPoly]
     return {g: c_i for g, c_i in glued if g in keep}
 
 
-def close_surface(genus: int, data: TransferData | None = None) -> IntPoly:
-    """Virtual class of the genus-g representation variety: glue g normalized tori."""
-    if data is None:
-        data = build_transfer()
-    return surface_classes(data.matrix, (genus,))[genus]
+def close_surface(genus: int, matrix: Matrix | None = None) -> IntPoly:
+    """Virtual class of the genus-g representation variety: glue g normalized tori.
 
-
-def _shape(p: IntPoly) -> tuple[int, int, int, int]:
-    # nonzero coefficients, lowest nonzero power, degree (-1 for zero) and widest bits
-    powers = [i for i, c in enumerate(p.coeffs) if c]
-    bits = max((abs(c).bit_length() for c in p.coeffs), default=0)
-    return len(powers), powers[0] if powers else 0, len(p.coeffs) - 1, bits
-
-
-def _products(*pairs: tuple[IntPoly, IntPoly]) -> int:
-    # IntPoly.__mul__ multiplies each nonzero coefficient of the left factor by
-    # every one of the right, and exact_div each nonzero quotient's by the divisor's
-    return sum(_shape(left)[0] * len(right.coeffs) for left, right in pairs)
-
-
-def gluing_charges(matrix: Matrix) -> Iterator[int]:
-    """Weighted coefficient products of gluing the g-th torus, for g = 1, 2, ...
-
-    Follows :func:`surface_classes`, on M' = ((a', b'), (1, d')) :func:`normalized`.
-    The first torus is the entry a' and costs the normalization: the products
-    bc and q(q-1) squared, and the three divisions.  The second forms
-    -det(M') = b' - a'd' and multiplies tr(M') by a'.  From the third on,
-    gluing the k-th multiplies each nonzero coefficient of tr(M') by every
-    coefficient of the state x_(k-1), and each of -det(M') by every one of
-    x_(k-2).  A state's powers lie between the lowest and the highest that
-    the recurrence reaches, and its bits are at most k times the widest entry
-    coefficient's of M'.  A product weighs the 64-bit words of its wider
-    factor, the normalization's those of the widest of a, bc and d: up to
-    about a thousand bits the loop dominates, so it costs about as many
-    word-sized products.
+    ``matrix`` is the transfer matrix as its rows, :func:`build_transfer`'s if None.
     """
-    (a, b), (c, d) = matrix
-    (a1, b1), (c1, d1) = scaled = normalized(matrix)
-    s, square = GROUP_CLASS, GROUP_CLASS * GROUP_CLASS
-    glue = _products((b, c), (s, s), (a1, s), (b1, square), (d1, s))
-    glue *= -(-max(_shape(p)[3] for p in (a, b * c, d)) // 64)
-    factors = [_shape(p) for p in cayley_hamilton(scaled)]  # tr(M') and -det(M')
-    bits = max(_shape(e)[3] for row in scaled for e in row)
-    forming = _products((b1, c1), (a1, d1)) * -(-bits // 64)
-    # the lowest power and the degree of x_(g-1) and of x_g, from x_0 = 1 and x_1 = a'
-    states = [(0, 0), _shape(a1)[1:3]]
-    for g in count(1):
-        yield glue
-        # x_(g+1) = tr(M') x_g - det(M') x_(g-1); the first step also forms -det(M')
-        glue = forming if g == 1 else 0
-        reach = []
-        for (nonzero, f_low, f_high, f_bits), (s_low, s_high), k in zip(
-            factors, states[::-1], (g, g - 1)
-        ):
-            if k:  # x_0 = 1 is added, not multiplied
-                glue += nonzero * (s_high + 1) * -(-max(f_bits, bits * k) // 64)
-            reach.append((f_low + s_low, f_high + s_high))
-        lows, highs = zip(*reach)
-        states = [states[1], (min(lows), max(highs))]
+    if matrix is None:
+        matrix = build_transfer()
+    return surface_classes(matrix, (genus,))[genus]
+
+
+def gluing_charge(genus: int) -> int:
+    """Weighted coefficient products of gluing the genus-th torus in :func:`surface_classes`.
+
+    Every matrix glued, the transfer matrix M and the one rebuilt from its
+    classes alike, normalizes to the same M' = ((a', b'), (1, d'))
+    (:func:`normalized`), so the charge is a function of the genus alone.
+    The first torus is the entry a' and costs the normalization, 65: the
+    products bc, 4 * 6, and q(q-1) squared, 2 * 3, and the quotients a',
+    2 * 3, b', 4 * 5, and d', 3 * 3.  The second forms -det(M') = b' - a'd',
+    4 + 2 * 5, and multiplies tr(M') by a', 3 * 4: 26.  The torus that makes
+    genus k + 1 multiplies each of the 3 nonzero coefficients of tr(M') by
+    every one of the state x_k of k tori, whose 4k coefficients, nonzero
+    from q^(2k) to q^(4k-1), have at most 4k bits, and each of the 3 of
+    -det(M') by every one of x_(k-1): 12k w(4k) + 12(k-1) w(4(k-1)), where
+    a product weighs the 64-bit words w of its wider factor
+    (:func:`~affrep.exactpoly.words`).
+    """
+    if genus <= 2:
+        return 65 if genus == 1 else 26
+    k = genus - 1
+    return 12 * k * words(4 * k) + 12 * (k - 1) * words(4 * (k - 1))
 
 
 def reconstruct_transfer(
@@ -215,11 +158,12 @@ def reconstruct_transfer(
     return a, b, d
 
 
-def eigen_verify(data: TransferData | None = None) -> tuple[tuple[str, bool], ...]:
+def eigen_verify(matrix: Matrix | None = None) -> tuple[tuple[str, bool], ...]:
     """Verify the diagonalization of the normalized matrix as polynomial identities.
 
-    The normalized matrix M (transfer matrix divided entry-wise by the
-    group class) has eigenvectors (q-1, -1) and (1, 1) with eigenvalues q^2
+    The normalized matrix M (``matrix``, the transfer matrix as its rows and
+    :func:`build_transfer`'s if None, divided entry-wise by the group class
+    :data:`GROUP_CLASS`) has eigenvectors (q-1, -1) and (1, 1) with eigenvalues q^2
     and q^2 (q-1)^2.  These are (|G| / chi(1))^2 for the two irreducible
     degrees chi(1) = q - 1 and chi(1) = 1 (the latter q - 1 times) of the
     group of order |G| = q(q-1): by the Frobenius-Mednykh formula the
@@ -228,9 +172,9 @@ def eigen_verify(data: TransferData | None = None) -> tuple[tuple[str, bool], ..
     and determinant avoids inverting the eigenbasis over Z[q], which would
     need denominators.  Returns the (name, passed) pair of each identity.
     """
-    if data is None:
-        data = build_transfer()
-    (a, b), (c, d) = ([e.exact_div(data.group_class) for e in row] for row in data.matrix)
+    if matrix is None:
+        matrix = build_transfer()
+    (a, b), (c, d) = ([e.exact_div(GROUP_CLASS) for e in row] for row in matrix)
     qm1 = Q - ONE
     lam1 = Q**2
     lam2 = Q**2 * qm1**2

@@ -10,19 +10,6 @@ from affrep.cli import Report
 from affrep.exactpoly import ONE, Q, IntPoly
 from affrep.finitefield import make_field
 from affrep.interpolate import EPolyResult, SamplePlan
-from affrep.tqft import TransferData, build_transfer
-
-
-def _transfer_data():
-    data = build_transfer()
-    return TransferData(
-        data.matrix,
-        data.group_class,
-        data.fiber_identity,
-        data.fiber_generic,
-        data.fiber_identity_twisted,
-        data.fiber_generic_twisted,
-    )
 
 
 # each maker builds a fresh object from equal fields on every call; the
@@ -33,7 +20,6 @@ FROZEN = {
     "FqElem": (lambda: make_field(3, 2).from_int(5), "coeffs"),
     "AffElem": (lambda: AffElem(make_field(5, 1).from_int(2), make_field(5, 1).one()), "b"),
     "SamplePlan": (lambda: SamplePlan(1, (2, 3, 4, 5)), "genus"),
-    "TransferData": (_transfer_data, "matrix"),
 }
 
 
