@@ -4,7 +4,8 @@ Cutting the genus-g surface into a disc, g holed tori and a cap reduces the
 class computation to gluing: the disc's circle state passes through one
 matrix once per holed torus (the matrix's chain), and the cap keeps the
 identity coordinate.  The matrix is normalized once, before the chain, by
-the group class q(q-1), so the identity coordinate is the class itself.
+the group class q(q-1) and by the power of q its entries then share, which
+each class gets back as a shift, so the chain's states carry no factor q.
 The matrix is assembled from fiber classes and passes its eigen-identities
 as exact polynomial equalities.
 """
@@ -12,7 +13,7 @@ as exact polynomial equalities.
 from itertools import islice
 
 from affrep import build_transfer, close_surface, eigen_verify, reconstruct_transfer
-from affrep.exactpoly import ONE, chain
+from affrep.exactpoly import ONE, Q, chain
 from affrep.tqft import GROUP_CLASS
 
 matrix = build_transfer()  # a pair of rows; every assembly identity is re-verified here
@@ -36,14 +37,14 @@ print("\nreconstructed from genus 1-3 data (lower-left normalized to 1):")
 print(f"  a = {a}\n  b = {b}\n  d = {d}")
 
 # gluing by hand: normalize the matrix once, dividing a and d by the group
-# class s = q(q-1) and bc by s^2; the chain then gives the identity
-# coordinate of k glued tori, the top-left entry of the normalized M^k, by
+# class q(q-1) times q^2, the power of q they then share, and bc by its
+# square; the chain of that q-free N gives the top-left entry x_k of N^k by
 # the recurrence x_k = tr x_(k-1) - det x_(k-2), two products per holed
-# torus, with no division after it
+# torus, and q^(2k) x_k is the identity coordinate of k glued tori
 print()
 (a, b), (c, d) = matrix
-s = GROUP_CLASS
-normalized = ((a.exact_div(s), (b * c).exact_div(s * s)), (ONE, d.exact_div(s)))
-glued = next(islice(chain(normalized), 2, None))  # three holed tori
+s = GROUP_CLASS * Q**2
+factored = ((a.exact_div(s), (b * c).exact_div(s * s)), (ONE, d.exact_div(s)))
+glued = Q**6 * next(islice(chain(factored), 2, None))  # three holed tori
 verdict = "" if glued == close_surface(3, matrix) else "  MISMATCH"
 print(f"normalize once and glue three tori: {glued}{verdict}")

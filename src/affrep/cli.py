@@ -282,23 +282,26 @@ def cmd_tqft(
     """Transfer-matrix class of the genus-g surface, with optional identity checks."""
     budget = Budget(guard)
     matrix = build_transfer()
-    _charge_gluing(budget, genus, "gluing")
-    if reconstruct:
-        _charge_gluing(budget, 6, "the sweep to reconstruct from")
+    # --reconstruct reads the genus 1-6 classes from the same one sweep
+    _charge_gluing(budget, max(genus, 6) if reconstruct else genus, "gluing")
     _check_printable(genus)
-    results: dict = {"virtual_class": str(close_surface(genus, matrix))}
+    if reconstruct:
+        classes = surface_classes(matrix, {genus, *range(1, 7)})
+        virtual = classes[genus]
+    else:
+        virtual = close_surface(genus, matrix)
+    results: dict = {"virtual_class": str(virtual)}
     checks = []
     if show_matrix:
         results["matrix"] = [[str(e) for e in row] for row in matrix]
     if verify_eigen:
         checks += [_check(name, ok) for name, ok in eigen_verify(matrix)]
     if reconstruct:
-        classes = surface_classes(matrix, range(1, 7))
         a, b, d = reconstruct_transfer(classes[1], classes[2], classes[3])
         results["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
         rebuilt = ((a, b), (ONE, d))
         _charge_gluing(budget, 6, "the sweep of the rebuilt matrix")
-        roundtrip = surface_classes(rebuilt, range(1, 7)) == classes
+        roundtrip = surface_classes(rebuilt, range(1, 7)) == {g: classes[g] for g in range(1, 7)}
         checks.append(_check("reconstruction_roundtrip", roundtrip, "genus 1-6 classes"))
     inputs = {
         "genus": genus,

@@ -8,14 +8,15 @@ class supported at the identity and the class supported on the punctured
 translation subgroup; the matrix columns are the classes of the commutator
 map's fibers over those loci.
 
-The matrix is normalized once by the group class (:func:`normalized`), and
-the holed tori are glued onto the disc one at a time by its Cayley-Hamilton
-recurrence: the top-left entry x_k of its k-th power, the identity
-coordinate of k glued tori and the genus-k class, is tr x_(k-1) - det x_(k-2),
-two products per torus (:func:`~affrep.exactpoly.chain`), so one chain
-gives every genus (:func:`surface_classes`).  As every matrix glued
-normalizes to the same one, the guard charges each torus by a closed form
-in the genus (:func:`gluing_charge`).
+The matrix is normalized once (:func:`normalized`): divided by the group
+class, which leaves q^j N with N free of the factor q, and the holed tori
+are glued onto the disc one at a time by N's Cayley-Hamilton recurrence:
+the top-left entry x_k of N^k is tr x_(k-1) - det x_(k-2), two products per
+torus (:func:`~affrep.exactpoly.chain`), and q^(jk) x_k, the identity
+coordinate of k glued tori, is the genus-k class, so one chain gives every
+genus (:func:`surface_classes`).  As every matrix glued normalizes to the
+same N, the guard charges each torus by a closed form in the genus
+(:func:`gluing_charge`).
 
 Everything stays in Z[q] with exact division instead of localizing away
 q and q - 1, so each step is checkable; results hold up to annihilators of
@@ -80,28 +81,45 @@ def build_transfer() -> Matrix:
     return matrix
 
 
-def normalized(matrix: Matrix) -> Matrix:
-    """M' = ((a/s, bc/s^2), (1, d/s)) with s = q(q-1), whose chain is M's over s^k.
+def _low(p: IntPoly) -> int:
+    # the power of q that the lowest nonzero coefficient of p multiplies
+    return next(i for i, c in enumerate(p.coeffs) if c)
 
-    The top-left entry x_k of M^k depends only on a, d and bc, so x_k(M') =
-    x_k(M)/s^k, the class itself.  Each of the three divisions is exact or
-    raises :class:`~affrep.exactpoly.NotDivisible`; only M's own entries are read.
+
+def normalized(matrix: Matrix) -> tuple[Matrix, int]:
+    """N and j with M/s = q^j N in effect, s = q(q-1): N's chain is M's over (q^j s)^k.
+
+    The top-left entry x_k of M^k depends only on a, d and bc, so M' =
+    ((a', b'), (1, d')) = ((a/s, bc/s^2), (1, d/s)) has x_k(M') =
+    x_k(M)/s^k, the class itself; each of the three divisions is exact or
+    raises :class:`~affrep.exactpoly.NotDivisible`.  j is the largest power
+    of q that divides a' and d' and whose square divides b', counted from
+    their low zero coefficients (0 when all three vanish), and N =
+    ((a'/q^j, b'/q^(2j)), (1, d'/q^j)) drops those zeros, a slice and no
+    division, so x_k(M') = q^(jk) x_k(N).  Only M's own entries are read.
     """
     ((a, b), (c, d)), s = matrix, GROUP_CLASS
-    return (a.exact_div(s), (b * c).exact_div(s * s)), (ONE, d.exact_div(s))
+    a, bc, d = a.exact_div(s), (b * c).exact_div(s * s), d.exact_div(s)
+    shares = ((a, 1), (bc, 2), (d, 1))
+    j = min((_low(e) // n for e, n in shares if not e.is_zero()), default=0)
+    a, bc, d = (IntPoly(e.coeffs[n * j :]) for e, n in shares)
+    return ((a, bc), (ONE, d)), j
 
 
 def surface_classes(matrix: Matrix, genera: Iterable[int]) -> dict[int, IntPoly]:
     """The class at each genus of ``genera``, from one chain of gluing.
 
-    The chain of the matrix, :func:`normalized` once, glues to the largest
-    genus asked; the identity coordinate of g glued tori is the genus-g class.
+    The chain of N, the matrix :func:`normalized` once to q^j N, glues to
+    the largest genus asked; the identity coordinate of g glued tori, x_g(N)
+    shifted up by q^(jg), is the genus-g class.  Only the genera asked are
+    shifted.
     """
     keep = set(genera)
     if min(keep, default=0) < 1:
         raise GenusOutOfRange("genus must be >= 1")
-    glued = zip(range(1, max(keep) + 1), chain(normalized(matrix)))
-    return {g: c_i for g, c_i in glued if g in keep}
+    factored, j = normalized(matrix)
+    glued = zip(range(1, max(keep) + 1), chain(factored))
+    return {g: IntPoly((0,) * (j * g) + x.coeffs) for g, x in glued if g in keep}
 
 
 def close_surface(genus: int, matrix: Matrix | None = None) -> IntPoly:
@@ -118,23 +136,24 @@ def gluing_charge(genus: int) -> int:
     """Weighted coefficient products of gluing the genus-th torus in :func:`surface_classes`.
 
     Every matrix glued, the transfer matrix M and the one rebuilt from its
-    classes alike, normalizes to the same M' = ((a', b'), (1, d'))
-    (:func:`normalized`), so the charge is a function of the genus alone.
-    The first torus is the entry a' and costs the normalization, 65: the
-    products bc, 4 * 6, and q(q-1) squared, 2 * 3, and the quotients a',
-    2 * 3, b', 4 * 5, and d', 3 * 3.  The second forms -det(M') = b' - a'd',
-    4 + 2 * 5, and multiplies tr(M') by a', 3 * 4: 26.  The torus that makes
-    genus k + 1 multiplies each of the 3 nonzero coefficients of tr(M') by
-    every one of the state x_k of k tori, whose 4k coefficients, nonzero
-    from q^(2k) to q^(4k-1), have at most 4k bits, and each of the 3 of
-    -det(M') by every one of x_(k-1): 12k w(4k) + 12(k-1) w(4(k-1)), where
-    a product weighs the 64-bit words w of its wider factor
-    (:func:`~affrep.exactpoly.words`).
+    classes alike, normalizes to the same N = ((q-1, (q-1)(q-2)^2), (1,
+    q^2-3q+3)) with j = 2 (:func:`normalized`), so the charge is a function
+    of the genus alone.  The first torus is the entry a' and costs the
+    normalization, 65: the products bc, 4 * 6, and q(q-1) squared, 2 * 3,
+    and the quotients a', 2 * 3, b', 4 * 5, and d', 3 * 3; dropping q^j
+    and q^(2j) is a slice, no product.  The second forms -det(N) = b_N -
+    a_N d_N = -(q-1)^2, 4 + 2 * 3, and multiplies tr(N) = q^2-2q+2 by
+    a_N = q-1, 3 * 2: 16.  The torus that makes genus k + 1 multiplies each
+    of the 3 nonzero coefficients of tr(N) by every one of the state x_k of
+    k tori, whose 2k coefficients, of q^0 to q^(2k-1) and none of them
+    zero, have at most 2k bits, and each of the 3 of -det(N) by every one of
+    x_(k-1): 6k w(2k) + 6(k-1) w(2(k-1)), where a product weighs the 64-bit
+    words w of its wider factor (:func:`~affrep.exactpoly.words`).
     """
     if genus <= 2:
-        return 65 if genus == 1 else 26
+        return 65 if genus == 1 else 16
     k = genus - 1
-    return 12 * k * words(4 * k) + 12 * (k - 1) * words(4 * (k - 1))
+    return 6 * k * words(2 * k) + 6 * (k - 1) * words(2 * (k - 1))
 
 
 def reconstruct_transfer(

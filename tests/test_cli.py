@@ -461,7 +461,7 @@ class TestTqft:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["tqft", "--genus", "800"],
+            ["tqft", "--genus", "1200"],
             ["verify", "--genus-max", "600"],
             ["tqft", "--genus", "100000000"],
             ["verify", "--genus-max", "100000000"],
@@ -481,9 +481,9 @@ class TestTqft:
     @pytest.mark.parametrize(
         "argv,first_work",
         [
-            (["tqft", "--genus", "582"], "close_surface"),
+            (["tqft", "--genus", "921"], "close_surface"),
             (["classes", "--genus", "2560"], "rep_class"),
-            (["verify", "--genus-max", "432"], "rep_class"),
+            (["verify", "--genus-max", "477"], "rep_class"),
         ],
     )
     def test_default_guard_boundary(self, capsys, monkeypatch, argv, first_work):
@@ -722,7 +722,7 @@ class TestVerify:
         assert failed == [f"handle_commutators_on_translations_q{q}" for q in (2, 3, 4, 5)]
 
     def test_oracle_guard_boundary(self, monkeypatch):
-        # the whole run charges 1899: gluing 65 + 26, and classes, each built
+        # the whole run charges 1889: gluing 65 + 16, and classes, each built
         # once and printed three times, 12 + 20;
         # then, refused as one total before any field, group table or
         # polynomial work, the semi chains, one per q = 2, 3, 4, 5, 7, 8, 9,
@@ -736,11 +736,11 @@ class TestVerify:
         monkeypatch.setattr(cli, "aff_group_table", no_work)
         monkeypatch.setattr(cli, "surface_classes", no_work)
         with pytest.raises(BudgetExceeded, match=r"the semi chains and 1752 steps of table oracle "
-                           r"sweeps at g = 2, to q = 11, need 1776 units in all, .*, with 123 "
-                           r"already charged \(guard 1898\)"):
-            cmd_verify(2, guard=1898)
+                           r"sweeps at g = 2, to q = 11, need 1776 units in all, .*, with 113 "
+                           r"already charged \(guard 1888\)"):
+            cmd_verify(2, guard=1888)
         monkeypatch.undo()
-        assert cmd_verify(2, guard=1899).passed
+        assert cmd_verify(2, guard=1889).passed
 
     def test_one_semi_chain_per_field(self, monkeypatch, chains):
         # each q of the largest interpolation plan, smallest_prime_powers(4g)
@@ -950,24 +950,25 @@ class TestLedger:
         assert ledgers[0].used == 0
 
     def test_reconstruction_sweeps_are_charged(self, capsys, ledgers):
-        # the two genus-6 sweeps of --reconstruct come on top of the gluing
+        # --reconstruct glues the matrix once, to max(genus, 6), and the
+        # genus-6 sweep of the rebuilt matrix comes on top
         assert run_cli(capsys, ["tqft", "--genus", "2"])[0] == 0
-        plain = ledgers.pop().used
-        # genus 1 normalizes the matrix for 65; genus 2 glues for 26
-        assert plain == 65 + 26
-        assert run_cli(capsys, ["tqft", "--genus", "2", "--reconstruct"])[0] == 0
-        total = ledgers.pop().used
-        first = sum(gluing_charge(g) for g in range(1, 7))
-        assert total > plain + first
-        argv = ["tqft", "--genus", "2", "--reconstruct", "--guard", str(total - 1)]
+        # genus 1 normalizes the matrix for 65; genus 2 glues for 16
+        assert ledgers.pop().used == 65 + 16
+        sweep = sum(gluing_charge(g) for g in range(1, 7))
+        for genus in (2, 6, 9):
+            assert run_cli(capsys, ["tqft", "--genus", str(genus), "--reconstruct"])[0] == 0
+            once = sum(gluing_charge(g) for g in range(1, max(genus, 6) + 1))
+            assert ledgers.pop().used == once + sweep
+        argv = ["tqft", "--genus", "2", "--reconstruct", "--guard", str(2 * sweep - 1)]
         code, out, err = run_cli(capsys, argv)
-        _assert_refused_within(code, out, err, ledgers, total - 1)
-        assert "for the sweep of the rebuilt matrix at genus " in err
+        _assert_refused_within(code, out, err, ledgers, 2 * sweep - 1)
+        assert "for the sweep of the rebuilt matrix at genus 6" in err
         ledgers.clear()
-        argv[-1] = str(plain + first - 1)
+        argv[-1] = str(sweep - 1)
         code, out, err = run_cli(capsys, argv)
-        _assert_refused_within(code, out, err, ledgers, plain + first - 1)
-        assert "for the sweep to reconstruct from at genus 6" in err
+        _assert_refused_within(code, out, err, ledgers, sweep - 1)
+        assert err.startswith("error: genus 6 needs ") and "for gluing at genus 6" in err
 
 
 class TestPretty:

@@ -185,25 +185,34 @@ class TestCloseSurface:
     @pytest.mark.parametrize("genera", [[9, 2, 5], range(1, 41)])
     def test_any_genera_asked_divide_three_times(self, matrix, glued, divided, genera):
         # the matrix is normalized once, before the chain: a by q(q-1), bc by
-        # its square and d by q(q-1); no genus divides again
+        # its square and d by q(q-1), and then q^2 of a and d and q^4 of bc
+        # are shifted out, no division; no genus divides again, and the chain
+        # glues the q-free N, whose first value is q - 1
         classes = surface_classes(matrix, genera)
         assert classes == {g: rep_class(g) for g in sorted(genera)}
         assert len(glued) == max(genera)
+        assert glued[0] == QM1
         assert divided == [GROUP, GROUP**2, GROUP]
 
     @pytest.mark.parametrize("genus", [1, 2, 7])
     def test_close_surface_glues_g_tori_and_divides_three_times(self, matrix, glued, divided, genus):
         assert close_surface(genus, matrix) == rep_class(genus)
         assert len(glued) == genus
+        assert glued[0] == QM1
         assert divided == [GROUP, GROUP**2, GROUP]
 
-    @given(*[st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=4))] * 3)
-    def test_a_scaled_matrix_glues_as_its_unscaled_one(self, a, b, d):
-        # a matrix whose chain's k-th value is (q(q-1))^k times that of
-        # ((a, b), (1, d)) gives that matrix's chain, exactly, at genus 1-8
-        scaled = ((GROUP * a, GROUP**2 * b), (ONE, GROUP * d))
-        unscaled = dict(zip(range(1, 9), chain(((a, b), (ONE, d)))))
-        assert surface_classes(scaled, range(1, 9)) == unscaled
+    @given(
+        *[st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=4))] * 3,
+        st.integers(0, 3),
+    )
+    def test_a_scaled_matrix_glues_as_its_unscaled_one(self, a, b, d, j):
+        # a matrix whose chain's k-th value is (q^j q(q-1))^k times that of
+        # ((a, b), (1, d)) gives that matrix's chain times q^(jk), exactly,
+        # at genus 1-8, whatever power of q the entries share, zero entries
+        # and the zero matrix included
+        scaled = ((GROUP * Q**j * a, GROUP**2 * Q ** (2 * j) * b), (ONE, GROUP * Q**j * d))
+        unscaled = zip(range(1, 9), chain(((a, b), (ONE, d))))
+        assert surface_classes(scaled, range(1, 9)) == {k: Q ** (j * k) * x for k, x in unscaled}
 
     def test_genera_below_one_are_rejected(self, matrix):
         with pytest.raises(GenusOutOfRange):
@@ -290,14 +299,6 @@ class TestEigenIdentities:
         assert det == Q**4 * QM1**2
 
 
-def _charge_shape(entries):
-    # lowest nonzero power, degree and widest coefficient over the entries
-    low = min(next(i for i, c in enumerate(e.coeffs) if c) for e in entries)
-    degree = max(e.degree for e in entries)
-    bits = max(abs(c).bit_length() for e in entries for c in e.coeffs)
-    return low, degree, bits
-
-
 @pytest.fixture
 def counted_products(monkeypatch):
     # the coefficient products performed: for each nonzero left coefficient
@@ -322,36 +323,40 @@ def counted_products(monkeypatch):
 
 class TestPolynomialGuardModel:
     def test_powers_stay_within_the_modelled_span_and_bits(self, matrix):
-        # gluing_charge takes the state of k tori to powers 2k to 4k - 1, and
-        # its bits to at most 4k
-        for k, state in zip(range(1, 65), chain(normalized(matrix))):
-            low, degree, bits = _charge_shape([state])
-            assert low >= 2 * k and degree <= 4 * k - 1 and bits <= 4 * k
+        # gluing_charge takes the state of k tori on N to powers 0 to 2k - 1,
+        # none of them zero, and its bits to at most 2k
+        factored, j = normalized(matrix)
+        assert j == 2
+        for k, state in zip(range(1, 65), chain(factored)):
+            bits = max(abs(c).bit_length() for c in state.coeffs)
+            assert len(state.coeffs) == 2 * k and all(state.coeffs) and bits <= 2 * k
 
     def test_charges_follow_the_matrix_shape(self):
         # genus 1 normalizes: bc, 4 * 6, q(q-1) squared, 2 * 3, and the
         # quotients a' = q^3 - q^2, b' of 4 nonzero coefficients and d' of 3,
-        # 2 * 3 + 4 * 5 + 3 * 3; genus 2 forms b' 1 and a'd', 4 + 2 * 5, and
-        # tr(M') a', 3 * 4; tr(M') and -det(M') have 3 nonzero coefficients
-        # each, and a state of k tori spans powers 2k to 4k - 1, so genus 3
-        # multiplies x_2 by tr(M') and x_1 by -det(M'), 3 * 8 + 3 * 4
+        # 2 * 3 + 4 * 5 + 3 * 3, and shifts q^2 and q^4 out for no product;
+        # genus 2 forms b_N 1 and a_N d_N, 4 + 2 * 3, and tr(N) a_N, 3 * 2;
+        # tr(N) and -det(N) have 3 nonzero coefficients each, and a state of
+        # k tori has 2k, so genus 3 multiplies x_2 by tr(N) and x_1 by
+        # -det(N), 3 * 4 + 3 * 2
         charges = [tqft.gluing_charge(genus) for genus in (1, 2, 3)]
-        assert charges == [24 + 6 + 35, 14 + 12, 24 + 12]
+        assert charges == [24 + 6 + 35, 10 + 6, 12 + 6]
 
-    def test_the_state_of_17_tori_is_the_first_of_two_words(self):
-        # x_16 has up to 64 bits and x_17 up to 68, so genus 18 weighs x_17's
-        # 12 * 17 products twice
-        assert tqft.gluing_charge(17) == 12 * 16 + 12 * 15 == 372
-        assert tqft.gluing_charge(18) == 12 * 17 * 2 + 12 * 16 == 600
+    def test_the_state_of_33_tori_is_the_first_of_two_words(self):
+        # x_32 has up to 64 bits and x_33 up to 66, so genus 34 weighs x_33's
+        # 6 * 33 products twice
+        assert tqft.gluing_charge(33) == 6 * 32 + 6 * 31 == 378
+        assert tqft.gluing_charge(34) == 6 * 33 * 2 + 6 * 32 == 588
 
     def test_matrix_charge_tracks_the_products_performed(self, matrix, counted_products):
-        # for g <= 16 every coefficient glued has at most 4g <= 64 bits, so
-        # every word weight is 1 and tqft's charge is the count of coefficient
-        # products: a guard one under them refuses, and one of them admits
+        # for g <= 33 every coefficient glued has at most 2(g - 1) <= 64
+        # bits, so every word weight is 1 and tqft's charge is the count of
+        # coefficient products: a guard one under them refuses, and one of
+        # them admits
         from affrep.affcount import BudgetExceeded
         from affrep.cli import cmd_tqft
 
-        for genus in range(1, 17):
+        for genus in range(1, 34):
             counted_products.clear()
             close_surface(genus, matrix)
             performed = sum(counted_products)
@@ -360,10 +365,10 @@ class TestPolynomialGuardModel:
             cmd_tqft(genus, guard=performed)
 
     def test_sweep_charge_tracks_the_products_performed(self, matrix, counted_products):
-        # verify's sweep glues to N, charged as cli._charge_gluing charges it,
-        # for the products performed; the matrix --reconstruct rebuilds,
-        # [[a, b], [1, d]], normalizes to the same M' for 47 products against
-        # the 65 charged, and then glues as M does
+        # verify's sweep glues to its genus-max, charged as cli._charge_gluing
+        # charges it, for the products performed; the matrix --reconstruct
+        # rebuilds, [[a, b], [1, d]], normalizes to the same N for 47
+        # products against the 65 charged, and then glues as M does
         from affrep.affcount import Budget
         from affrep.cli import _charge_gluing
 
@@ -374,10 +379,10 @@ class TestPolynomialGuardModel:
             _charge_gluing(budget, genus_max, "the sweep")
             return sum(counted_products), budget.used
 
-        for genus_max in range(1, 17):
+        for genus_max in range(1, 34):
             performed, charged = sweep(matrix, genus_max)
             assert charged == performed
         a, b, d = reconstruct_transfer(*surface_classes(matrix, range(1, 4)).values())
-        for genus_max in range(8, 17):
+        for genus_max in range(8, 34):
             performed, charged = sweep(((a, b), (ONE, d)), genus_max)
             assert performed <= charged <= 1.15 * performed
