@@ -6,14 +6,16 @@ matrix once per holed torus (the matrix's chain), and the cap keeps the
 identity coordinate.  The matrix is normalized once, before the chain, by
 the group class q(q-1) and by the power of q its entries then share, which
 each class gets back as a shift, so the chain's states carry no factor q.
-The matrix is assembled from fiber classes and passes its eigen-identities
-as exact polynomial equalities.
+Written in u = q - 1 those states have coefficients 0, 1 and -1 alone, so
+one genus is glued in u and shifted back to q once.  The matrix is
+assembled from fiber classes and passes its eigen-identities as exact
+polynomial equalities.
 """
 
 from itertools import islice
 
 from affrep import build_transfer, close_surface, eigen_verify, reconstruct_transfer
-from affrep.exactpoly import ONE, Q, chain
+from affrep.exactpoly import ONE, Q, chain, taylor_shift
 from affrep.tqft import GROUP_CLASS
 
 matrix = build_transfer()  # a pair of rows; every assembly identity is re-verified here
@@ -48,3 +50,14 @@ factored = ((a.exact_div(s), (b * c).exact_div(s * s)), (ONE, d.exact_div(s)))
 glued = Q**6 * next(islice(chain(factored), 2, None))  # three holed tori
 verdict = "" if glued == close_surface(3, matrix) else "  MISMATCH"
 print(f"normalize once and glue three tori: {glued}{verdict}")
+
+# the same three tori in u = q - 1: each entry p(q) of N becomes p(u + 1),
+# so tr = u^2 + 1 and -det = -u^2, and every state has coefficients 0 and
+# +-1; the chain adds rows with no product, and x_3 is shifted back once
+(a, bc), (one, d) = factored
+in_u = ((taylor_shift(a, 1), taylor_shift(bc, 1)), (one, taylor_shift(d, 1)))
+x3 = next(islice(chain(in_u), 2, None))
+print(f"  x_3 in u: {str(x3).replace('q', 'u')}")
+glued_u = Q**6 * taylor_shift(x3, -1)
+verdict = "" if glued_u == glued else "  MISMATCH"
+print(f"glue three tori in u and shift back: {glued_u}{verdict}")

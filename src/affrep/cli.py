@@ -67,6 +67,7 @@ from .tqft import (
     LOCALIZATION_CAVEAT,
     build_transfer,
     close_surface,
+    closing_charge,
     eigen_verify,
     gluing_charge,
     reconstruct_transfer,
@@ -282,14 +283,14 @@ def cmd_tqft(
     """Transfer-matrix class of the genus-g surface, with optional identity checks."""
     budget = Budget(guard)
     matrix = build_transfer()
-    # --reconstruct reads the genus 1-6 classes from the same one sweep
-    _charge_gluing(budget, max(genus, 6) if reconstruct else genus, "gluing")
-    _check_printable(genus)
+    units = closing_charge(genus)
+    closing = "genus {} needs {} coefficient operations, weighted by 64-bit words, to glue in u"
+    budget.charge(units, closing + " = q - 1 and shift back", genus, units)
     if reconstruct:
-        classes = surface_classes(matrix, {genus, *range(1, 7)})
-        virtual = classes[genus]
-    else:
-        virtual = close_surface(genus, matrix)
+        # the genus 1-6 classes to rebuild from come from one sweep in q
+        _charge_gluing(budget, 6, "the sweep to reconstruct from")
+    _check_printable(genus)
+    virtual = close_surface(genus, matrix)
     results: dict = {"virtual_class": str(virtual)}
     checks = []
     if show_matrix:
@@ -297,11 +298,12 @@ def cmd_tqft(
     if verify_eigen:
         checks += [_check(name, ok) for name, ok in eigen_verify(matrix)]
     if reconstruct:
+        classes = surface_classes(matrix, range(1, 7))
         a, b, d = reconstruct_transfer(classes[1], classes[2], classes[3])
         results["reconstructed"] = {"a": str(a), "b": str(b), "c": "1", "d": str(d)}
         rebuilt = ((a, b), (ONE, d))
         _charge_gluing(budget, 6, "the sweep of the rebuilt matrix")
-        roundtrip = surface_classes(rebuilt, range(1, 7)) == {g: classes[g] for g in range(1, 7)}
+        roundtrip = surface_classes(rebuilt, range(1, 7)) == classes
         checks.append(_check("reconstruction_roundtrip", roundtrip, "genus 1-6 classes"))
     inputs = {
         "genus": genus,

@@ -5,7 +5,8 @@ the coefficient of q^i.  Coefficients are Python ints, so there is no
 overflow and no rounding anywhere; every operation here is exact or raises.
 A 2x2 matrix is a plain pair of rows ``((a, b), (c, d))``, over ints or
 polynomials; :func:`chain` gives the top-left entries of its powers by
-the Cayley-Hamilton recurrence.
+the Cayley-Hamilton recurrence.  :func:`taylor_shift` substitutes q + 1 or
+q - 1 for q by additions alone.
 
 The zero polynomial stores an empty coefficient tuple and its ``degree`` is
 ``None`` rather than an integer, so a degree of -1 can never be confused
@@ -15,7 +16,7 @@ with a valid degree.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Iterator
 
 
@@ -161,11 +162,10 @@ class IntPoly(Immutable):
         return self.coeffs[-1]
 
     def __add__(self, other: IntPoly | int) -> IntPoly:
-        other = _as_poly(other)
-        return IntPoly(
-            a + b
-            for a, b in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        )
+        longer, shorter = self.coeffs, _as_poly(other).coeffs
+        if len(longer) < len(shorter):
+            longer, shorter = shorter, longer
+        return IntPoly([*map(add, longer, shorter), *longer[len(shorter) :]])
 
     __radd__ = __add__
 
@@ -173,18 +173,26 @@ class IntPoly(Immutable):
         return self + (-_as_poly(other))
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(-c for c in self.coeffs)
+        return IntPoly(map(neg, self.coeffs))
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
-        other = _as_poly(other)
-        if not self.coeffs or not other.coeffs:
+        """The product, one row per nonzero coefficient a of ``self``, each added in C.
+
+        The row is ``other`` shifted by a's power, added as it is for a = 1
+        and subtracted for a = -1, so a unit coefficient costs no product.
+        """
+        right = _as_poly(other).coeffs
+        if not self.coeffs or not right:
             return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        n = len(right)
+        out = [0] * (len(self.coeffs) + n - 1)
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a == 1:
+                out[i : i + n] = map(add, out[i : i + n], right)
+            elif a == -1:
+                out[i : i + n] = map(sub, out[i : i + n], right)
+            elif a:
+                out[i : i + n] = map(add, out[i : i + n], map(a.__mul__, right))
         return IntPoly(out)
 
     __rmul__ = __mul__
@@ -242,6 +250,34 @@ class IntPoly(Immutable):
 
 def _as_poly(x: IntPoly | int) -> IntPoly:
     return x if isinstance(x, IntPoly) else IntPoly([x])
+
+
+def taylor_shift(p: IntPoly, s: int) -> IntPoly:
+    """p(q + s) for s = 1 or -1, by additions alone.
+
+    Each pass takes the suffix sums of the coefficients, top first
+    (:func:`itertools.accumulate`): the last is the value at q = 1, the
+    next coefficient of p(q + 1), and the others are the coefficients of
+    the quotient by q - 1, which the next pass shifts.  A polynomial of n
+    coefficients takes n(n - 1)/2 additions.  For s = -1 the signs of the
+    odd coefficients flip before and after, as p(q - 1) = r(-q) with
+    r(q) = p(-q - 1).  Any other s raises :class:`ValueError`.
+
+    >>> taylor_shift(IntPoly([0, 0, 1]), 1), taylor_shift(IntPoly([0, 0, 1]), -1)
+    (IntPoly('q^2 + 2q + 1'), IntPoly('q^2 - 2q + 1'))
+    """
+    if s not in (1, -1):
+        raise ValueError(f"taylor_shift shifts by 1 or -1, not {s!r}")
+    coeffs, shifted = list(p.coeffs), []
+    if s == -1:
+        coeffs[1::2] = map(neg, coeffs[1::2])
+    top_first = coeffs[::-1]
+    while top_first:
+        top_first = list(itertools.accumulate(top_first))
+        shifted.append(top_first.pop())
+    if s == -1:
+        shifted[1::2] = map(neg, shifted[1::2])
+    return IntPoly(shifted)
 
 
 ZERO = IntPoly()

@@ -13,10 +13,15 @@ class, which leaves q^j N with N free of the factor q, and the holed tori
 are glued onto the disc one at a time by N's Cayley-Hamilton recurrence:
 the top-left entry x_k of N^k is tr x_(k-1) - det x_(k-2), two products per
 torus (:func:`~affrep.exactpoly.chain`), and q^(jk) x_k, the identity
-coordinate of k glued tori, is the genus-k class, so one chain gives every
-genus (:func:`surface_classes`).  As every matrix glued normalizes to the
-same N, the guard charges each torus by a closed form in the genus
-(:func:`gluing_charge`).
+coordinate of k glued tori, is the genus-k class.  There are two routes.
+One genus (:func:`close_surface`) glues N moved to u = q - 1, the class of
+K*, where tr = u^2 + 1, -det = -u^2 and every state has coefficients 0, 1
+and -1 alone, so the chain adds unit rows, and shifts x_g back to q once
+(:func:`~affrep.exactpoly.taylor_shift`).  Every genus up to G
+(:func:`surface_classes`) runs the chain in q, as one shift per genus would
+cost about (2/3)G^3 additions.  As every matrix glued normalizes to the
+same N, the guard charges each route by a closed form in the genus
+(:func:`closing_charge`, and :func:`gluing_charge` per torus of the sweep).
 
 Everything stays in Z[q] with exact division instead of localizing away
 q and q - 1, so each step is checkable; results hold up to annihilators of
@@ -25,9 +30,10 @@ q and q - 1 in the Grothendieck ring (see :data:`LOCALIZATION_CAVEAT`).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
-from .exactpoly import ONE, Q, IntPoly, chain, words
+from .exactpoly import ONE, Q, IntPoly, chain, taylor_shift, words
 from .geomstrat import GenusOutOfRange
 
 LOCALIZATION_CAVEAT = (
@@ -109,10 +115,10 @@ def normalized(matrix: Matrix) -> tuple[Matrix, int]:
 def surface_classes(matrix: Matrix, genera: Iterable[int]) -> dict[int, IntPoly]:
     """The class at each genus of ``genera``, from one chain of gluing.
 
-    The chain of N, the matrix :func:`normalized` once to q^j N, glues to
-    the largest genus asked; the identity coordinate of g glued tori, x_g(N)
-    shifted up by q^(jg), is the genus-g class.  Only the genera asked are
-    shifted.
+    The chain of N, the matrix :func:`normalized` once to q^j N, glues in
+    q to the largest genus asked; the identity coordinate of g glued tori,
+    x_g(N) shifted up by q^(jg), is the genus-g class.  Only the genera
+    asked are shifted.  For one genus :func:`close_surface` is cheaper.
     """
     keep = set(genera)
     if min(keep, default=0) < 1:
@@ -123,13 +129,24 @@ def surface_classes(matrix: Matrix, genera: Iterable[int]) -> dict[int, IntPoly]
 
 
 def close_surface(genus: int, matrix: Matrix | None = None) -> IntPoly:
-    """Virtual class of the genus-g representation variety: glue g normalized tori.
+    """Virtual class of the genus-g representation variety: glue g tori in u = q - 1.
 
-    ``matrix`` is the transfer matrix as its rows, :func:`build_transfer`'s if None.
+    ``matrix`` is the transfer matrix as its rows, :func:`build_transfer`'s
+    if None.  It is :func:`normalized` once to q^j N, and N's three entries
+    are moved to u, the class of K*, by :func:`~affrep.exactpoly.taylor_shift`:
+    N becomes ((u, u(u-1)^2), (1, u^2-u+1)), with tr = u^2 + 1 and -det =
+    -u^2, and the state of k tori has 2k coefficients, each 0 or 1 or -1,
+    so every product of the chain is a sum of unit rows.  The chain glues
+    to ``genus`` alone; x_g is shifted back to q once, and by q^(jg).
     """
+    if genus < 1:
+        raise GenusOutOfRange("genus must be >= 1")
     if matrix is None:
         matrix = build_transfer()
-    return surface_classes(matrix, (genus,))[genus]
+    ((a, bc), (one, d)), j = normalized(matrix)
+    in_u = ((taylor_shift(a, 1), taylor_shift(bc, 1)), (one, taylor_shift(d, 1)))
+    x = next(itertools.islice(chain(in_u), genus - 1, None))
+    return IntPoly((0,) * (j * genus) + taylor_shift(x, -1).coeffs)
 
 
 def gluing_charge(genus: int) -> int:
@@ -154,6 +171,30 @@ def gluing_charge(genus: int) -> int:
         return 65 if genus == 1 else 16
     k = genus - 1
     return 6 * k * words(2 * k) + 6 * (k - 1) * words(2 * (k - 1))
+
+
+def closing_charge(genus: int) -> int:
+    """Weighted coefficient operations of :func:`close_surface` at ``genus``, in closed form.
+
+    The normalization costs 65, as in :func:`gluing_charge`, and moving
+    N's entries to u 10 additions, n(n-1)/2 for each of n coefficients: a
+    = q-1, 1, bc = (q-1)(q-2)^2, 6, and d = q^2-3q+3, 3.  The chain's
+    products in u are unit rows of one word each: the second torus forms
+    -det(N) = b_u - a_u d_u, 3 + 1 * 3, and multiplies tr(N) = u^2 + 1, of
+    2 nonzero coefficients, by a_u = u, 2 * 2: 10; the torus that makes
+    genus k + 1 adds 2 rows of the 2k coefficients of x_k and the one row
+    of -det(N) = -u^2 of the 2(k-1) of x_(k-1): 6k - 2.  So g >= 2 tori
+    take 10 + the sum of 6k - 2 over k = 2 to g - 1, 3g^2 - 5g + 8.
+    Shifting x_g, of 2g coefficients, back to q takes g(2g-1) additions,
+    each on at most 2g bits, as every partial sum of the shift is at most
+    a sum of binomials C(i, k) over i < 2g, below 2^(2g): g(2g-1) w(2g),
+    in the 64-bit words w of :func:`~affrep.exactpoly.words`.
+
+    >>> [closing_charge(g) for g in (1, 2, 3)]
+    [76, 91, 110]
+    """
+    glued = 3 * genus * genus - 5 * genus + 8 if genus > 1 else 0
+    return 75 + glued + genus * (2 * genus - 1) * words(2 * genus)
 
 
 def reconstruct_transfer(

@@ -24,7 +24,7 @@ from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, m
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
 from affrep.interpolate import prime_power
-from affrep.tqft import gluing_charge
+from affrep.tqft import closing_charge, gluing_charge
 from conftest import closed_count
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -438,13 +438,14 @@ class TestTqft:
 
     @pytest.mark.parametrize("command", ["tqft", "classes", "verify"])
     def test_guard(self, capsys, command):
-        # three classes of (2g+1) w (1+w), w = ceil(2g/64); a sweep of gluing
-        # stops at its first genus over the guard, genus 1, whose torus costs
-        # the matrix's normalization, 65, and for verify also the genus-1
+        # three classes of (2g+1) w (1+w), w = ceil(2g/64); closing one
+        # surface in u is charged at once by tqft.closing_charge; verify's
+        # sweep of gluing stops at its first genus over the guard, genus 1,
+        # whose torus costs the matrix's normalization, 65, and the genus-1
         # class built once and printed three times, 3 * 1 * (1 + 3)
         refusal = {
-            "tqft": "genus 100000 needs 65 coefficient products, weighted by 64-bit words, "
-            "for gluing at genus 1 ",
+            "tqft": "genus 100000 needs 62529687000083 coefficient operations, weighted by "
+            "64-bit words, to glue in u = q - 1 and shift back ",
             "classes": "genus 100000 needs 5861279306250 ",
             "verify": "genus 100000 needs 77 coefficient products, weighted by 64-bit words, "
             "for gluing and classes at genus 1 ",
@@ -481,7 +482,7 @@ class TestTqft:
     @pytest.mark.parametrize(
         "argv,first_work",
         [
-            (["tqft", "--genus", "921"], "close_surface"),
+            (["tqft", "--genus", "1152"], "close_surface"),
             (["classes", "--genus", "2560"], "rep_class"),
             (["verify", "--genus-max", "477"], "rep_class"),
         ],
@@ -950,25 +951,30 @@ class TestLedger:
         assert ledgers[0].used == 0
 
     def test_reconstruction_sweeps_are_charged(self, capsys, ledgers):
-        # --reconstruct glues the matrix once, to max(genus, 6), and the
-        # genus-6 sweep of the rebuilt matrix comes on top
+        # the class is closed in u, and --reconstruct then sweeps the q chain
+        # to genus 6 twice, once for M's classes and once for the rebuilt matrix
         assert run_cli(capsys, ["tqft", "--genus", "2"])[0] == 0
-        # genus 1 normalizes the matrix for 65; genus 2 glues for 16
-        assert ledgers.pop().used == 65 + 16
+        # normalizing costs 65, moving N to u 10, the second torus 10 and
+        # shifting x_2 back 6
+        assert ledgers.pop().used == closing_charge(2) == 65 + 10 + 10 + 6
         sweep = sum(gluing_charge(g) for g in range(1, 7))
         for genus in (2, 6, 9):
             assert run_cli(capsys, ["tqft", "--genus", str(genus), "--reconstruct"])[0] == 0
-            once = sum(gluing_charge(g) for g in range(1, max(genus, 6) + 1))
-            assert ledgers.pop().used == once + sweep
-        argv = ["tqft", "--genus", "2", "--reconstruct", "--guard", str(2 * sweep - 1)]
+            assert ledgers.pop().used == closing_charge(genus) + 2 * sweep
+        closing = closing_charge(2)
+        argv = ["tqft", "--genus", "2", "--reconstruct", "--guard", str(closing + 2 * sweep - 1)]
         code, out, err = run_cli(capsys, argv)
-        _assert_refused_within(code, out, err, ledgers, 2 * sweep - 1)
+        _assert_refused_within(code, out, err, ledgers, closing + 2 * sweep - 1)
         assert "for the sweep of the rebuilt matrix at genus 6" in err
-        ledgers.clear()
-        argv[-1] = str(sweep - 1)
-        code, out, err = run_cli(capsys, argv)
-        _assert_refused_within(code, out, err, ledgers, sweep - 1)
-        assert err.startswith("error: genus 6 needs ") and "for gluing at genus 6" in err
+        for guard, refusal in [
+            (closing + sweep - 1, "for the sweep to reconstruct from at genus 6"),
+            (closing - 1, "to glue in u = q - 1 and shift back"),
+        ]:
+            ledgers.clear()
+            argv[-1] = str(guard)
+            code, out, err = run_cli(capsys, argv)
+            _assert_refused_within(code, out, err, ledgers, guard)
+            assert refusal in err
 
 
 class TestPretty:

@@ -3,10 +3,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, chain
+from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, chain, taylor_shift
 from affrep.finitefield import make_field
 
 QM1 = Q - ONE
@@ -98,6 +98,77 @@ class TestExactDivision:
         for k in range(product.degree + 2):
             with pytest.raises(NotDivisible):
                 (product + Q**k).exact_div(divisor)
+
+
+def _reference_product(p, r):
+    # the schoolbook double loop, one product per pair of coefficients
+    out = [0] * (len(p) + len(r))
+    for i, a in enumerate(p):
+        for j, b in enumerate(r):
+            out[i + j] += a * b
+    return IntPoly(out)
+
+
+def _reference_sum(p, r):
+    return IntPoly(a + b for a, b in itertools.zip_longest(p, r, fillvalue=0))
+
+
+# coefficient lists heavy in 0, 1 and -1, as the states glued in u = q - 1
+# are, with wide ints among them and trailing zeros that IntPoly drops
+_UNITS = st.sampled_from([0, 0, 1, -1]) | st.integers(-(2**70), 2**70)
+unit_lists = st.lists(_UNITS, max_size=9).flatmap(
+    lambda cs: st.integers(0, 3).map(lambda zeros: cs + [0] * zeros)
+)
+
+
+class TestKernels:
+    """IntPoly's row-wise product and sum against the schoolbook loops."""
+
+    @given(unit_lists, unit_lists)
+    @example([], [1, -1])
+    @example([0, 1, 0, 0], [])
+    @example([-1, 0, 1, 0], [1, 1, -1, 0, 0])
+    def test_product_matches_the_double_loop(self, p, r):
+        assert IntPoly(p) * IntPoly(r) == _reference_product(p, r)
+
+    @given(unit_lists, unit_lists)
+    @example([], [])
+    @example([1, -1], [-1, 1, 0])
+    def test_sum_matches_the_coefficient_loop(self, p, r):
+        assert IntPoly(p) + IntPoly(r) == _reference_sum(p, r)
+        assert IntPoly(p) - IntPoly(r) == _reference_sum(p, [-c for c in r])
+
+    @given(unit_lists, st.integers(-(2**70), 2**70))
+    def test_integer_factors_match_the_double_loop(self, p, n):
+        assert IntPoly(p) * n == n * IntPoly(p) == _reference_product(p, [n])
+        assert IntPoly(p) + n == _reference_sum(p, [n])
+
+
+class TestTaylorShift:
+    @given(unit_lists)
+    @example([])
+    def test_shifts_invert_each_other(self, cs):
+        p = IntPoly(cs)
+        assert taylor_shift(taylor_shift(p, 1), -1) == p
+        assert taylor_shift(taylor_shift(p, -1), 1) == p
+
+    @given(unit_lists, st.sampled_from([1, -1]), st.integers(-20, 20))
+    def test_shift_substitutes_q_plus_s(self, cs, s, x):
+        p = IntPoly(cs)
+        assert taylor_shift(p, s)(x) == p(x + s)
+
+    @given(st.integers(-(2**70), 2**70).filter(lambda s: s not in (1, -1)))
+    @example(0)
+    def test_other_shifts_are_refused(self, s):
+        with pytest.raises(ValueError):
+            taylor_shift(QM1, s)
+
+    def test_moves_the_transfer_matrix_to_u(self):
+        # N's entries at q = u + 1, the matrix close_surface glues
+        u = Q
+        assert taylor_shift(QM1, 1) == u
+        assert taylor_shift(QM1 * (Q - 2) ** 2, 1) == u * (u - ONE) ** 2
+        assert taylor_shift(Q**2 - 3 * Q + 3, 1) == u**2 - u + ONE
 
 
 class TestRingProperties:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from affrep import tqft
 from affrep.affcount import count_semi, handle_distribution
-from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, chain
+from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, chain, words
 from affrep.finitefield import make_field
 from affrep.geomstrat import GenusOutOfRange, rep_class
 from affrep.interpolate import prime_power
@@ -24,6 +24,12 @@ from affrep.tqft import (
 
 QM1 = Q - ONE
 GROUP = Q * QM1
+
+# the two routes to one genus: glue in u = q - 1 and shift back, or the q chain
+ROUTES = (
+    lambda matrix, genus: close_surface(genus, matrix),
+    lambda matrix, genus: surface_classes(matrix, [genus])[genus],
+)
 
 
 @pytest.fixture(scope="module")
@@ -158,8 +164,9 @@ class TestCloseSurface:
     def test_genus_zero_rejected(self, matrix):
         from affrep.cli import cmd_tqft
 
-        with pytest.raises(GenusOutOfRange):
-            close_surface(0, matrix)
+        for route in ROUTES:
+            with pytest.raises(GenusOutOfRange):
+                route(matrix, 0)
         with pytest.raises(GenusOutOfRange):
             cmd_tqft(0)
 
@@ -196,10 +203,20 @@ class TestCloseSurface:
 
     @pytest.mark.parametrize("genus", [1, 2, 7])
     def test_close_surface_glues_g_tori_and_divides_three_times(self, matrix, glued, divided, genus):
+        # close_surface glues N moved to u = q - 1, whose first value is u
+        # (an IntPoly names its variable q); moving to u and back divides nothing
         assert close_surface(genus, matrix) == rep_class(genus)
         assert len(glued) == genus
-        assert glued[0] == QM1
+        assert glued[0] == Q
         assert divided == [GROUP, GROUP**2, GROUP]
+
+    def test_both_routes_agree(self, matrix):
+        # the u route's class at each genus is the q chain's, for M and for
+        # the matrix --reconstruct rebuilds from M's genus 1-3 classes
+        a, b, d = reconstruct_transfer(*surface_classes(matrix, range(1, 4)).values())
+        for glued_matrix in (matrix, ((a, b), (ONE, d))):
+            swept = surface_classes(glued_matrix, range(1, 97))
+            assert all(close_surface(g, glued_matrix) == swept[g] for g in range(1, 97))
 
     @given(
         *[st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=4))] * 3,
@@ -222,8 +239,9 @@ class TestCloseSurface:
 
     def test_failed_division_is_fatal(self):
         # a matrix whose chain starts at a class that is not a multiple of q(q-1)
-        with pytest.raises(NotDivisible):
-            surface_classes(((Q + ONE, ZERO), (ZERO, ZERO)), [1])
+        for route in ROUTES:
+            with pytest.raises(NotDivisible):
+                route(((Q + ONE, ZERO), (ZERO, ZERO)), 1)
 
     @pytest.mark.parametrize("entry", [0, 1, 2])
     def test_each_entry_must_normalize(self, matrix, entry):
@@ -233,8 +251,9 @@ class TestCloseSurface:
         entries = [a, b * c, d]
         entries[entry] += Q
         broken = ((entries[0], entries[1]), (ONE, entries[2]))
-        with pytest.raises(NotDivisible):
-            surface_classes(broken, [1])
+        for route in ROUTES:
+            with pytest.raises(NotDivisible):
+                route(broken, 1)
 
 
 class TestReconstruction:
@@ -303,9 +322,10 @@ class TestEigenIdentities:
 def counted_products(monkeypatch):
     # the coefficient products performed: for each nonzero left coefficient
     # one per right coefficient in IntPoly.__mul__, and one per divisor
-    # coefficient for each nonzero quotient coefficient in IntPoly.exact_div
+    # coefficient for each nonzero quotient coefficient in IntPoly.exact_div;
+    # and the n(n - 1)/2 additions of each Taylor shift of n coefficients
     performed = []
-    mul, exact_div = IntPoly.__mul__, IntPoly.exact_div
+    mul, exact_div, shift = IntPoly.__mul__, IntPoly.exact_div, tqft.taylor_shift
 
     def counting_mul(self, other):
         performed.append(sum(1 for c in self.coeffs if c) * len(other.coeffs))
@@ -316,8 +336,14 @@ def counted_products(monkeypatch):
         performed.append(sum(1 for c in quotient.coeffs if c) * len(d.coeffs))
         return quotient
 
+    def counting_shift(p, s):
+        n = len(p.coeffs)
+        performed.append(n * (n - 1) // 2)
+        return shift(p, s)
+
     monkeypatch.setattr(IntPoly, "__mul__", counting_mul)
     monkeypatch.setattr(IntPoly, "exact_div", counting_div)
+    monkeypatch.setattr(tqft, "taylor_shift", counting_shift)
     return performed
 
 
@@ -330,6 +356,14 @@ class TestPolynomialGuardModel:
         for k, state in zip(range(1, 65), chain(factored)):
             bits = max(abs(c).bit_length() for c in state.coeffs)
             assert len(state.coeffs) == 2 * k and all(state.coeffs) and bits <= 2 * k
+
+    def test_u_states_are_unit_coefficients(self, matrix, glued):
+        # closing_charge takes the state of k tori in u to 2k coefficients,
+        # each 0 or 1 or -1, so each of its operations weighs one word
+        close_surface(300, matrix)
+        assert len(glued) == 300
+        for k, state in enumerate(glued, 1):
+            assert len(state.coeffs) == 2 * k and set(state.coeffs) <= {0, 1, -1}
 
     def test_charges_follow_the_matrix_shape(self):
         # genus 1 normalizes: bc, 4 * 6, q(q-1) squared, 2 * 3, and the
@@ -349,20 +383,24 @@ class TestPolynomialGuardModel:
         assert tqft.gluing_charge(34) == 6 * 33 * 2 + 6 * 32 == 588
 
     def test_matrix_charge_tracks_the_products_performed(self, matrix, counted_products):
-        # for g <= 33 every coefficient glued has at most 2(g - 1) <= 64
-        # bits, so every word weight is 1 and tqft's charge is the count of
-        # coefficient products: a guard one under them refuses, and one of
-        # them admits
+        # close_surface normalizes, moves N to u, glues unit rows and shifts
+        # x_g back; for g <= 32 the shift's sums have at most 2g <= 64 bits,
+        # so every word weight is 1 and tqft's charge is the count of
+        # operations: a guard one under them refuses, and one of them admits.
+        # To genus 64 the shift weighs up to two words, and the charge stays
+        # within twice the operations
         from affrep.affcount import BudgetExceeded
         from affrep.cli import cmd_tqft
 
-        for genus in range(1, 34):
+        for genus in range(1, 65):
             counted_products.clear()
             close_surface(genus, matrix)
             performed = sum(counted_products)
-            with pytest.raises(BudgetExceeded):
-                cmd_tqft(genus, guard=performed - 1)
-            cmd_tqft(genus, guard=performed)
+            if words(2 * genus) == 1:
+                with pytest.raises(BudgetExceeded):
+                    cmd_tqft(genus, guard=performed - 1)
+                cmd_tqft(genus, guard=performed)
+            assert performed <= tqft.closing_charge(genus) <= 2 * performed
 
     def test_sweep_charge_tracks_the_products_performed(self, matrix, counted_products):
         # verify's sweep glues to its genus-max, charged as cli._charge_gluing
