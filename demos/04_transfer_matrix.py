@@ -7,7 +7,8 @@ identity coordinate.  The matrix is normalized once, before the chain, by
 the group class q(q-1) and by the power of q its entries then share, which
 each class gets back as a shift, so the chain's states carry no factor q.
 Written in u = q - 1 those states have coefficients 0, 1 and -1 alone, so
-one genus is glued in u and shifted back to q once.  The matrix is
+one genus is glued in u, on ints that pack a state one coefficient to a
+byte, and shifted back to q once.  The matrix is
 assembled from fiber classes and passes its eigen-identities as exact
 polynomial equalities.
 """
@@ -15,7 +16,7 @@ polynomial equalities.
 from itertools import islice
 
 from affrep import build_transfer, close_surface, eigen_verify, reconstruct_transfer
-from affrep.exactpoly import ONE, Q, chain, taylor_shift
+from affrep.exactpoly import ONE, Q, Packing, chain, taylor_shift
 from affrep.tqft import GROUP_CLASS
 
 matrix = build_transfer()  # a pair of rows; every assembly identity is re-verified here
@@ -61,3 +62,14 @@ print(f"  x_3 in u: {str(x3).replace('q', 'u')}")
 glued_u = Q**6 * taylor_shift(x3, -1)
 verdict = "" if glued_u == glued else "  MISMATCH"
 print(f"glue three tori in u and shift back: {glued_u}{verdict}")
+
+# the same chain on ints: each entry evaluated at u = 2^8, one coefficient
+# to a byte, so a state x_k of 2k unit coefficients is one int of 2k bytes;
+# a state is read back from its bytes, each less a bias, while every
+# coefficient lies in the window [-32, 32), which tqft checks at every state
+packing = Packing(8, 5, 7)
+packed = tuple(tuple(map(packing.pack, row)) for row in in_u)
+x3_packed = next(islice(chain(packed), 2, None))
+read_back = packing.read(x3_packed)
+verdict = "" if read_back == x3 else "  MISMATCH"
+print(f"  x_3 read back from the packed chain: {str(read_back).replace('q', 'u')}{verdict}")

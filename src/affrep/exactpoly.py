@@ -6,7 +6,9 @@ overflow and no rounding anywhere; every operation here is exact or raises.
 A 2x2 matrix is a plain pair of rows ``((a, b), (c, d))``, over ints or
 polynomials; :func:`chain` gives the top-left entries of its powers by
 the Cayley-Hamilton recurrence.  :func:`taylor_shift` substitutes q + 1 or
-q - 1 for q by additions alone.
+q - 1 for q by additions alone.  :class:`Packing` holds a polynomial of
+small coefficients as one int, a slot of bits per coefficient, so that the
+chain can run on ints and its states be read back.
 
 The zero polynomial stores an empty coefficient tuple and its ``degree`` is
 ``None`` rather than an integer, so a degree of -1 can never be confused
@@ -278,6 +280,63 @@ def taylor_shift(p: IntPoly, s: int) -> IntPoly:
     if s == -1:
         shifted[1::2] = map(neg, shifted[1::2])
     return IntPoly(shifted)
+
+
+class Packing(Immutable):
+    """Polynomials as single ints, one coefficient to a ``width``-bit slot.
+
+    A polynomial p packs to the int p(2^width) (Kronecker substitution), so
+    sums and products of packed ints pack the sums and products of their
+    polynomials, exactly, whatever the coefficients.  An int is read back
+    through its bytes, as the width is a multiple of 8: adding 2^radius to
+    every slot, radius < width, turns a polynomial of at most ``slots``
+    coefficients in the window [-2^radius, 2^radius) into one with
+    coefficients in [0, 2^(radius+1)), and no carry or borrow crosses a
+    slot.  :meth:`holds` checks that with one add, one mask and one
+    compare, so an int it refuses packs no such polynomial.  An int it
+    accepts packs one, but it is the polynomial the int was made from only
+    if that one is known, from outside, to have its coefficients in
+    [-2^(width-1), 2^(width-1)): the digits of an int in that range are
+    unique.
+
+    >>> packing = Packing(8, 5, 3)
+    >>> x = packing.pack(IntPoly([-1, 0, 1]))
+    >>> x, packing.holds(x), packing.read(x), packing.holds(x + 33)
+    (65535, True, IntPoly('q^2 - 1'), False)
+    """
+
+    __slots__ = ("width", "radius", "slots", "bias", "outside")
+
+    def __init__(self, width: int, radius: int, slots: int):
+        if width % 8 or not 0 <= radius < width or slots < 1:
+            raise ValueError(f"no packing of width {width}, radius {radius} and {slots} slots")
+        ones = ((1 << width * slots) - 1) // ((1 << width) - 1)  # 1 in every slot
+        # the bits a biased coefficient may set, and all others, the infinitely
+        # many above the slots included
+        super().__init__(width, radius, slots, ones << radius, ~(ones * ((2 << radius) - 1)))
+
+    def pack(self, p: IntPoly) -> int:
+        """p as the int p(2^width)."""
+        return p(1 << self.width)
+
+    def holds(self, x: int) -> bool:
+        """Whether x packs a polynomial of ``slots`` coefficients in the window."""
+        return (x + self.bias) & self.outside == 0
+
+    def read(self, x: int) -> IntPoly:
+        """The polynomial in the window that x packs, or :class:`ValueError`.
+
+        The biased int's bytes, little end first, are the slots; each slot,
+        less 2^radius, is one coefficient.
+        """
+        if not self.holds(x):
+            raise ValueError(f"{x} packs no polynomial of {self.slots} coefficients in the window")
+        size = self.width // 8
+        raw = (x + self.bias).to_bytes(self.slots * size, "little")
+        if size > 1:
+            raw = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+        offset = 1 << self.radius
+        return IntPoly([digit - offset for digit in raw])
 
 
 ZERO = IntPoly()

@@ -16,12 +16,16 @@ torus (:func:`~affrep.exactpoly.chain`), and q^(jk) x_k, the identity
 coordinate of k glued tori, is the genus-k class.  There are two routes.
 One genus (:func:`close_surface`) glues N moved to u = q - 1, the class of
 K*, where tr = u^2 + 1, -det = -u^2 and every state has coefficients 0, 1
-and -1 alone, so the chain adds unit rows, and shifts x_g back to q once
+and -1 alone.  So each state packs into one int, a byte per coefficient
+(:class:`~affrep.exactpoly.Packing`), the chain runs on those ints with
+each state checked to lie in a window that proves the read-back exact
+(:func:`packed_state`), and x_g is read back and shifted back to q once
 (:func:`~affrep.exactpoly.taylor_shift`).  Every genus up to G
-(:func:`surface_classes`) runs the chain in q, as one shift per genus would
-cost about (2/3)G^3 additions.  As every matrix glued normalizes to the
-same N, the guard charges each route by a closed form in the genus
-(:func:`closing_charge`, and :func:`gluing_charge` per torus of the sweep).
+(:func:`surface_classes`) runs the chain in q, whose coefficients grow to
+2k bits, as one shift per genus would cost about (2/3)G^3 additions.  As
+every matrix glued normalizes to the same N, the guard charges each route
+by a closed form in the genus (:func:`closing_charge`, and
+:func:`gluing_charge` per torus of the sweep).
 
 Everything stays in Z[q] with exact division instead of localizing away
 q and q - 1, so each step is checkable; results hold up to annihilators of
@@ -33,7 +37,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .exactpoly import ONE, Q, IntPoly, chain, taylor_shift, words
+from .exactpoly import ONE, Q, IntPoly, Packing, cayley_hamilton, chain, taylor_shift, words
 from .geomstrat import GenusOutOfRange
 
 LOCALIZATION_CAVEAT = (
@@ -87,6 +91,11 @@ def build_transfer() -> Matrix:
     return matrix
 
 
+def _norm(p: IntPoly) -> int:
+    # the sum of p's absolute coefficients
+    return sum(map(abs, p.coeffs))
+
+
 def _low(p: IntPoly) -> int:
     # the power of q that the lowest nonzero coefficient of p multiplies
     return next(i for i, c in enumerate(p.coeffs) if c)
@@ -128,6 +137,39 @@ def surface_classes(matrix: Matrix, genera: Iterable[int]) -> dict[int, IntPoly]
     return {g: IntPoly((0,) * (j * g) + x.coeffs) for g, x in glued if g in keep}
 
 
+def packed_state(matrix: Matrix, genus: int) -> IntPoly:
+    """x_genus of ``matrix``'s chain, glued on packed ints and read back once.
+
+    Each entry is packed at u = 2^w (:class:`~affrep.exactpoly.Packing`),
+    from w = 8, and the unchanged :func:`~affrep.exactpoly.chain` runs on
+    the ints.  With L = max(|a|_1, |tr|_1 + |det|_1), the sums of absolute
+    coefficients, and r = w - 1 - bitlength(L), a state whose two
+    predecessors have coefficients in [-2^r, 2^r) has them below L 2^r <
+    2^(w-1) in size, where the slots read uniquely, so checking each state
+    for the window [-2^r, 2^r) confirms that every coefficient lies in it.
+    With x_0 = 1 and x_1 = a below L, that proves by induction the read-back
+    of the last state exact.  The g s + 1 slots bound the degree of every
+    x_k, at most k s with s = max(deg a, deg tr, deg(det)/2).  A state that
+    leaves the window doubles w and restarts the chain; no matrix the CLI
+    glues does.
+    """
+    (a, _), _ = matrix
+    trace, codet = cayley_hamilton(matrix)
+    growth = max(_norm(a), _norm(trace) + _norm(codet)).bit_length()
+    spread = max(a.degree or 0, trace.degree or 0, -(-(codet.degree or 0) // 2))
+    width = 8
+    while True:
+        if width > growth:
+            packing = Packing(width, width - 1 - growth, genus * spread + 1)
+            packed = tuple(tuple(map(packing.pack, row)) for row in matrix)
+            for x in itertools.islice(chain(packed), genus):
+                if not packing.holds(x):
+                    break
+            else:
+                return packing.read(x)
+        width *= 2
+
+
 def close_surface(genus: int, matrix: Matrix | None = None) -> IntPoly:
     """Virtual class of the genus-g representation variety: glue g tori in u = q - 1.
 
@@ -135,9 +177,10 @@ def close_surface(genus: int, matrix: Matrix | None = None) -> IntPoly:
     if None.  It is :func:`normalized` once to q^j N, and N's three entries
     are moved to u, the class of K*, by :func:`~affrep.exactpoly.taylor_shift`:
     N becomes ((u, u(u-1)^2), (1, u^2-u+1)), with tr = u^2 + 1 and -det =
-    -u^2, and the state of k tori has 2k coefficients, each 0 or 1 or -1,
-    so every product of the chain is a sum of unit rows.  The chain glues
-    to ``genus`` alone; x_g is shifted back to q once, and by q^(jg).
+    -u^2, and the state of k tori has 2k coefficients, each 0 or 1 or -1.
+    So each state packs into one int of 2k bytes, and the chain to
+    ``genus`` runs on those ints, each state checked, and reads x_g back
+    once (:func:`packed_state`); x_g is shifted back to q, and by q^(jg).
     """
     if genus < 1:
         raise GenusOutOfRange("genus must be >= 1")
@@ -145,7 +188,7 @@ def close_surface(genus: int, matrix: Matrix | None = None) -> IntPoly:
         matrix = build_transfer()
     ((a, bc), (one, d)), j = normalized(matrix)
     in_u = ((taylor_shift(a, 1), taylor_shift(bc, 1)), (one, taylor_shift(d, 1)))
-    x = next(itertools.islice(chain(in_u), genus - 1, None))
+    x = packed_state(in_u, genus)
     return IntPoly((0,) * (j * genus) + taylor_shift(x, -1).coeffs)
 
 
@@ -178,23 +221,29 @@ def closing_charge(genus: int) -> int:
 
     The normalization costs 65, as in :func:`gluing_charge`, and moving
     N's entries to u 10 additions, n(n-1)/2 for each of n coefficients: a
-    = q-1, 1, bc = (q-1)(q-2)^2, 6, and d = q^2-3q+3, 3.  The chain's
-    products in u are unit rows of one word each: the second torus forms
-    -det(N) = b_u - a_u d_u, 3 + 1 * 3, and multiplies tr(N) = u^2 + 1, of
-    2 nonzero coefficients, by a_u = u, 2 * 2: 10; the torus that makes
-    genus k + 1 adds 2 rows of the 2k coefficients of x_k and the one row
-    of -det(N) = -u^2 of the 2(k-1) of x_(k-1): 6k - 2.  So g >= 2 tori
-    take 10 + the sum of 6k - 2 over k = 2 to g - 1, 3g^2 - 5g + 8.
+    = q-1, 1, bc = (q-1)(q-2)^2, 6, and d = q^2-3q+3, 3.  The bound of
+    :func:`packed_state` forms tr and -det of N in u by two unit-row
+    products, 3 + 3, and packing the ten coefficients of N in u takes a
+    product and a sum each, 20: 101.  N's states never leave the window of
+    8-bit slots, so the packed state of k tori has 2k slots of 8 bits, at
+    most 16k bits, and forming it takes two
+    products and a sum on at most words(16k) words each, in the 64-bit
+    words of :func:`~affrep.exactpoly.words`; the sum of words(16k) over k
+    = 1 to g is (m+1)(2m+t) for g = 4m + t, t < 4.  Each state's window
+    check adds and masks the window's 2g + 1 slots, W = words(8(2g+1))
+    words each, and building the window and reading x_g back take 4W each,
+    the read-back also one subtraction for each of the 2g + 1 slots.
     Shifting x_g, of 2g coefficients, back to q takes g(2g-1) additions,
     each on at most 2g bits, as every partial sum of the shift is at most
-    a sum of binomials C(i, k) over i < 2g, below 2^(2g): g(2g-1) w(2g),
-    in the 64-bit words w of :func:`~affrep.exactpoly.words`.
+    a sum of binomials C(i, k) over i < 2g, below 2^(2g): g(2g-1) w(2g).
 
     >>> [closing_charge(g) for g in (1, 2, 3)]
-    [76, 91, 110]
+    [118, 130, 146]
     """
-    glued = 3 * genus * genus - 5 * genus + 8 if genus > 1 else 0
-    return 75 + glued + genus * (2 * genus - 1) * words(2 * genus)
+    m, t = divmod(genus, 4)
+    window = words(8 * (2 * genus + 1))
+    glued = 3 * (m + 1) * (2 * m + t) + (2 * genus + 8) * window + 2 * genus + 1
+    return 101 + glued + genus * (2 * genus - 1) * words(2 * genus)
 
 
 def reconstruct_transfer(

@@ -444,7 +444,7 @@ class TestTqft:
         # whose torus costs the matrix's normalization, 65, and the genus-1
         # class built once and printed three times, 3 * 1 * (1 + 3)
         refusal = {
-            "tqft": "genus 100000 needs 62529687000083 coefficient operations, weighted by "
+            "tqft": "genus 100000 needs 62508438250110 coefficient operations, weighted by "
             "64-bit words, to glue in u = q - 1 and shift back ",
             "classes": "genus 100000 needs 5861279306250 ",
             "verify": "genus 100000 needs 77 coefficient products, weighted by 64-bit words, "
@@ -482,7 +482,7 @@ class TestTqft:
     @pytest.mark.parametrize(
         "argv,first_work",
         [
-            (["tqft", "--genus", "1152"], "close_surface"),
+            (["tqft", "--genus", "1155"], "close_surface"),
             (["classes", "--genus", "2560"], "rep_class"),
             (["verify", "--genus-max", "477"], "rep_class"),
         ],
@@ -954,9 +954,11 @@ class TestLedger:
         # the class is closed in u, and --reconstruct then sweeps the q chain
         # to genus 6 twice, once for M's classes and once for the rebuilt matrix
         assert run_cli(capsys, ["tqft", "--genus", "2"])[0] == 0
-        # normalizing costs 65, moving N to u 10, the second torus 10 and
-        # shifting x_2 back 6
-        assert ledgers.pop().used == closing_charge(2) == 65 + 10 + 10 + 6
+        # normalizing costs 65, moving N to u 10, forming tr and -det there 6
+        # and packing N 20; forming x_1 and x_2 3 words each, checking both,
+        # building the window and reading x_2 back 2 * 2 + 8 words and its 5
+        # slots, and shifting x_2 back 6
+        assert ledgers.pop().used == closing_charge(2) == 65 + 10 + 6 + 20 + 6 + 12 + 5 + 6
         sweep = sum(gluing_charge(g) for g in range(1, 7))
         for genus in (2, 6, 9):
             assert run_cli(capsys, ["tqft", "--genus", str(genus), "--reconstruct"])[0] == 0

@@ -16,5 +16,6 @@ def test_module_examples_pass(name):
     failed, attempted = doctest.testmod(importlib.import_module(name))
     assert failed == 0
     if name == "affrep.exactpoly":
-        # IntPoly's two, cayley_hamilton's, chain's two, words' and taylor_shift's
-        assert attempted >= 7
+        # IntPoly's two, cayley_hamilton's, chain's two, words', taylor_shift's
+        # and Packing's three
+        assert attempted >= 10

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, chain, taylor_shift
+from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, Packing, chain, taylor_shift
 from affrep.finitefield import make_field
 
 QM1 = Q - ONE
@@ -169,6 +169,38 @@ class TestTaylorShift:
         assert taylor_shift(QM1, 1) == u
         assert taylor_shift(QM1 * (Q - 2) ** 2, 1) == u * (u - ONE) ** 2
         assert taylor_shift(Q**2 - 3 * Q + 3, 1) == u**2 - u + ONE
+
+
+class TestPacking:
+    @given(st.sampled_from([8, 16, 24]), st.data())
+    def test_a_polynomial_in_the_window_reads_back(self, width, data):
+        # every coefficient at the window's edges included; a coefficient
+        # moved past them, where the digits of an int are still unique, no
+        # longer holds
+        radius = data.draw(st.integers(0, width - 1))
+        edge = 1 << radius
+        cs = data.draw(st.lists(st.integers(-edge, edge - 1), min_size=1, max_size=6))
+        packing = Packing(width, radius, len(cs))
+        x = packing.pack(IntPoly(cs))
+        assert x == IntPoly(cs)(1 << width)
+        assert packing.holds(x) and packing.read(x) == IntPoly(cs)
+        half = 1 << width - 1
+        for step in (edge, -edge):
+            for i, c in enumerate(cs):
+                if not -edge <= c + step < edge and -half <= c + step < half:
+                    assert not packing.holds(x + (step << width * i))
+
+    def test_an_int_outside_the_window_is_refused(self):
+        packing = Packing(8, 5, 2)
+        for x in (-(1 << 16), 1 << 16, 32, -33, 32 << 8):
+            assert not packing.holds(x)
+            with pytest.raises(ValueError):
+                packing.read(x)
+
+    @pytest.mark.parametrize("width,radius,slots", [(12, 3, 1), (8, 8, 1), (8, -1, 1), (8, 3, 0)])
+    def test_a_malformed_packing_is_refused(self, width, radius, slots):
+        with pytest.raises(ValueError):
+            Packing(width, radius, slots)
 
 
 class TestRingProperties:

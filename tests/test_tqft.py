@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from affrep import tqft
-from affrep.affcount import count_semi, handle_distribution
-from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, chain, words
+from affrep.affcount import DEFAULT_GUARD, count_semi, handle_distribution
+from affrep.exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible, Packing, chain, words
 from affrep.finitefield import make_field
 from affrep.geomstrat import GenusOutOfRange, rep_class
 from affrep.interpolate import prime_power
@@ -16,8 +16,10 @@ from affrep.tqft import (
     ReconstructionError,
     build_transfer,
     close_surface,
+    closing_charge,
     eigen_verify,
     normalized,
+    packed_state,
     reconstruct_transfer,
     surface_classes,
 )
@@ -32,9 +34,18 @@ ROUTES = (
 )
 
 
+# the last genus the tqft command's default guard admits
+BOUNDARY = 1155
+
+
 @pytest.fixture(scope="module")
 def matrix():
     return build_transfer()
+
+
+def _read(x):
+    # the polynomial a packed state of 8-bit slots holds, its coefficients in [-128, 128)
+    return Packing(8, 7, x.bit_length() // 8 + 2).read(x)
 
 
 class TestTransferData:
@@ -203,11 +214,12 @@ class TestCloseSurface:
 
     @pytest.mark.parametrize("genus", [1, 2, 7])
     def test_close_surface_glues_g_tori_and_divides_three_times(self, matrix, glued, divided, genus):
-        # close_surface glues N moved to u = q - 1, whose first value is u
-        # (an IntPoly names its variable q); moving to u and back divides nothing
+        # close_surface glues N moved to u = q - 1, whose first value, read
+        # back, is u (an IntPoly names its variable q); moving to u, packing,
+        # reading back and moving back divide nothing
         assert close_surface(genus, matrix) == rep_class(genus)
         assert len(glued) == genus
-        assert glued[0] == Q
+        assert _read(glued[0]) == Q
         assert divided == [GROUP, GROUP**2, GROUP]
 
     def test_both_routes_agree(self, matrix):
@@ -254,6 +266,56 @@ class TestCloseSurface:
         for route in ROUTES:
             with pytest.raises(NotDivisible):
                 route(broken, 1)
+
+
+@pytest.fixture
+def packings(monkeypatch):
+    # every Packing tqft makes, in order: one per chain it runs
+    made = []
+
+    def recording(*args):
+        made.append(Packing(*args))
+        return made[-1]
+
+    monkeypatch.setattr(tqft, "Packing", recording)
+    return made
+
+
+class TestPackedChain:
+    """The chain run on packed ints, each state checked, and read back once."""
+
+    @given(
+        *[st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=4))] * 3,
+        st.integers(0, 3),
+    )
+    def test_the_read_back_is_the_polynomial_chain(self, a, b, d, j):
+        # the u-matrices of the scaled-matrix property, the powers of q they
+        # share, zero entries and the zero matrix included: at genus 1-8 the
+        # packed chain reads back as the chain of polynomials does
+        drawn = ((Q**j * a, Q ** (2 * j) * b), (ONE, Q**j * d))
+        for genus, x in zip(range(1, 9), chain(drawn)):
+            assert packed_state(drawn, genus) == x
+
+    @pytest.mark.parametrize("genus,widths", [(3, [8]), (4, [8, 16]), (8, [8, 16])])
+    def test_a_state_just_outside_the_window_widens(self, packings, genus, widths):
+        # ((2, 0), (1, u)) has x_k = 2^k, |a|_1 = 2, tr = u + 2 and -det =
+        # -2u, so L = 5, of 3 bits, and 8-bit slots give the window [-16,
+        # 16): x_3 = 8 is in it, x_4 = 16 just outside, and the chain restarts
+        # in 16-bit slots, whose window [-4096, 4096) holds x_8 = 256; in
+        # 8-bit slots 256 packs as u does, so only the check of every state
+        # tells them apart
+        assert packed_state(((IntPoly([2]), ZERO), (ONE, Q)), genus) == IntPoly([2**genus])
+        assert [p.width for p in packings] == widths
+        assert [p.radius for p in packings] == [w - 4 for w in widths]
+
+    def test_the_transfer_matrix_never_widens(self, matrix, packings, glued):
+        # every state of N in u to the default guard's last genus lies in
+        # the window of 8-bit slots, [-32, 32), as tr = u^2 + 1 and -det =
+        # -u^2 give L = 3; a smaller genus checks the same states
+        assert closing_charge(BOUNDARY) <= DEFAULT_GUARD < closing_charge(BOUNDARY + 1)
+        assert close_surface(BOUNDARY, matrix) == rep_class(BOUNDARY)
+        assert [(p.width, p.radius, p.slots) for p in packings] == [(8, 5, 2 * BOUNDARY + 1)]
+        assert len(glued) == BOUNDARY
 
 
 class TestReconstruction:
@@ -347,6 +409,44 @@ def counted_products(monkeypatch):
     return performed
 
 
+@pytest.fixture
+def packed_work(monkeypatch):
+    # the word operations of packing: a product and a sum of one word per
+    # coefficient packed; and, in the window's W 64-bit words, building it,
+    # a division, a shift, a product and a complement, 4W, each check, an
+    # add and a mask, 2W, and reading back, besides its own check, an add
+    # and a conversion to bytes, 2W, and a subtraction per slot.  Forming
+    # each packed state x, two products and a sum on at most its words, is
+    # read from the chain's values
+    work = []
+    init, pack, holds, read = Packing.__init__, Packing.pack, Packing.holds, Packing.read
+
+    def window(packing):
+        return words(packing.bias.bit_length())
+
+    def counting_init(self, *args):
+        init(self, *args)
+        work.append(4 * window(self))
+
+    def counting_pack(self, p):
+        work.append(2 * len(p.coeffs))
+        return pack(self, p)
+
+    def counting_holds(self, x):
+        work.append(2 * window(self))
+        return holds(self, x)
+
+    def counting_read(self, x):
+        work.append(2 * window(self) + self.slots)
+        return read(self, x)
+
+    monkeypatch.setattr(Packing, "__init__", counting_init)
+    monkeypatch.setattr(Packing, "pack", counting_pack)
+    monkeypatch.setattr(Packing, "holds", counting_holds)
+    monkeypatch.setattr(Packing, "read", counting_read)
+    return work
+
+
 class TestPolynomialGuardModel:
     def test_powers_stay_within_the_modelled_span_and_bits(self, matrix):
         # gluing_charge takes the state of k tori on N to powers 0 to 2k - 1,
@@ -358,11 +458,12 @@ class TestPolynomialGuardModel:
             assert len(state.coeffs) == 2 * k and all(state.coeffs) and bits <= 2 * k
 
     def test_u_states_are_unit_coefficients(self, matrix, glued):
-        # closing_charge takes the state of k tori in u to 2k coefficients,
-        # each 0 or 1 or -1, so each of its operations weighs one word
+        # closing_charge takes the state of k tori in u, read back, to 2k
+        # coefficients, each 0 or 1 or -1, so it packs into 2k bytes
         close_surface(300, matrix)
         assert len(glued) == 300
-        for k, state in enumerate(glued, 1):
+        for k, packed in enumerate(glued, 1):
+            state = _read(packed)
             assert len(state.coeffs) == 2 * k and set(state.coeffs) <= {0, 1, -1}
 
     def test_charges_follow_the_matrix_shape(self):
@@ -382,20 +483,25 @@ class TestPolynomialGuardModel:
         assert tqft.gluing_charge(33) == 6 * 32 + 6 * 31 == 378
         assert tqft.gluing_charge(34) == 6 * 33 * 2 + 6 * 32 == 588
 
-    def test_matrix_charge_tracks_the_products_performed(self, matrix, counted_products):
-        # close_surface normalizes, moves N to u, glues unit rows and shifts
-        # x_g back; for g <= 32 the shift's sums have at most 2g <= 64 bits,
-        # so every word weight is 1 and tqft's charge is the count of
-        # operations: a guard one under them refuses, and one of them admits.
-        # To genus 64 the shift weighs up to two words, and the charge stays
-        # within twice the operations
+    def test_matrix_charge_tracks_the_products_performed(
+        self, matrix, counted_products, glued, packed_work
+    ):
+        # close_surface normalizes, moves N to u, forms tr and -det there,
+        # packs, glues and checks the packed states, reads x_g back and
+        # shifts it back; for g <= 32 the shift's sums have at most 2g <= 64
+        # bits, so tqft's charge is the count of word operations: a guard
+        # one under them refuses, and one of them admits.  To genus 64 the
+        # shift weighs up to two words, and the charge stays within twice
+        # the operations
         from affrep.affcount import BudgetExceeded
         from affrep.cli import cmd_tqft
 
         for genus in range(1, 65):
-            counted_products.clear()
+            for tally in (counted_products, glued, packed_work):
+                tally.clear()
             close_surface(genus, matrix)
-            performed = sum(counted_products)
+            stepped = sum(3 * words(x.bit_length()) for x in glued)
+            performed = sum(counted_products) + stepped + sum(packed_work)
             if words(2 * genus) == 1:
                 with pytest.raises(BudgetExceeded):
                     cmd_tqft(genus, guard=performed - 1)
