@@ -34,14 +34,14 @@ def scaling_power(s: int, shift: int = 0) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def class_charge(genus: int, prints: int = 1) -> int:
-    """Word-weighted cost of building a genus-g class and printing it p times, (2g+1) w (1+pw).
+def class_charge(genus: int) -> int:
+    """Word-weighted cost of building a genus-g class and printing it once, (2g+1) w (1+w).
 
     Its 2g + 1 nonzero coefficients are below 2^2g, so of w = ceil(2g/64) words.
     Building each costs about w, and printing it w^2: CPython's int-to-str is quadratic.
     """
     w = words(2 * genus)
-    return (2 * genus + 1) * w * (1 + prints * w)
+    return (2 * genus + 1) * w * (1 + w)
 
 
 def xs_recursive(s: int) -> IntPoly:

@@ -12,6 +12,7 @@ coefficients and agreement at every surplus sample point.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import sys
 from math import isqrt
@@ -295,32 +296,41 @@ def row_error(where: str, kind: str, row: object, cells: Sequence[str]) -> Value
     return ValueError(f"{where}: malformed {kind} row {echo}")
 
 
+def utf8_text(raw: bytes, source: str) -> str:
+    """``raw`` as UTF-8 text, or a :class:`ValueError` naming ``source`` and its first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = f"byte {exc.start} is {raw[exc.start]:#04x}"
+    raise ValueError(f"{source}: not UTF-8, {bad}")
+
+
 def samples_from_csv(path: str) -> list[tuple[int, int]]:
     """Read ``q,count`` rows; the first line may be a header, with no number in it.
 
-    Rows of blank cells are skipped.  Any other row whose first two cells are not
-    integers, or with a nonblank later cell, raises the :class:`ValueError`
-    of :func:`row_error`, naming its line, so no row or cell is dropped.
+    The file is read as UTF-8.  Rows of blank cells are skipped.  Any other row whose
+    first two cells are not integers, or with a nonblank later cell, raises the
+    :class:`ValueError` of :func:`row_error`, naming its line, so no row or cell is dropped.
     """
     out: list[tuple[int, int]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            where = f"{path}, line {reader.line_num}"
-            try:
-                q = int(row[0])
-            except ValueError:
-                if reader.line_num == 1 and not any(c.strip(" +-").isdecimal() for c in row):
-                    continue  # a header: no cell holds a number
-                raise row_error(where, "sample", row, row[:1]) from None
-            if any(cell.strip() for cell in row[2:]):
-                raise row_error(where, "sample", row, row[2:])
-            try:
-                out.append((q, int(row[1])))
-            except (IndexError, ValueError):
-                raise row_error(where, "sample", row, row[1:2]) from None
+    with open(path, "rb") as fh:
+        reader = csv.reader(io.StringIO(utf8_text(fh.read(), path), newline=""))
+    for row in reader:
+        if not any(cell.strip() for cell in row):
+            continue
+        where = f"{path}, line {reader.line_num}"
+        try:
+            q = int(row[0])
+        except ValueError:
+            if reader.line_num == 1 and not any(c.strip(" +-").isdecimal() for c in row):
+                continue  # a header: no cell holds a number
+            raise row_error(where, "sample", row, row[:1]) from None
+        if any(cell.strip() for cell in row[2:]):
+            raise row_error(where, "sample", row, row[2:])
+        try:
+            out.append((q, int(row[1])))
+        except (IndexError, ValueError):
+            raise row_error(where, "sample", row, row[1:2]) from None
     return out
 
 

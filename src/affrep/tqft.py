@@ -195,13 +195,12 @@ def close_surface(genus: int, matrix: Matrix | None = None) -> IntPoly:
 def gluing_charge(genus: int) -> int:
     """Weighted coefficient products of gluing the genus-th torus in :func:`surface_classes`.
 
-    Every matrix glued, the transfer matrix M and the one rebuilt from its
-    classes alike, normalizes to the same N = ((q-1, (q-1)(q-2)^2), (1,
-    q^2-3q+3)) with j = 2 (:func:`normalized`), so the charge is a function
-    of the genus alone.  The first torus is the entry a' and costs the
-    normalization, 65: the products bc, 4 * 6, and q(q-1) squared, 2 * 3,
-    and the quotients a', 2 * 3, b', 4 * 5, and d', 3 * 3; dropping q^j
-    and q^(2j) is a slice, no product.  The second forms -det(N) = b_N -
+    The CLI sweeps the transfer matrix M alone, which normalizes to N =
+    ((q-1, (q-1)(q-2)^2), (1, q^2-3q+3)) with j = 2 (:func:`normalized`), so
+    the charge is a function of the genus alone.  The first torus is the
+    entry a' and costs the normalization, 65: the products bc, 4 * 6, and
+    q(q-1) squared, 2 * 3, and the quotients a', 2 * 3, b', 4 * 5, and d',
+    3 * 3; dropping q^j and q^(2j) is a slice, no product.  The second forms -det(N) = b_N -
     a_N d_N = -(q-1)^2, 4 + 2 * 3, and multiplies tr(N) = q^2-2q+2 by
     a_N = q-1, 3 * 2: 16.  The torus that makes genus k + 1 multiplies each
     of the 3 nonzero coefficients of tr(N) by every one of the state x_k of

@@ -18,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affrep
-from affrep import affcount, cli
+from affrep import affcount, cli, tqft
 from affrep.affcount import ENGINES, BudgetExceeded
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
+from affrep.exactpoly import Q
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
 from affrep.interpolate import prime_power
-from affrep.tqft import closing_charge, gluing_charge
+from affrep.tqft import closing_charge
 from conftest import closed_count
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -287,6 +288,12 @@ class TestEPoly:
         code, _, err = run_cli(capsys, ["epoly", "--genus", "1", "--counts", str(path)])
         assert code == 1
 
+    def test_csv_not_utf8_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"q,count\n2\xff,4\n")
+        code, out, err = run_cli(capsys, ["epoly", "--genus", "1", "--counts", str(path)])
+        assert (code, out, err) == (1, "", f"error: {path}: not UTF-8, byte 9 is 0xff\n")
+
     def test_csv_bad_row_after_header_fails(self, capsys, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("q,count\n2,4\nx3,18\n3,18\n4,48\n5,100\n")
@@ -431,10 +438,25 @@ class TestTqft:
             "eigenvector_diagonal",
             "trace",
             "determinant",
-            "reconstruction_roundtrip",
+            "transfer_matrix_from_stratification",
         ]
         assert payload["results"]["reconstructed"]["c"] == "1"
         assert "caveat" in payload
+
+    # genus 3's class plus (q-2)^2 q^3 rebuilds d one too large, no multiple
+    # of q(q-1), so the rebuilt matrix does not normalize; plus q^2, d is no
+    # polynomial at all
+    @pytest.mark.parametrize("change", [(Q - 2) ** 2 * Q**3, Q**2])
+    def test_reconstruct_checks_the_matrix_from_stratification(self, capsys, monkeypatch, change):
+        def perturbed(genus):
+            return rep_class(genus) + change if genus == 3 else rep_class(genus)
+
+        monkeypatch.setattr(cli, "rep_class", perturbed)
+        code, out, err = run_cli(capsys, ["tqft", "--genus", "2", "--reconstruct"])
+        assert (code, err) == (1, "")
+        (check,) = json.loads(out)["checks"]
+        assert check["name"] == "transfer_matrix_from_stratification" and not check["pass"]
+        assert check["details"].startswith("no matrix rebuilt from the classes normalizes: ")
 
     @pytest.mark.parametrize("command", ["tqft", "classes", "verify"])
     def test_guard(self, capsys, command):
@@ -442,12 +464,12 @@ class TestTqft:
         # surface in u is charged at once by tqft.closing_charge; verify's
         # sweep of gluing stops at its first genus over the guard, genus 1,
         # whose torus costs the matrix's normalization, 65, and the genus-1
-        # class built once and printed three times, 3 * 1 * (1 + 3)
+        # class built and printed once, 3 * 1 * (1 + 1)
         refusal = {
             "tqft": "genus 100000 needs 62508438250110 coefficient operations, weighted by "
             "64-bit words, to glue in u = q - 1 and shift back ",
             "classes": "genus 100000 needs 5861279306250 ",
-            "verify": "genus 100000 needs 77 coefficient products, weighted by 64-bit words, "
+            "verify": "genus 100000 needs 71 coefficient products, weighted by 64-bit words, "
             "for gluing and classes at genus 1 ",
         }[command]
         genus_flag = "--genus-max" if command == "verify" else "--genus"
@@ -484,7 +506,7 @@ class TestTqft:
         [
             (["tqft", "--genus", "1155"], "close_surface"),
             (["classes", "--genus", "2560"], "rep_class"),
-            (["verify", "--genus-max", "477"], "rep_class"),
+            (["verify", "--genus-max", "598"], "rep_class"),
         ],
     )
     def test_default_guard_boundary(self, capsys, monkeypatch, argv, first_work):
@@ -596,6 +618,12 @@ class TestTable:
         assert out == ""
         assert err == f"error: {path}, line 3: malformed golden row {row!r}\n"
 
+    def test_golden_not_utf8_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "golden.csv"
+        path.write_bytes(b"genus,q,count\n1,2\xff,4\n")
+        code, out, err = run_cli(capsys, ["table", "--golden", str(path)])
+        assert (code, out, err) == (1, "", f"error: {path}: not UTF-8, byte 17 is 0xff\n")
+
     def test_too_long_golden_cell_fails(self, capsys, tmp_path):
         path = tmp_path / "golden.csv"
         path.write_text("genus,q,count\n1,2," + "9" * 5000 + "\n")
@@ -684,6 +712,32 @@ class TestVerify:
         assert "interpolation_vs_stratification_g3" in names
         assert "naive_vs_semi_g2_q5" in names
 
+    def test_each_class_is_printed_once(self, capsys):
+        # in rep_classes; the checks that compare a class give its degree
+        code, out, _ = run_cli(capsys, ["verify", "--genus-max", "3"])
+        assert code == 0
+        assert [out.count(str(rep_class(g))) for g in (1, 2, 3)] == [1, 1, 1]
+        checks = {c["name"]: c["details"] for c in json.loads(out)["checks"]}
+        assert checks["stratification_vs_transfer_g2"] == "degree 7"
+        assert checks["interpolation_vs_stratification_g3"] == "degree 11"
+
+    # genus 2's class is q^7 - 4q^6 + 6q^5 - 3q^4
+    @pytest.mark.parametrize(
+        "change,details",
+        [(Q**5, "q^5: 6 vs 7"), (Q**8, "q^8: 0 vs 1"), (-(Q**7), "q^7: 1 vs 0")],
+    )
+    def test_a_differing_coefficient_is_named(self, monkeypatch, change, details):
+        def perturbed(matrix, genera):
+            classes = tqft.surface_classes(matrix, genera)
+            classes[2] = classes[2] + change
+            return classes
+
+        monkeypatch.setattr(cli, "surface_classes", perturbed)
+        checks = cmd_verify(3).checks
+        assert [c["name"] for c in checks if not c["pass"]] == ["stratification_vs_transfer_g2"]
+        named = {c["name"]: c["details"] for c in checks}
+        assert named["stratification_vs_transfer_g2"] == f"coefficients of {details}"
+
     def test_handle_commutators_on_translations(self):
         checks = {c["name"]: c for c in cmd_verify(1).checks}
         for q in (2, 3, 4, 5):
@@ -723,8 +777,8 @@ class TestVerify:
         assert failed == [f"handle_commutators_on_translations_q{q}" for q in (2, 3, 4, 5)]
 
     def test_oracle_guard_boundary(self, monkeypatch):
-        # the whole run charges 1889: gluing 65 + 16, and classes, each built
-        # once and printed three times, 12 + 20;
+        # the whole run charges 1873: gluing 65 + 16, and classes, each built
+        # and printed once, 6 + 10;
         # then, refused as one total before any field, group table or
         # polynomial work, the semi chains, one per q = 2, 3, 4, 5, 7, 8, 9,
         # 11 of the genus-2 plan, to genus 2, isqrt(q) - 1 trial divisions
@@ -737,11 +791,11 @@ class TestVerify:
         monkeypatch.setattr(cli, "aff_group_table", no_work)
         monkeypatch.setattr(cli, "surface_classes", no_work)
         with pytest.raises(BudgetExceeded, match=r"the semi chains and 1752 steps of table oracle "
-                           r"sweeps at g = 2, to q = 11, need 1776 units in all, .*, with 113 "
-                           r"already charged \(guard 1888\)"):
-            cmd_verify(2, guard=1888)
+                           r"sweeps at g = 2, to q = 11, need 1776 units in all, .*, with 97 "
+                           r"already charged \(guard 1872\)"):
+            cmd_verify(2, guard=1872)
         monkeypatch.undo()
-        assert cmd_verify(2, guard=1889).passed
+        assert cmd_verify(2, guard=1873).passed
 
     def test_one_semi_chain_per_field(self, monkeypatch, chains):
         # each q of the largest interpolation plan, smallest_prime_powers(4g)
@@ -950,33 +1004,32 @@ class TestLedger:
         assert "(g+1)|G|^2 = 122680448 steps with |G| = 7832 and g = 1" in err
         assert ledgers[0].used == 0
 
-    def test_reconstruction_sweeps_are_charged(self, capsys, ledgers):
-        # the class is closed in u, and --reconstruct then sweeps the q chain
-        # to genus 6 twice, once for M's classes and once for the rebuilt matrix
+    def test_reconstruction_charges_only_the_closing(self, capsys, ledgers, monkeypatch):
+        # the class is closed in u; --reconstruct rebuilds the matrix from the
+        # stratification's genus 1-3 classes, a fixed amount of work, and
+        # sweeps no q chain
+        def no_sweep(*args):
+            raise AssertionError("--reconstruct swept the q chain")
+
+        monkeypatch.setattr(cli, "surface_classes", no_sweep)
         assert run_cli(capsys, ["tqft", "--genus", "2"])[0] == 0
         # normalizing costs 65, moving N to u 10, forming tr and -det there 6
         # and packing N 20; forming x_1 and x_2 3 words each, checking both,
         # building the window and reading x_2 back 2 * 2 + 8 words and its 5
         # slots, and shifting x_2 back 6
         assert ledgers.pop().used == closing_charge(2) == 65 + 10 + 6 + 20 + 6 + 12 + 5 + 6
-        sweep = sum(gluing_charge(g) for g in range(1, 7))
-        for genus in (2, 6, 9):
+        for genus in (1, 2, 6, 9):
             assert run_cli(capsys, ["tqft", "--genus", str(genus), "--reconstruct"])[0] == 0
-            assert ledgers.pop().used == closing_charge(genus) + 2 * sweep
-        closing = closing_charge(2)
-        argv = ["tqft", "--genus", "2", "--reconstruct", "--guard", str(closing + 2 * sweep - 1)]
+            assert ledgers.pop().used == closing_charge(genus)
+        # the guard the closing needs admits the reconstruction; one under it refuses
+        argv = ["tqft", "--genus", "1", "--reconstruct", "--guard", str(closing_charge(1))]
+        assert run_cli(capsys, argv)[0] == 0
+        argv[-1] = str(closing_charge(1) - 1)
+        ledgers.clear()
         code, out, err = run_cli(capsys, argv)
-        _assert_refused_within(code, out, err, ledgers, closing + 2 * sweep - 1)
-        assert "for the sweep of the rebuilt matrix at genus 6" in err
-        for guard, refusal in [
-            (closing + sweep - 1, "for the sweep to reconstruct from at genus 6"),
-            (closing - 1, "to glue in u = q - 1 and shift back"),
-        ]:
-            ledgers.clear()
-            argv[-1] = str(guard)
-            code, out, err = run_cli(capsys, argv)
-            _assert_refused_within(code, out, err, ledgers, guard)
-            assert refusal in err
+        _assert_refused_within(code, out, err, ledgers, closing_charge(1) - 1)
+        assert "genus 1 needs 118 coefficient operations" in err
+        assert "to glue in u = q - 1 and shift back" in err
 
 
 class TestPretty:
@@ -999,7 +1052,7 @@ class TestPretty:
         assert lines[:2] == ["virtual_class: q^3 - q^2", "matrix:"]
         assert lines[2] == '  ["q^5 - 2q^4 + q^3", "q^6 - 4q^5 + 5q^4 - 2q^3"]'
         assert "reconstructed:" in lines and "  c: 1" in lines
-        assert lines[-2].startswith("pass  reconstruction_roundtrip")
+        assert lines[-2].startswith("pass  transfer_matrix_from_stratification")
         assert lines[-1] == "all checks pass"
 
     def test_pretty_rows(self, capsys):

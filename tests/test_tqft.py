@@ -510,18 +510,21 @@ class TestPolynomialGuardModel:
 
     def test_sweep_charge_tracks_the_products_performed(self, matrix, counted_products):
         # verify's sweep glues to its genus-max, charged as cli._charge_gluing
-        # charges it, for the products performed; the matrix --reconstruct
-        # rebuilds, [[a, b], [1, d]], normalizes to the same N for 47
-        # products against the 65 charged, and then glues as M does
+        # charges it, net of the classes it also charges, for the products
+        # performed; the matrix reconstruct_transfer rebuilds, [[a, b], [1,
+        # d]], normalizes to the same N for 47 products against the 65
+        # charged, and then glues as M does
         from affrep.affcount import Budget
         from affrep.cli import _charge_gluing
+        from affrep.geomstrat import class_charge
 
         def sweep(glued, genus_max):
             counted_products.clear()
             surface_classes(glued, range(1, genus_max + 1))
             budget = Budget(10**9)
-            _charge_gluing(budget, genus_max, "the sweep")
-            return sum(counted_products), budget.used
+            _charge_gluing(budget, genus_max)
+            classes = sum(class_charge(g) for g in range(1, genus_max + 1))
+            return sum(counted_products), budget.used - classes
 
         for genus_max in range(1, 34):
             performed, charged = sweep(matrix, genus_max)
