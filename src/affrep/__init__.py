@@ -27,6 +27,7 @@ from .affcount import (
 from .exactpoly import ONE, Q, ZERO, IntPoly, NotDivisible
 from .finitefield import (
     FieldMismatch,
+    FieldOrder,
     FieldSpec,
     FqElem,
     InverseOfZero,

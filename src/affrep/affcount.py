@@ -32,7 +32,7 @@ from operator import eq, getitem, itemgetter
 from typing import Iterable, Sequence
 
 from .exactpoly import Immutable, Record, chain, words
-from .finitefield import FieldMismatch, FieldSpec, FqElem
+from .finitefield import FieldMismatch, FieldOrder, FieldSpec, FqElem, make_field
 from .geomstrat import class_charge, rep_class
 
 DEFAULT_GUARD = 10**8
@@ -115,7 +115,9 @@ class CountRecord(Record):
         }
 
 
-def _record(field: FieldSpec, genus: int, count: int, engine: str, t0: float) -> CountRecord:
+def _record(
+    field: FieldOrder | FieldSpec, genus: int, count: int, engine: str, t0: float
+) -> CountRecord:
     return CountRecord(
         p=field.p,
         n=field.n,
@@ -181,13 +183,17 @@ def count_charge(q: int, genus: int, engine: str) -> tuple:
     return steps, what, steps, building, genus, 4 * genus, bits, q
 
 
-def count_naive(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:
+def count_naive(
+    field: FieldOrder | FieldSpec, genus: int, budget: Budget | None = None
+) -> CountRecord:
     """The table oracle: count on the group-law table of Aff(1, F_q).
 
     Builds :func:`aff_group_table`, with |G| = q(q - 1), and takes the
     count of :func:`count_group_generic` on it, which charges (g + 1)|G|^2
     to ``budget`` (a fresh default-guard :class:`Budget` if None); a charge
-    over the guard is refused before the table is built.  At genus 1 the
+    over the guard is refused before the table is built, and before F_q is
+    built (:func:`~affrep.finitefield.make_field`) when ``field`` is only
+    its :class:`~affrep.finitefield.FieldOrder`.  At genus 1 the
     count takes q class gathers of about 3|G| steps each, as Aff(1, F_q)
     has q conjugacy classes.  The default guard admits genus 1 up to q = 83
     and refuses q = 89.  Memory is the table, 8 bytes of pointer per
@@ -197,6 +203,8 @@ def count_naive(field: FieldSpec, genus: int, budget: Budget | None = None) -> C
     t0 = time.perf_counter()
     budget = budget or Budget()
     charge_ahead(budget, *count_charge(field.order, genus, "naive"))
+    if not isinstance(field, FieldSpec):
+        field = make_field(field.p, field.n)
     table, ident = aff_group_table(field)
     return _record(field, genus, count_group_generic(table, ident, genus, budget), "naive", t0)
 
@@ -249,11 +257,14 @@ def semi_counts(q: int, genera: Iterable[int], budget: Budget | None = None) -> 
     return {genus: u for genus, u in counts if genus in keep}
 
 
-def count_semi(field: FieldSpec, genus: int, budget: Budget | None = None) -> CountRecord:
+def count_semi(
+    field: FieldOrder | FieldSpec, genus: int, budget: Budget | None = None
+) -> CountRecord:
     """Count points handle by handle in the linear-form model.
 
     The one count kept by :func:`semi_counts` over the order of ``field``,
     which charges ``budget`` (a fresh default-guard :class:`Budget` if None).
+    It reads q alone, so no field need be built.
     """
     t0 = time.perf_counter()
     return _record(field, genus, semi_counts(field.order, (genus,), budget)[genus], "semi", t0)
@@ -512,12 +523,16 @@ ENGINES = ("naive", "semi", "closed", "generic")
 
 
 def count_points(
-    field: FieldSpec,
+    field: FieldOrder | FieldSpec,
     genus: int,
     engine: str = "semi",
     budget: Budget | None = None,
 ) -> CountRecord:
-    """Run the selected engine, which charges ``budget``, for a :class:`CountRecord`."""
+    """Run the selected engine, which charges ``budget``, for a :class:`CountRecord`.
+
+    ``semi`` and ``closed`` read only p, n and q, so an order serves them;
+    the table engines build F_q from an order (:func:`count_naive`).
+    """
     if engine in ("naive", "generic"):
         record = count_naive(field, genus, budget)
         record.engine = engine

@@ -50,7 +50,7 @@ from .affcount import (
     semi_counts,
 )
 from .exactpoly import ONE, IntPoly, NotDivisible, Record
-from .finitefield import check_order, make_field, parse_descriptor
+from .finitefield import FieldOrder, make_field, parse_descriptor
 from .geomstrat import character_class, class_charge, moduli_class, rep_class
 from .interpolate import (
     charge_factoring,
@@ -174,7 +174,7 @@ def _semi_chains(budget: Budget, genera: dict[int, set[int]], what="the cells", 
         decomposition = prime_power(q, budget)
         if decomposition is None:
             raise ValueError(f"{q} is not a prime power")
-        check_order(*decomposition)
+        FieldOrder(*decomposition)
     return {q: semi_counts(q, gs, budget) for q, gs in genera.items()}
 
 
@@ -206,11 +206,17 @@ def cmd_count(
     show_modulus: bool = False,
     guard: int = DEFAULT_GUARD,
 ) -> Report:
-    """One point count over the field named by a ``p^n`` descriptor."""
-    spec = make_field(*parse_descriptor(field))
+    """One point count over the field named by a ``p^n`` descriptor.
+
+    The descriptor is refused as :func:`~affrep.finitefield.make_field`
+    would refuse it, but F_q is built only to be read: by a table engine,
+    after the guard, or for ``show_modulus``.
+    """
+    order = FieldOrder(*parse_descriptor(field))
     budget = Budget(guard)
-    charge_ahead(budget, *count_charge(spec.order, genus, engine))  # the guard refuses first
-    _check_printable(genus, spec.order)
+    charge_ahead(budget, *count_charge(order.order, genus, engine))  # the guard refuses first
+    _check_printable(genus, order.order)
+    spec = make_field(order.p, order.n) if show_modulus else order
     results = count_points(spec, genus, engine, budget).as_json()
     if show_modulus:
         results["modulus"] = spec.modulus_text()
@@ -409,11 +415,15 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         # the sweep validated the table, so each row holds the identity once, at the inverse
         inv = [row.index(ident) for row in table]
         sweeps[p**n] = (ident, counts, h, len(table), len(conjugacy_classes(table, inv)))
-    checks = []
-    geometric = {g: rep_class(g) for g in surfaces}
-    transfers = surface_classes(matrix, surfaces)
-    for (g, expected), transfer in zip(geometric.items(), transfers.values()):
+    # each class is compared as the sweep yields it and kept only as its text,
+    # but for the interpolations' genera
+    checks, rep_classes, geometric = [], {}, {}
+    for g, transfer in surface_classes(matrix, surfaces):
+        expected = rep_class(g)
         checks.append(_same_class(f"stratification_vs_transfer_g{g}", expected, transfer))
+        rep_classes[str(g)] = str(expected)
+        if g <= interp_genus:
+            geometric[g] = expected
     for g in range(1, interp_genus + 1):
         samples = [(q, chains[q][g]) for q in smallest_prime_powers(4 * g)]
         interp = epoly_from_samples(g, samples)
@@ -437,7 +447,6 @@ def cmd_verify(genus_max: int, guard: int = DEFAULT_GUARD) -> Report:
         checks.append(_check(f"handle_commutators_on_translations_q{q}", ok, details))
         details = f"{h[ident]} commuting pairs vs |G| k(G) = {order} * {classes}"
         checks.append(_check(f"class_equation_q{q}", h[ident] == order * classes, details))
-    rep_classes = {str(g): str(expected) for g, expected in geometric.items()}
     inputs = {"genus_max": genus_max, "guard": guard}
     return Report("verify", inputs, {"rep_classes": rep_classes}, checks)
 

@@ -131,18 +131,33 @@ class FieldSpec(Immutable):
             yield FqElem(self, coeffs)
 
 
-def check_order(p: int, n: int, max_order: int = DEFAULT_MAX_ORDER) -> None:
-    """Raise :class:`OrderTooLarge` if p^n is over ``max_order``, as :func:`make_field` does."""
-    if p >= 2 and (n > max_order.bit_length() or p**n > max_order):
-        raise OrderTooLarge(f"{p}^{n} exceeds the enumeration bound {max_order}")
+class FieldOrder(Immutable):
+    """The order q = p^n of F_q, refused as :func:`make_field` refuses it, with no field built.
 
+    The engines that read q alone (``semi``, ``closed``) count on it in
+    place of a :class:`FieldSpec`.  The constructor refuses n < 1, an order
+    over ``max_order`` and a p that is not prime, in that order: the bound
+    is checked before primality, so a huge p is refused without trial
+    division, and as p^n >= 2^n, an n beyond the bit length of
+    ``max_order`` is refused without building p^n.
+    """
 
-def _check_field(p: int, n: int, max_order: int) -> None:
-    if n < 1:
-        raise ValueError("extension degree must be >= 1")
-    check_order(p, n, max_order)
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+    __slots__ = ("p", "n")
+    p: int
+    n: int
+
+    def __init__(self, p: int, n: int, max_order: int = DEFAULT_MAX_ORDER):
+        if n < 1:
+            raise ValueError("extension degree must be >= 1")
+        if p >= 2 and (n > max_order.bit_length() or p**n > max_order):
+            raise OrderTooLarge(f"{p}^{n} exceeds the enumeration bound {max_order}")
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        super().__init__(p, n)
+
+    @property
+    def order(self) -> int:
+        return self.p**self.n
 
 
 def make_field(
@@ -157,12 +172,10 @@ def make_field(
     term compared first; for n >= 2 the candidates with constant term 0 are
     skipped, as X divides them all (see :func:`_is_irreducible`).  An
     explicit ``modulus`` (low-to-high, monic, degree n) may be supplied; it
-    is validated for irreducibility, so X^2 is refused and X accepted.  The
-    order bound is checked before primality, so a huge p is refused without
-    trial division; as p^n >= 2^n, an n beyond the bit length of
-    ``max_order`` is refused without building p^n.
+    is validated for irreducibility, so X^2 is refused and X accepted.  p
+    and n are refused first, as :class:`FieldOrder` refuses them.
     """
-    _check_field(p, n, max_order)
+    FieldOrder(p, n, max_order)
     if modulus is not None:
         mod = tuple(c % p for c in modulus)
         if len(mod) != n + 1 or mod[-1] != 1:
@@ -190,7 +203,7 @@ def irreducible_moduli(p: int, n: int) -> list[tuple[int, ...]]:
     Refuses what :func:`make_field` refuses, with the same errors: n < 1, a
     p that is not prime, and an order over ``DEFAULT_MAX_ORDER``.
     """
-    _check_field(p, n, DEFAULT_MAX_ORDER)
+    FieldOrder(p, n)
     return list(_irreducible_moduli(p, n))
 
 

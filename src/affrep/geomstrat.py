@@ -13,6 +13,8 @@ polynomials, a separate code path that serves as an oracle for the closed form.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .exactpoly import ONE, Q, IntPoly, words
 
 
@@ -62,8 +64,13 @@ def xs_closed(s: int) -> IntPoly:
     return scaling_power(s, s - 1) + scaling_power(1, s - 1)
 
 
+@lru_cache(maxsize=1, typed=True)
 def rep_class(genus: int) -> IntPoly:
-    """Virtual class of the genus-g representation variety, q^(2g-1)((q-1)^2g + q - 1)."""
+    """Virtual class of the genus-g representation variety, q^(2g-1)((q-1)^2g + q - 1).
+
+    The last class built is kept, so counting one genus at many q builds it
+    once; one class is all the cache holds, whatever the genera asked.
+    """
     if genus < 1:
         raise GenusOutOfRange("genus must be >= 1")
     return xs_closed(2 * genus)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .affcount import Budget, CountRecord, charge_ahead, count_charge, count_points
 from .exactpoly import Immutable, IntPoly, Record, words
-from .finitefield import DEFAULT_MAX_ORDER, make_field
+from .finitefield import DEFAULT_MAX_ORDER, FieldOrder
 
 
 class DuplicateAbscissa(ValueError):
@@ -85,17 +85,21 @@ def lagrange_interpolate(points: Sequence[tuple[int, int]], degree_bound: int) -
     return result
 
 
+def division_charge(m: int) -> tuple:
+    """``Budget.charge``'s arguments to factor m >= 2: isqrt(m) - 1 trial divisions, naming m."""
+    divisions = isqrt(m) - 1
+    return divisions, "abscissa {} needs up to {} trial divisions to factor", m, divisions
+
+
 def prime_power(m: int, budget: Budget | None = None) -> tuple[int, int] | None:
     """Decompose m as p^k for prime p, or return None.
 
     The smallest prime factor is found by trial division up to isqrt(m);
-    those isqrt(m) - 1 divisions are charged to ``budget`` (a fresh
-    default-guard :class:`Budget` if None) first, naming m.
+    those divisions (:func:`division_charge`) are charged to ``budget`` (a
+    fresh default-guard :class:`Budget` if None) first.
     """
     if m >= 2:
-        divisions = isqrt(m) - 1
-        what = "abscissa {} needs up to {} trial divisions to factor"
-        (budget or Budget()).charge(divisions, what, m, divisions)
+        (budget or Budget()).charge(*division_charge(m))
     return _prime_power(m)
 
 
@@ -122,15 +126,10 @@ def _prime_power(m: int) -> tuple[int, int] | None:
     return (p, k) if m == 1 else None
 
 
-def smallest_prime_powers(count: int) -> tuple[int, ...]:
-    """The ``count`` smallest prime powers >= 2: 2, 3, 4, 5, 7, 8, 9, 11, ...
-
-    Searches up to :data:`DEFAULT_MAX_ORDER`, the largest order
-    :func:`make_field` builds; raises :class:`ValueError` when fewer than
-    ``count`` prime powers lie within it.
-    """
-    candidates = (m for m in range(2, DEFAULT_MAX_ORDER + 1) if _prime_power(m))
-    out = tuple(itertools.islice(candidates, count))
+def _smallest_factored(count: int) -> list[tuple[int, tuple[int, int]]]:
+    # the count smallest prime powers m, each with its (p, k), factored once
+    factored = ((m, _prime_power(m)) for m in range(2, DEFAULT_MAX_ORDER + 1))
+    out = list(itertools.islice(((m, pk) for m, pk in factored if pk), count))
     if len(out) < count:
         raise ValueError(
             f"{count} prime powers needed, only {len(out)} are <= {DEFAULT_MAX_ORDER}, "
@@ -139,33 +138,57 @@ def smallest_prime_powers(count: int) -> tuple[int, ...]:
     return out
 
 
+def smallest_prime_powers(count: int) -> tuple[int, ...]:
+    """The ``count`` smallest prime powers >= 2: 2, 3, 4, 5, 7, 8, 9, 11, ...
+
+    Searches up to :data:`DEFAULT_MAX_ORDER`, the largest order
+    :func:`~affrep.finitefield.make_field` builds; raises
+    :class:`ValueError` when fewer than ``count`` prime powers lie within it.
+    """
+    return tuple(m for m, _ in _smallest_factored(count))
+
+
 class SamplePlan(Immutable):
-    """Which prime powers to count over for a given genus.
+    """Which prime powers to count over for a given genus, each with its (p, n).
 
     The trial division that checks the prime powers is charged to ``budget``
     (a fresh default-guard :class:`Budget` if None), its total refused
-    before any is factored (:func:`charge_factoring`).
+    before any is factored (:func:`charge_factoring`).  A caller that
+    already factored them, as :func:`default_plan`'s search does, passes
+    their ``factors``; each power is then charged but not factored again.
     """
 
-    __slots__ = ("genus", "prime_powers")
+    __slots__ = ("genus", "prime_powers", "factors")
     genus: int
     prime_powers: tuple[int, ...]
+    factors: tuple[tuple[int, int], ...]
 
-    def __init__(self, genus: int, prime_powers: tuple[int, ...], budget: Budget | None = None):
-        super().__init__(genus, prime_powers)
+    def __init__(
+        self,
+        genus: int,
+        prime_powers: tuple[int, ...],
+        budget: Budget | None = None,
+        factors: tuple[tuple[int, int], ...] | None = None,
+    ):
         if genus < 1:
             raise ValueError("genus must be >= 1")
         if len(set(prime_powers)) != len(prime_powers):
             raise DuplicateAbscissa("plan prime powers must be pairwise distinct")
-        if len(prime_powers) < self.degree_bound + 1:
-            raise ValueError(
-                f"plan needs at least {self.degree_bound + 1} prime powers for genus {genus}"
-            )
+        if len(prime_powers) < 4 * genus:
+            raise ValueError(f"plan needs at least {4 * genus} prime powers for genus {genus}")
         budget = budget or Budget()
         charge_factoring(budget, prime_powers)
-        for m in prime_powers:
-            if prime_power(m, budget) is None:
-                raise ValueError(f"{m} is not a prime power")
+        if factors is None:
+            factors = []
+            for m in prime_powers:
+                factor = prime_power(m, budget)
+                if factor is None:
+                    raise ValueError(f"{m} is not a prime power")
+                factors.append(factor)
+        else:
+            for m in prime_powers:
+                budget.charge(*division_charge(m))
+        super().__init__(genus, prime_powers, tuple(factors))
 
     @property
     def degree_bound(self) -> int:
@@ -179,10 +202,10 @@ def default_plan(genus: int) -> SamplePlan:
     if genus < 1:
         raise ValueError("genus must be >= 1")
     try:
-        powers = smallest_prime_powers(4 * genus)
+        found = _smallest_factored(4 * genus)
     except ValueError as exc:
         raise ValueError(f"no default plan for genus {genus}: {exc}") from None
-    return SamplePlan(genus, powers)
+    return SamplePlan(genus, tuple(m for m, _ in found), factors=tuple(pk for _, pk in found))
 
 
 class EPolyResult(Record):
@@ -250,9 +273,9 @@ def epoly_from_counts(
     what = "the plan's {} {} counts and their interpolation, to q = {}, need {} units in all"
     charge_ahead(budget, total, what, len(powers), engine, max(powers), total)
     records = []
-    for m in plan.prime_powers:
-        field = make_field(*_prime_power(m))  # the plan checked, and charged, m
-        records.append(count_points(field, genus, engine=engine, budget=budget))
+    for p, n in plan.factors:
+        # refused here as make_field would refuse it; only a table engine builds F_q
+        records.append(count_points(FieldOrder(p, n), genus, engine=engine, budget=budget))
     budget.charge(*interpolation)
     samples = [(rec.q, rec.count) for rec in records]
     epoly = epoly_from_samples(genus, samples)

@@ -35,7 +35,7 @@ q and q - 1 in the Grothendieck ring (see :data:`LOCALIZATION_CAVEAT`).
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exactpoly import ONE, Q, IntPoly, Packing, cayley_hamilton, chain, taylor_shift, words
 from .geomstrat import GenusOutOfRange
@@ -121,20 +121,23 @@ def normalized(matrix: Matrix) -> tuple[Matrix, int]:
     return ((a, bc), (ONE, d)), j
 
 
-def surface_classes(matrix: Matrix, genera: Iterable[int]) -> dict[int, IntPoly]:
-    """The class at each genus of ``genera``, from one chain of gluing.
+def surface_classes(matrix: Matrix, genera: Iterable[int]) -> Iterator[tuple[int, IntPoly]]:
+    """Each genus g of ``genera``, in increasing order, with its class, from one chain of gluing.
 
     The chain of N, the matrix :func:`normalized` once to q^j N, glues in
     q to the largest genus asked; the identity coordinate of g glued tori,
     x_g(N) shifted up by q^(jg), is the genus-g class.  Only the genera
-    asked are shifted.  For one genus :func:`close_surface` is cheaper.
+    asked are shifted, each as the sweep reaches it, so a caller that
+    drops each class holds one at a time.  The genera are checked, and the
+    matrix normalized, before the first is yielded.  For one genus
+    :func:`close_surface` is cheaper.
     """
     keep = set(genera)
     if min(keep, default=0) < 1:
         raise GenusOutOfRange("genus must be >= 1")
     factored, j = normalized(matrix)
     glued = zip(range(1, max(keep) + 1), chain(factored))
-    return {g: IntPoly((0,) * (j * g) + x.coeffs) for g, x in glued if g in keep}
+    return ((g, IntPoly((0,) * (j * g) + x.coeffs)) for g, x in glued if g in keep)
 
 
 def packed_state(matrix: Matrix, genus: int) -> IntPoly:

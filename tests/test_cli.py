@@ -60,6 +60,21 @@ def chains(monkeypatch):
     return ran
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    # (p, n) of every modulus search, one per field built with its default modulus
+    from affrep import finitefield
+
+    searched, search = [], finitefield._irreducible_moduli
+
+    def counted_search(p, n):
+        searched.append((p, n))
+        return search(p, n)
+
+    monkeypatch.setattr(finitefield, "_irreducible_moduli", counted_search)
+    return searched
+
+
 def _strip_elapsed(obj):
     if isinstance(obj, dict):
         return {k: (0 if k == "elapsed_ms" else _strip_elapsed(v)) for k, v in obj.items()}
@@ -119,6 +134,42 @@ class TestCount:
         code, _, err = run_cli(capsys, ["count", "--field", "6", "--genus", "1"])
         assert code == 1
         assert "prime" in err
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "field,err",
+        [
+            ("4", "4 is not prime"),
+            ("2^13", "2^13 exceeds the enumeration bound 4096"),
+            ("2^0", "extension degree must be >= 1"),
+        ],
+    )
+    def test_a_bad_field_is_refused_by_every_engine(self, capsys, searches, engine, field, err):
+        # refused as building the field would refuse it, before any search
+        argv = ["count", "--engine", engine, "--genus", "1", "--field", field]
+        assert run_cli(capsys, argv) == (1, "", f"error: {err}\n")
+        assert searches == []
+
+    @pytest.mark.parametrize(
+        "engine,show_modulus,built",
+        [
+            ("semi", False, []),
+            ("closed", False, []),
+            ("semi", True, [(2, 3)]),
+            ("closed", True, [(2, 3)]),
+            ("naive", False, [(2, 3)]),
+            ("generic", False, [(2, 3)]),
+            ("naive", True, [(2, 3)]),
+        ],
+    )
+    def test_a_field_is_built_only_to_be_read(self, capsys, searches, engine, show_modulus, built):
+        argv = ["count", "--engine", engine, "--genus", "1", "--field", "2^3"]
+        code, out, _ = run_cli(capsys, argv + ["--show-modulus"] * show_modulus)
+        assert code == 0
+        assert searches == built
+        results = json.loads(out)["results"]
+        assert (results["p"], results["n"], results["q"], results["count"]) == (2, 3, 8, "448")
+        assert ("modulus" in results) == show_modulus
 
     def test_guard(self, capsys):
         code, _, err = run_cli(
@@ -241,6 +292,47 @@ class TestEPoly:
         assert results["degree"] == 3
         assert results["plan"] == [2, 3, 4, 5]
         assert [c["count"] for c in results["counts"]] == ["4", "18", "48", "100"]
+
+    @pytest.mark.parametrize("engine", ["semi", "closed"])
+    def test_order_only_engines_build_no_field(self, capsys, monkeypatch, engine):
+        # the same report with every modulus search refused
+        from affrep import finitefield
+
+        def no_search(p, n):
+            raise AssertionError("a field was built")
+
+        for argv in (["epoly", "--genus", "2"], ["epoly", "--genus", "1", "--plan", "2048,4096,3,5"]):
+            argv += ["--engine", engine]
+            code, out, _ = run_cli(capsys, argv)
+            with monkeypatch.context() as patched:
+                patched.setattr(finitefield, "_irreducible_moduli", no_search)
+                searchless = run_cli(capsys, argv)
+            assert code == searchless[0] == 0
+            assert _strip_elapsed(json.loads(searchless[1])) == _strip_elapsed(json.loads(out))
+
+    @pytest.mark.parametrize("engine", ["naive", "generic"])
+    def test_table_engines_build_each_field(self, capsys, searches, engine):
+        code, out, _ = run_cli(capsys, ["epoly", "--genus", "1", "--engine", engine])
+        assert code == 0
+        assert searches == [(2, 1), (3, 1), (2, 2), (5, 1)]
+        assert json.loads(out)["results"]["epoly"] == "q^3 - q^2"
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("plan", ["2,3,4,5003", "2,3,4,6"])
+    def test_a_bad_plan_is_refused_by_every_engine(self, capsys, engine, plan):
+        # 5003 is a prime power over the largest field: semi and closed refuse
+        # it as building F_5003 would, the table engines' charge first
+        if plan.endswith("6"):
+            err = "--plan '2,3,4,6': 6 is not a prime power"
+        elif engine in ("semi", "closed"):
+            err = "5003^1 exceeds the enumeration bound 4096"
+        else:
+            err = (
+                f"the plan's 4 {engine} counts and their interpolation, to q = 5003, need "
+                "1252501850600456 units in all, with 70 already charged (guard 100000000)"
+            )
+        argv = ["epoly", "--genus", "1", "--engine", engine, "--plan", plan]
+        assert run_cli(capsys, argv) == (1, "", f"error: {err}\n")
 
     def test_explicit_plan(self, capsys):
         code, out, _ = run_cli(
@@ -672,12 +764,12 @@ class TestTable:
 
     def test_extend_builds_no_field(self, monkeypatch):
         # a semi chain needs q alone, so the table builds no field at all
-        from affrep import finitefield, interpolate
+        from affrep import finitefield
 
         def no_field(*args, **kwargs):
             raise AssertionError("a field was built")
 
-        for module in (cli, finitefield, interpolate):
+        for module in (cli, finitefield, affcount):
             monkeypatch.setattr(module, "make_field", no_field)
         assert cmd_table(extend=True).passed
 
@@ -728,9 +820,8 @@ class TestVerify:
     )
     def test_a_differing_coefficient_is_named(self, monkeypatch, change, details):
         def perturbed(matrix, genera):
-            classes = tqft.surface_classes(matrix, genera)
-            classes[2] = classes[2] + change
-            return classes
+            for g, transfer in tqft.surface_classes(matrix, genera):
+                yield g, transfer + change if g == 2 else transfer
 
         monkeypatch.setattr(cli, "surface_classes", perturbed)
         checks = cmd_verify(3).checks

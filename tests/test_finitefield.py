@@ -8,6 +8,7 @@ import pytest
 from affrep import finitefield
 from affrep.finitefield import (
     FieldMismatch,
+    FieldOrder,
     InverseOfZero,
     NotPrime,
     OrderTooLarge,
@@ -160,8 +161,20 @@ class TestConstruction:
             irreducible_moduli(p, n)
         with pytest.raises(error) as built:
             make_field(p, n)
-        assert str(listed.value) == str(built.value)
+        with pytest.raises(error) as ordered:
+            FieldOrder(p, n)
+        assert str(listed.value) == str(built.value) == str(ordered.value)
         assert time.perf_counter() - t0 < 1
+
+    def test_field_order_searches_no_modulus(self, monkeypatch):
+        def no_search(p, n):
+            raise AssertionError("a modulus was searched for")
+
+        monkeypatch.setattr(finitefield, "_irreducible_moduli", no_search)
+        order = FieldOrder(2, 12)
+        assert (order.p, order.n, order.order) == (2, 12, 4096)
+        with pytest.raises(OrderTooLarge, match="^2\\^12 exceeds the enumeration bound 4095$"):
+            FieldOrder(2, 12, max_order=4095)
 
     def test_is_prime(self):
         assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

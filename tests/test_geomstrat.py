@@ -94,6 +94,14 @@ class TestRepClass:
         with pytest.raises(GenusOutOfRange):
             rep_class(0)
 
+    def test_interleaved_genera_get_their_own_classes(self):
+        # the cache keeps the last class alone, so a genus asked again after
+        # another is rebuilt, never answered with the other's class
+        asked = (3, 5, 3, 3, 5, 1, 3)
+        assert [rep_class(g) for g in asked] == [xs_recursive(2 * g) for g in asked]
+        assert rep_class.cache_info().maxsize == 1
+        assert rep_class.cache_info().currsize == 1
+
     def test_matches_semi_and_oracle_on_a_grid(self):
         # the class evaluated at q against two point counts that never use it:
         # semi's handle recurrence and the table oracle's one sweep per field

@@ -191,6 +191,38 @@ class TestSamplePlan:
     def test_plan_from_text(self):
         assert plan_from_text(1, "2,3,4,5").prime_powers == (2, 3, 4, 5)
 
+    def test_factors(self):
+        plan = SamplePlan(1, (2, 3, 4, 5, 7, 8, 9))
+        assert plan.factors == ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+        # the default plan takes its search's factors, and equals a plan that factors them
+        assert default_plan(2) == SamplePlan(2, default_plan(2).prime_powers)
+
+    def test_given_factors_are_charged_as_factoring(self):
+        powers = (2, 3, 4, 5, 7, 8, 9, 11)
+        factored, given = Budget(), Budget()
+        SamplePlan(2, powers, factored)
+        SamplePlan(2, powers, given, factors=SamplePlan(2, powers).factors)
+        # isqrt(m) - 1 for each m
+        assert factored.used == given.used == 0 + 0 + 1 + 1 + 1 + 1 + 2 + 2
+        with pytest.raises(BudgetExceeded, match="need up to 8 trial divisions in all"):
+            SamplePlan(2, powers, Budget(7), factors=SamplePlan(2, powers).factors)
+
+    def test_each_plan_power_is_factored_once(self, monkeypatch):
+        # the default plan's search factors each m once; neither the plan nor
+        # the counts factor a power again
+        from affrep import interpolate
+
+        factored, factor = [], interpolate._prime_power
+
+        def counted(m):
+            factored.append(m)
+            return factor(m)
+
+        monkeypatch.setattr(interpolate, "_prime_power", counted)
+        result = epoly_from_counts(14, engine="closed")
+        assert len(result.records) == 56
+        assert sorted(factored) == list(range(2, result.plan.prime_powers[-1] + 1))
+
 
 class TestEPolyFromCounts:
     def test_genus_one(self):

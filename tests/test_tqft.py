@@ -30,7 +30,7 @@ GROUP = Q * QM1
 # the two routes to one genus: glue in u = q - 1 and shift back, or the q chain
 ROUTES = (
     lambda matrix, genus: close_surface(genus, matrix),
-    lambda matrix, genus: surface_classes(matrix, [genus])[genus],
+    lambda matrix, genus: dict(surface_classes(matrix, [genus]))[genus],
 )
 
 
@@ -197,7 +197,8 @@ class TestCloseSurface:
             assert close_surface(genus, matrix) == power_class(matrix, genus)
 
     def test_one_sweep_gives_every_genus(self, matrix, glued):
-        assert surface_classes(matrix, range(1, 13)) == {g: rep_class(g) for g in range(1, 13)}
+        swept = dict(surface_classes(matrix, range(1, 13)))
+        assert swept == {g: rep_class(g) for g in range(1, 13)}
         assert len(glued) == 12
 
     @pytest.mark.parametrize("genera", [[9, 2, 5], range(1, 41)])
@@ -206,7 +207,7 @@ class TestCloseSurface:
         # its square and d by q(q-1), and then q^2 of a and d and q^4 of bc
         # are shifted out, no division; no genus divides again, and the chain
         # glues the q-free N, whose first value is q - 1
-        classes = surface_classes(matrix, genera)
+        classes = dict(surface_classes(matrix, genera))
         assert classes == {g: rep_class(g) for g in sorted(genera)}
         assert len(glued) == max(genera)
         assert glued[0] == QM1
@@ -225,9 +226,9 @@ class TestCloseSurface:
     def test_both_routes_agree(self, matrix):
         # the u route's class at each genus is the q chain's, for M and for
         # the matrix --reconstruct rebuilds from M's genus 1-3 classes
-        a, b, d = reconstruct_transfer(*surface_classes(matrix, range(1, 4)).values())
+        a, b, d = reconstruct_transfer(*dict(surface_classes(matrix, range(1, 4))).values())
         for glued_matrix in (matrix, ((a, b), (ONE, d))):
-            swept = surface_classes(glued_matrix, range(1, 97))
+            swept = dict(surface_classes(glued_matrix, range(1, 97)))
             assert all(close_surface(g, glued_matrix) == swept[g] for g in range(1, 97))
 
     @given(
@@ -241,7 +242,16 @@ class TestCloseSurface:
         # and the zero matrix included
         scaled = ((GROUP * Q**j * a, GROUP**2 * Q ** (2 * j) * b), (ONE, GROUP * Q**j * d))
         unscaled = zip(range(1, 9), chain(((a, b), (ONE, d))))
-        assert surface_classes(scaled, range(1, 9)) == {k: Q ** (j * k) * x for k, x in unscaled}
+        swept = dict(surface_classes(scaled, range(1, 9)))
+        assert swept == {k: Q ** (j * k) * x for k, x in unscaled}
+
+    def test_the_sweep_yields_each_class_as_it_glues(self, matrix, glued):
+        # a caller that drops each class holds one at a time: the sweep to a
+        # genus of a million has glued one torus when it yields genus 1
+        sweep = surface_classes(matrix, range(1, 10**6))
+        assert next(sweep) == (1, rep_class(1))
+        assert next(sweep) == (2, rep_class(2))
+        assert len(glued) == 2
 
     def test_genera_below_one_are_rejected(self, matrix):
         with pytest.raises(GenusOutOfRange):
@@ -328,11 +338,12 @@ class TestReconstruction:
         assert d == (Q**2 - 3 * Q + 3) * QM1 * Q**3
 
     def test_reconstructed_matrix_reproduces_the_classes(self, matrix, power_class):
-        a, b, d = reconstruct_transfer(*surface_classes(matrix, range(1, 4)).values())
+        a, b, d = reconstruct_transfer(*dict(surface_classes(matrix, range(1, 4))).values())
         rebuilt = ((a, b), (ONE, d))
         for genus in range(1, 7):
             assert power_class(rebuilt, genus) == close_surface(genus, matrix)
-        assert surface_classes(rebuilt, range(1, 7)) == surface_classes(matrix, range(1, 7))
+        swept = dict(surface_classes(rebuilt, range(1, 7)))
+        assert swept == dict(surface_classes(matrix, range(1, 7)))
 
     def test_zero_data_is_degenerate(self):
         with pytest.raises(ReconstructionError):
@@ -353,7 +364,7 @@ class TestReconstruction:
         # adding (q-2)^2 q^3 to the genus-3 class still rebuilds a matrix,
         # with d one more than it should be; that d is no multiple of q(q-1),
         # so the rebuilt matrix raises before it glues any genus
-        e1, e2, e3 = surface_classes(matrix, range(1, 4)).values()
+        e1, e2, e3 = dict(surface_classes(matrix, range(1, 4))).values()
         a, b, d = reconstruct_transfer(e1, e2, e3 + (Q - 2) ** 2 * Q**3)
         assert d == reconstruct_transfer(e1, e2, e3)[2] + ONE
         with pytest.raises(NotDivisible):
@@ -520,7 +531,7 @@ class TestPolynomialGuardModel:
 
         def sweep(glued, genus_max):
             counted_products.clear()
-            surface_classes(glued, range(1, genus_max + 1))
+            dict(surface_classes(glued, range(1, genus_max + 1)))
             budget = Budget(10**9)
             _charge_gluing(budget, genus_max)
             classes = sum(class_charge(g) for g in range(1, genus_max + 1))
@@ -529,7 +540,7 @@ class TestPolynomialGuardModel:
         for genus_max in range(1, 34):
             performed, charged = sweep(matrix, genus_max)
             assert charged == performed
-        a, b, d = reconstruct_transfer(*surface_classes(matrix, range(1, 4)).values())
+        a, b, d = reconstruct_transfer(*dict(surface_classes(matrix, range(1, 4))).values())
         for genus_max in range(8, 34):
             performed, charged = sweep(((a, b), (ONE, d)), genus_max)
             assert performed <= charged <= 1.15 * performed

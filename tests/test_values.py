@@ -8,7 +8,7 @@ import pytest
 from affrep.affcount import AffElem, CountRecord
 from affrep.cli import Report
 from affrep.exactpoly import ONE, Q, IntPoly
-from affrep.finitefield import make_field
+from affrep.finitefield import FieldOrder, make_field
 from affrep.interpolate import EPolyResult, SamplePlan
 
 
@@ -17,6 +17,7 @@ from affrep.interpolate import EPolyResult, SamplePlan
 FROZEN = {
     "IntPoly": (lambda: IntPoly([1, 2]), "coeffs"),
     "FieldSpec": (lambda: make_field(3, 2), "p"),
+    "FieldOrder": (lambda: FieldOrder(3, 2), "n"),
     "FqElem": (lambda: make_field(3, 2).from_int(5), "coeffs"),
     "AffElem": (lambda: AffElem(make_field(5, 1).from_int(2), make_field(5, 1).one()), "b"),
     "SamplePlan": (lambda: SamplePlan(1, (2, 3, 4, 5)), "genus"),
