@@ -14,10 +14,11 @@ from affrep import (
     lagrange_interpolate,
 )
 
+# a plan is the (p, n) of each field order q = p^n it counts over
 for genus in (1, 2):
     plan = default_plan(genus)
     result = epoly_from_counts(genus, plan)
-    print(f"genus {genus}, counts at q in {plan.prime_powers}:")
+    print(f"genus {genus}, counts at q = p^n for (p, n) in {plan}:")
     for rec in result.records:
         print(f"  q={rec.q}: {rec.count}")
     print(f"  => {result.epoly}\n")

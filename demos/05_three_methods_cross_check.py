@@ -15,9 +15,10 @@ print(f"{'genus':>5}  {'stratification = transfer = interpolation':<46}")
 for genus in (1, 2, 3):
     geometric = rep_class(genus)
     transfer = close_surface(genus)
-    interpolated = epoly_from_counts(genus).epoly
-    agree = geometric == transfer == interpolated
-    print(f"{genus:>5}  {str(geometric):<46} [{'ok' if agree else 'MISMATCH'}]")
+    result = epoly_from_counts(genus)
+    agree = geometric == transfer == result.epoly
+    status = "ok" if agree else "MISMATCH"
+    print(f"{genus:>5}  {str(geometric):<46} [{status}] counted to q = {result.records[-1].q}")
 
 print("\nhigher genus, polynomial methods only:")
 for genus in (5, 8, 10):

@@ -48,7 +48,6 @@ from .interpolate import (
     EPolyResult,
     ExtraPointMismatch,
     NonIntegerCoefficients,
-    SamplePlan,
     default_plan,
     epoly_from_counts,
     epoly_from_samples,

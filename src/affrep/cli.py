@@ -30,7 +30,6 @@ from csv import writer as csv_writer
 from importlib import resources
 from pathlib import Path
 from itertools import zip_longest
-from math import isqrt
 from types import SimpleNamespace
 
 from . import __version__
@@ -53,16 +52,17 @@ from .exactpoly import ONE, IntPoly, NotDivisible, Record
 from .finitefield import FieldOrder, make_field, parse_descriptor
 from .geomstrat import character_class, class_charge, moduli_class, rep_class
 from .interpolate import (
-    charge_factoring,
     default_plan,
     epoly_from_counts,
     epoly_from_samples,
+    factor_orders,
     int_str_limit,
     interpolation_charge,
+    over_int_str_limit,
     plan_from_text,
-    prime_power,
     row_error,
     samples_from_csv,
+    short_repr,
     smallest_prime_powers,
     utf8_text,
 )
@@ -162,19 +162,14 @@ def _semi_chains(budget: Budget, genera: dict[int, set[int]], what="the cells", 
     """Each q's one semi chain, which keeps the genera ``genera`` maps q to.
 
     First ``what`` is refused if the trial division that factors each q and
-    its chain, plus ``later`` units to come, would pass the guard.  Then each
-    q is refused as building F_q would refuse it, but no field is built.
+    its chain, plus ``later`` units to come, would pass the guard
+    (:func:`~affrep.interpolate.factor_orders`).  Then each q is refused as
+    building F_q would refuse it, but no field is built.
     """
-    total = later + sum(
-        isqrt(max(q, 1)) - 1 + count_charge(q, max(gs), "semi")[0] for q, gs in genera.items()
-    )
-    what += ", to q = {}, need {} units in all, to factor q and count"
-    charge_ahead(budget, total, what, max(genera, default=0), total)
-    for q in genera:
-        decomposition = prime_power(q, budget)
-        if decomposition is None:
-            raise ValueError(f"{q} is not a prime power")
-        FieldOrder(*decomposition)
+    later += sum(count_charge(q, max(gs), "semi")[0] for q, gs in genera.items())
+    what += ", to q = {1}, need {2} units in all, to factor q and count"
+    for p, n in factor_orders(budget, list(genera), later, what):
+        FieldOrder(p, n)
     return {q: semi_counts(q, gs, budget) for q, gs in genera.items()}
 
 
@@ -248,10 +243,10 @@ def cmd_epoly(
     budget = Budget(guard)
     if counts_file is not None:
         samples = samples_from_csv(counts_file)
-        charge_factoring(budget, [q for q, _ in samples])
-        for q, _ in samples:
-            if prime_power(q, budget) is None:
-                raise ValueError(f"sample abscissa {q} is not a prime power")
+        try:
+            factor_orders(budget, [q for q, _ in samples])
+        except ValueError as exc:
+            raise ValueError(f"sample abscissa {exc}") from None
         bits = max((abs(c).bit_length() for _, c in samples), default=0)
         budget.charge(*interpolation_charge(genus, len(samples), bits))
         epoly = epoly_from_samples(genus, samples)
@@ -264,7 +259,7 @@ def cmd_epoly(
                 raise ValueError(f"--plan {plan_text!r}: {exc}") from None
         else:
             plan = default_plan(genus)
-        _check_printable(genus, max(plan.prime_powers))
+        _check_printable(genus, max(p**n for p, n in plan))
         engine = engine or "semi"
         result = epoly_from_counts(genus, plan, engine=engine, budget=budget)
         epoly, counts = result.epoly, [rec.as_json() for rec in result.records]
@@ -457,7 +452,10 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(f"expected a positive integer, got {text!r}")
+        digits = sum(map(str.isdecimal, text))
+        over = over_int_str_limit(digits)
+        size = f", of {digits} digits, {over}" if over else ""
+        raise ValueError(f"expected a positive integer, got {short_repr(text)}{size}")
     return value
 
 

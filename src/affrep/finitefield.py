@@ -136,21 +136,21 @@ class FieldOrder(Immutable):
 
     The engines that read q alone (``semi``, ``closed``) count on it in
     place of a :class:`FieldSpec`.  The constructor refuses n < 1, an order
-    over ``max_order`` and a p that is not prime, in that order: the bound
-    is checked before primality, so a huge p is refused without trial
-    division, and as p^n >= 2^n, an n beyond the bit length of
-    ``max_order`` is refused without building p^n.
+    over :data:`DEFAULT_MAX_ORDER` and a p that is not prime, in that order:
+    the bound is checked before primality, so a huge p is refused without
+    trial division, and as p^n >= 2^n, an n beyond the bound's bit length
+    is refused without building p^n.
     """
 
     __slots__ = ("p", "n")
     p: int
     n: int
 
-    def __init__(self, p: int, n: int, max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, n: int):
         if n < 1:
             raise ValueError("extension degree must be >= 1")
-        if p >= 2 and (n > max_order.bit_length() or p**n > max_order):
-            raise OrderTooLarge(f"{p}^{n} exceeds the enumeration bound {max_order}")
+        if p >= 2 and (n > DEFAULT_MAX_ORDER.bit_length() or p**n > DEFAULT_MAX_ORDER):
+            raise OrderTooLarge(f"{p}^{n} exceeds the enumeration bound {DEFAULT_MAX_ORDER}")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         super().__init__(p, n)
@@ -164,7 +164,6 @@ def make_field(
     p: int,
     n: int,
     modulus: Sequence[int] | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
 ) -> FieldSpec:
     """Build F_{p^n}, picking the lex-smallest irreducible modulus by default.
 
@@ -175,7 +174,7 @@ def make_field(
     is validated for irreducibility, so X^2 is refused and X accepted.  p
     and n are refused first, as :class:`FieldOrder` refuses them.
     """
-    FieldOrder(p, n, max_order)
+    FieldOrder(p, n)
     if modulus is not None:
         mod = tuple(c % p for c in modulus)
         if len(mod) != n + 1 or mod[-1] != 1:

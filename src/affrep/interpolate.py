@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Sequence
 
 from .affcount import Budget, CountRecord, charge_ahead, count_charge, count_points
-from .exactpoly import Immutable, IntPoly, Record, words
+from .exactpoly import IntPoly, Record, words
 from .finitefield import DEFAULT_MAX_ORDER, FieldOrder
 
 
@@ -103,15 +103,29 @@ def prime_power(m: int, budget: Budget | None = None) -> tuple[int, int] | None:
     return _prime_power(m)
 
 
-def charge_factoring(budget: Budget, abscissae: Sequence[int]) -> None:
-    """Refuse now the trial divisions :func:`prime_power` would charge for all ``abscissae``.
+ABSCISSAE = "the {} abscissae, to q = {}, need up to {} trial divisions in all, to factor them"
 
-    That is isqrt(m) - 1 for each m >= 2, refused as one total before any
-    m is factored; each :func:`prime_power` call then charges its share.
+
+def factor_orders(
+    budget: Budget, orders: Sequence[int], later: int = 0, what: str = ABSCISSAE
+) -> tuple[tuple[int, int], ...]:
+    """Each of ``orders`` as its (p, n), or "{m} is not a prime power".
+
+    The trial divisions that factor them all, isqrt(m) - 1 for each m >= 2,
+    plus ``later`` units the caller charges next, are refused as one total
+    before any m is factored; ``what`` names that total, formatted with the
+    number of orders, the largest and the total.  Each :func:`prime_power`
+    call then charges its share.
     """
-    divisions = sum(isqrt(m) - 1 for m in abscissae if m >= 2)
-    what = "the {} abscissae, to q = {}, need up to {} trial divisions in all, to factor them"
-    charge_ahead(budget, divisions, what, len(abscissae), max(abscissae, default=0), divisions)
+    total = later + sum(isqrt(m) - 1 for m in orders if m >= 2)
+    charge_ahead(budget, total, what, len(orders), max(orders, default=0), total)
+    factors = []
+    for m in orders:
+        factor = prime_power(m, budget)
+        if factor is None:
+            raise ValueError(f"{m} is not a prime power")
+        factors.append(factor)
+    return tuple(factors)
 
 
 def _prime_power(m: int) -> tuple[int, int] | None:
@@ -148,72 +162,21 @@ def smallest_prime_powers(count: int) -> tuple[int, ...]:
     return tuple(m for m, _ in _smallest_factored(count))
 
 
-class SamplePlan(Immutable):
-    """Which prime powers to count over for a given genus, each with its (p, n).
-
-    The trial division that checks the prime powers is charged to ``budget``
-    (a fresh default-guard :class:`Budget` if None), its total refused
-    before any is factored (:func:`charge_factoring`).  A caller that
-    already factored them, as :func:`default_plan`'s search does, passes
-    their ``factors``; each power is then charged but not factored again.
-    """
-
-    __slots__ = ("genus", "prime_powers", "factors")
-    genus: int
-    prime_powers: tuple[int, ...]
-    factors: tuple[tuple[int, int], ...]
-
-    def __init__(
-        self,
-        genus: int,
-        prime_powers: tuple[int, ...],
-        budget: Budget | None = None,
-        factors: tuple[tuple[int, int], ...] | None = None,
-    ):
-        if genus < 1:
-            raise ValueError("genus must be >= 1")
-        if len(set(prime_powers)) != len(prime_powers):
-            raise DuplicateAbscissa("plan prime powers must be pairwise distinct")
-        if len(prime_powers) < 4 * genus:
-            raise ValueError(f"plan needs at least {4 * genus} prime powers for genus {genus}")
-        budget = budget or Budget()
-        charge_factoring(budget, prime_powers)
-        if factors is None:
-            factors = []
-            for m in prime_powers:
-                factor = prime_power(m, budget)
-                if factor is None:
-                    raise ValueError(f"{m} is not a prime power")
-                factors.append(factor)
-        else:
-            for m in prime_powers:
-                budget.charge(*division_charge(m))
-        super().__init__(genus, prime_powers, tuple(factors))
-
-    @property
-    def degree_bound(self) -> int:
-        # the variety embeds in a (4g)-fold product of a 3-dimensional group,
-        # minus one relation, so the counting polynomial has degree <= 4g - 1
-        return 4 * self.genus - 1
-
-
-def default_plan(genus: int) -> SamplePlan:
-    """The 4g smallest prime powers; for genus 3 this is 2, 3, 4, ..., 19."""
+def default_plan(genus: int) -> tuple[tuple[int, int], ...]:
+    """The (p, n) of the 4g smallest prime powers; for genus 3 these are 2, 3, 4, ..., 19."""
     if genus < 1:
         raise ValueError("genus must be >= 1")
     try:
         found = _smallest_factored(4 * genus)
     except ValueError as exc:
         raise ValueError(f"no default plan for genus {genus}: {exc}") from None
-    return SamplePlan(genus, tuple(m for m, _ in found), factors=tuple(pk for _, pk in found))
+    return tuple(pk for _, pk in found)
 
 
 class EPolyResult(Record):
     """Counting polynomial recovered from a plan's point counts."""
 
-    __slots__ = ("genus", "plan", "records", "epoly")
-    genus: int
-    plan: SamplePlan
+    __slots__ = ("records", "epoly")
     records: list[CountRecord]
     epoly: IntPoly
 
@@ -239,6 +202,8 @@ def epoly_from_samples(genus: int, samples: Sequence[tuple[int, int]]) -> IntPol
     """
     if genus < 1:
         raise ValueError("genus must be >= 1")
+    # the variety embeds in a (4g)-fold product of a 3-dimensional group,
+    # minus one relation, so the counting polynomial has degree <= 4g - 1
     degree_bound = 4 * genus - 1
     result = lagrange_interpolate(samples, degree_bound)
     if result.degree != degree_bound:
@@ -250,11 +215,11 @@ def epoly_from_samples(genus: int, samples: Sequence[tuple[int, int]]) -> IntPol
 
 def epoly_from_counts(
     genus: int,
-    plan: SamplePlan | None = None,
+    plan: Sequence[tuple[int, int]] | None = None,
     engine: str = "semi",
     budget: Budget | None = None,
 ) -> EPolyResult:
-    """Count points at each prime power of the plan and interpolate.
+    """Count points at each (p, n) of the plan (:func:`default_plan` if None) and interpolate.
 
     Each count charges ``budget``, then the interpolation
     (:func:`interpolation_charge`, on counts of up to 4g times the bits of
@@ -265,21 +230,18 @@ def epoly_from_counts(
     """
     if plan is None:
         plan = default_plan(genus)
-    if plan.genus != genus:
-        raise ValueError(f"plan is for genus {plan.genus}, not {genus}")
-    budget, powers = budget or Budget(), plan.prime_powers
+    budget, powers = budget or Budget(), [p**n for p, n in plan]
     interpolation = interpolation_charge(genus, len(powers), 4 * genus * max(powers).bit_length())
     total = sum(count_charge(m, genus, engine)[0] for m in powers) + interpolation[0]
     what = "the plan's {} {} counts and their interpolation, to q = {}, need {} units in all"
     charge_ahead(budget, total, what, len(powers), engine, max(powers), total)
     records = []
-    for p, n in plan.factors:
+    for p, n in plan:
         # refused here as make_field would refuse it; only a table engine builds F_q
         records.append(count_points(FieldOrder(p, n), genus, engine=engine, budget=budget))
     budget.charge(*interpolation)
     samples = [(rec.q, rec.count) for rec in records]
-    epoly = epoly_from_samples(genus, samples)
-    return EPolyResult(genus, plan, records, epoly)
+    return EPolyResult(records, epoly_from_samples(genus, samples))
 
 
 def int_str_limit() -> int:
@@ -294,6 +256,20 @@ def int_str_limit() -> int:
 ECHO_CHARS = 60
 
 
+def short_repr(value: object) -> str:
+    """``value``'s repr, cut to its first ``ECHO_CHARS`` characters and its length when longer."""
+    echo = repr(value)
+    return echo if len(echo) <= ECHO_CHARS else f"{echo[:ECHO_CHARS]}... ({len(echo)} characters)"
+
+
+def over_int_str_limit(digits: int) -> str | None:
+    """The clause naming :func:`int_str_limit` if ``digits`` decimal digits pass it, else None."""
+    limit = int_str_limit()
+    if limit and digits > limit:
+        return f"over Python's int-from-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
+    return None
+
+
 class CellTooLong(ValueError):
     """A CSV cell has more digits than CPython converts from a string."""
 
@@ -303,19 +279,13 @@ def row_error(where: str, kind: str, row: object, cells: Sequence[str]) -> Value
 
     A cell with more decimal digits than :func:`int_str_limit` gives
     :class:`CellTooLong`; any other failure is "malformed".  The row is
-    echoed as its repr, cut to the first ``ECHO_CHARS`` characters and the
-    repr's length when longer.
+    echoed by :func:`short_repr`.
     """
-    echo = repr(row)
-    if len(echo) > ECHO_CHARS:
-        echo = f"{echo[:ECHO_CHARS]}... ({len(echo)} characters)"
-    limit = int_str_limit()
+    echo = short_repr(row)
     digits = max((sum(map(str.isdecimal, cell)) for cell in cells), default=0)
-    if limit and digits > limit:
-        return CellTooLong(
-            f"{where}: {kind} row {echo} has a cell of {digits} digits, over Python's "
-            f"int-from-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
-        )
+    over = over_int_str_limit(digits)
+    if over:
+        return CellTooLong(f"{where}: {kind} row {echo} has a cell of {digits} digits, {over}")
     return ValueError(f"{where}: malformed {kind} row {echo}")
 
 
@@ -357,12 +327,16 @@ def samples_from_csv(path: str) -> list[tuple[int, int]]:
     return out
 
 
-def plan_from_text(genus: int, text: str, budget: Budget | None = None) -> SamplePlan:
-    """Parse a comma-separated prime-power list into a plan.
+def plan_from_text(
+    genus: int, text: str, budget: Budget | None = None
+) -> tuple[tuple[int, int], ...]:
+    """Parse a comma-separated prime-power list into a plan, the (p, n) of each.
 
     A token that is empty or not an integer raises :class:`ValueError`
-    naming it, so no entry is dropped; the prime-power checks charge
-    ``budget`` as in :class:`SamplePlan`, all of them before the first.
+    naming it, so no entry is dropped.  Then a genus under 1, a repeated
+    power or fewer than 4g powers is refused, and the powers are factored
+    by :func:`factor_orders`, charging ``budget`` (a fresh default-guard
+    :class:`Budget` if None), all of them before the first.
     """
     powers = []
     for position, tok in enumerate(text.split(","), start=1):
@@ -372,4 +346,10 @@ def plan_from_text(genus: int, text: str, budget: Budget | None = None) -> Sampl
             powers.append(int(tok))
         except ValueError:
             raise ValueError(f"{tok.strip()!r} is not an integer") from None
-    return SamplePlan(genus, tuple(powers), budget)
+    if genus < 1:
+        raise ValueError("genus must be >= 1")
+    if len(set(powers)) != len(powers):
+        raise DuplicateAbscissa("plan prime powers must be pairwise distinct")
+    if len(powers) < 4 * genus:
+        raise ValueError(f"plan needs at least {4 * genus} prime powers for genus {genus}")
+    return factor_orders(budget or Budget(), powers)

@@ -24,7 +24,7 @@ from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, m
 from affrep.exactpoly import Q
 from affrep.finitefield import DEFAULT_MAX_ORDER
 from affrep.geomstrat import rep_class
-from affrep.interpolate import prime_power
+from affrep.interpolate import ECHO_CHARS, int_str_limit, prime_power
 from affrep.tqft import closing_charge
 from conftest import closed_count
 
@@ -332,6 +332,24 @@ class TestEPoly:
                 "1252501850600456 units in all, with 70 already charged (guard 100000000)"
             )
         argv = ["epoly", "--genus", "1", "--engine", engine, "--plan", plan]
+        assert run_cli(capsys, argv) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
+        "source,text,err",
+        [
+            ("--plan", "2,3,6", "--plan '2,3,6': plan needs at least 4 prime powers for genus 1"),
+            ("--plan", "2,3,4,4", "--plan '2,3,4,4': plan prime powers must be pairwise distinct"),
+            ("--plan", "0,2,3,4", "--plan '0,2,3,4': 0 is not a prime power"),
+            ("--counts", "2,4\n3,18\n4,48\n6,180\n", "sample abscissa 6 is not a prime power"),
+            ("--counts", "2,4\n1,0\n4,48\n5,100\n", "sample abscissa 1 is not a prime power"),
+        ],
+    )
+    def test_each_order_is_factored_or_named(self, capsys, tmp_path, source, text, err):
+        if source == "--counts":
+            path = tmp_path / "counts.csv"
+            path.write_text(text)
+            text = str(path)
+        argv = ["epoly", "--genus", "1", source, text]
         assert run_cli(capsys, argv) == (1, "", f"error: {err}\n")
 
     def test_explicit_plan(self, capsys):
@@ -787,6 +805,15 @@ class TestTable:
         code, out, stderr = run_cli(capsys, ["table", "--golden", str(path)])
         assert (code, out, stderr) == (1, "", f"error: {err}\n")
 
+    def test_every_order_is_factored_before_any_is_refused_as_too_large(self, capsys, tmp_path):
+        # 5003 is a prime over the largest field order and 6 is no prime
+        # power: whichever row comes first, the factoring names 6
+        for rows in ("1,5003,1\n1,6,1\n", "1,6,1\n1,5003,1\n"):
+            path = tmp_path / "golden.csv"
+            path.write_text("genus,q,count\n" + rows)
+            code, out, err = run_cli(capsys, ["table", "--golden", str(path)])
+            assert (code, out, err) == (1, "", "error: 6 is not a prime power\n")
+
     def test_csv_output(self, capsys):
         code, out, _ = run_cli(capsys, ["table", "--output", "csv"])
         assert code == 0
@@ -1218,6 +1245,22 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    def test_an_integer_past_the_str_limit_is_named_and_cut(self, capsys):
+        limit = int_str_limit()
+        if not limit:
+            pytest.skip("no int-from-str limit on this interpreter")
+        digits = "9" * (limit + 700)
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--field", "3", "--genus", digits])
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        echo = f"'{digits[: ECHO_CHARS - 1]}... ({limit + 702} characters)"
+        assert errors == [
+            f"affrep: error: argument --genus: expected a positive integer, got {echo}, of "
+            f"{limit + 700} digits, over Python's int-from-str limit of {limit} "
+            "(PYTHONINTMAXSTRDIGITS sets it)"
+        ]
 
 
 def _kind_value(kind):

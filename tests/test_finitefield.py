@@ -92,8 +92,16 @@ class TestConstruction:
             make_field(6, 1)
 
     def test_order_too_large(self):
+        # the bound is DEFAULT_MAX_ORDER = 4096 = 2^12
+        assert make_field(2, 12).order == 4096
+        with pytest.raises(OrderTooLarge, match="^2\\^13 exceeds the enumeration bound 4096$"):
+            make_field(2, 13)
+        # an n past the bound's bit length is refused without building p^n;
+        # 3^(10^7) alone would take seconds
+        t0 = time.perf_counter()
         with pytest.raises(OrderTooLarge):
-            make_field(2, 4, max_order=8)
+            FieldOrder(3, 10**7)
+        assert time.perf_counter() - t0 < 0.5
 
     def test_order_bound_before_primality(self):
         # trial division of 10^18 + 3, or building 2^(10^9), would not finish
@@ -173,8 +181,8 @@ class TestConstruction:
         monkeypatch.setattr(finitefield, "_irreducible_moduli", no_search)
         order = FieldOrder(2, 12)
         assert (order.p, order.n, order.order) == (2, 12, 4096)
-        with pytest.raises(OrderTooLarge, match="^2\\^12 exceeds the enumeration bound 4095$"):
-            FieldOrder(2, 12, max_order=4095)
+        with pytest.raises(OrderTooLarge, match="^2\\^13 exceeds the enumeration bound 4096$"):
+            FieldOrder(2, 13)
 
     def test_is_prime(self):
         assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]

@@ -18,10 +18,10 @@ from affrep.interpolate import (
     DuplicateAbscissa,
     ExtraPointMismatch,
     NonIntegerCoefficients,
-    SamplePlan,
     default_plan,
     epoly_from_counts,
     epoly_from_samples,
+    factor_orders,
     int_str_limit,
     lagrange_interpolate,
     plan_from_text,
@@ -157,55 +157,68 @@ class TestPrimePowers:
         refusal = r"the 4 abscissae, to q = 1009, need up to 31 trial divisions in all, .*\(guard 30\)$"
         budget = Budget(30)
         with pytest.raises(BudgetExceeded, match=refusal):
-            SamplePlan(1, (2, 3, 4, 1009), budget)
+            plan_from_text(1, "2,3,4,1009", budget)
         assert budget.used == 0
         budget = Budget(31)
-        assert SamplePlan(1, (2, 3, 4, 1009), budget).prime_powers[-1] == 1009
+        assert plan_from_text(1, "2,3,4,1009", budget)[-1] == (1009, 1)
         assert budget.used == 31
 
     def test_smallest_prime_powers(self):
         assert smallest_prime_powers(12) == (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
 
     def test_default_plans_match_reference_columns(self):
-        assert default_plan(1).prime_powers == (2, 3, 4, 5)
-        assert default_plan(2).prime_powers == (2, 3, 4, 5, 7, 8, 9, 11)
-        assert default_plan(3).prime_powers == (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19)
+        assert default_plan(1) == ((2, 1), (3, 1), (2, 2), (5, 1))
+        assert [p**n for p, n in default_plan(2)] == [2, 3, 4, 5, 7, 8, 9, 11]
+        assert [p**n for p, n in default_plan(3)] == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19]
 
 
 class TestSamplePlan:
+    """A plan is the (p, n) of each of its orders, checked by plan_from_text."""
+
     def test_degree_bound(self):
-        assert default_plan(2).degree_bound == 7
+        # a genus-2 plan's 8 orders pin down a polynomial of degree 4g - 1 = 7
+        result = epoly_from_counts(2, default_plan(2))
+        assert (len(result.records), result.epoly.degree) == (8, 7)
 
     def test_rejects_duplicates(self):
         with pytest.raises(DuplicateAbscissa):
-            SamplePlan(1, (2, 3, 3, 5))
+            plan_from_text(1, "2,3,3,5")
 
     def test_rejects_non_prime_powers(self):
-        with pytest.raises(ValueError):
-            SamplePlan(1, (2, 3, 5, 6))
+        with pytest.raises(ValueError, match="^6 is not a prime power$"):
+            plan_from_text(1, "2,3,5,6")
 
     def test_rejects_short_plans(self):
-        with pytest.raises(ValueError):
-            SamplePlan(1, (2, 3, 5))
+        with pytest.raises(ValueError, match="^plan needs at least 4 prime powers for genus 1$"):
+            plan_from_text(1, "2,3,5")
 
     def test_plan_from_text(self):
-        assert plan_from_text(1, "2,3,4,5").prime_powers == (2, 3, 4, 5)
+        assert plan_from_text(1, "2,3,4,5") == default_plan(1)
+        with pytest.raises(ValueError, match="^genus must be >= 1$"):
+            plan_from_text(0, "2,3,4,5")
 
     def test_factors(self):
-        plan = SamplePlan(1, (2, 3, 4, 5, 7, 8, 9))
-        assert plan.factors == ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
-        # the default plan takes its search's factors, and equals a plan that factors them
-        assert default_plan(2) == SamplePlan(2, default_plan(2).prime_powers)
+        factors = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))
+        assert plan_from_text(1, "2,3,4,5,7,8,9") == factors
+        # the default plan is its search's factors, as factoring its orders gives
+        assert default_plan(2) == plan_from_text(2, "2,3,4,5,7,8,9,11")
 
-    def test_given_factors_are_charged_as_factoring(self):
-        powers = (2, 3, 4, 5, 7, 8, 9, 11)
-        factored, given = Budget(), Budget()
-        SamplePlan(2, powers, factored)
-        SamplePlan(2, powers, given, factors=SamplePlan(2, powers).factors)
-        # isqrt(m) - 1 for each m
-        assert factored.used == given.used == 0 + 0 + 1 + 1 + 1 + 1 + 2 + 2
-        with pytest.raises(BudgetExceeded, match="need up to 8 trial divisions in all"):
-            SamplePlan(2, powers, Budget(7), factors=SamplePlan(2, powers).factors)
+    def test_factoring_is_charged_once_each_after_one_total(self):
+        # isqrt(m) - 1 for each m >= 2, plus what the caller charges next,
+        # refused before any is factored; then each m charges its share
+        orders = (2, 3, 4, 5, 7, 8, 9, 11, 1)
+        budget = Budget(17)
+        refusal = "^the 9 abscissae, to q = 11, need up to 18 trial divisions in all, "
+        with pytest.raises(BudgetExceeded, match=refusal):
+            factor_orders(budget, orders, later=10)
+        assert budget.used == 0
+        with pytest.raises(ValueError, match="^1 is not a prime power$"):
+            factor_orders(budget, orders)
+        assert budget.used == 8
+        what = "{1} and {2}"
+        with pytest.raises(BudgetExceeded, match=r"^11 and 18 \(guard 17\)$"):
+            factor_orders(Budget(17), orders[:-1], 10, what)
+        assert factor_orders(Budget(8), orders[:-1]) == default_plan(2)
 
     def test_each_plan_power_is_factored_once(self, monkeypatch):
         # the default plan's search factors each m once; neither the plan nor
@@ -221,7 +234,7 @@ class TestSamplePlan:
         monkeypatch.setattr(interpolate, "_prime_power", counted)
         result = epoly_from_counts(14, engine="closed")
         assert len(result.records) == 56
-        assert sorted(factored) == list(range(2, result.plan.prime_powers[-1] + 1))
+        assert sorted(factored) == list(range(2, result.records[-1].q + 1))
 
 
 class TestEPolyFromCounts:
@@ -234,12 +247,8 @@ class TestEPolyFromCounts:
         assert epoly_from_counts(2).epoly == rep_class(2)
 
     def test_extra_plan_points_do_not_change_the_answer(self):
-        wide = SamplePlan(1, (2, 3, 4, 5, 7, 8, 9))
+        wide = plan_from_text(1, "2,3,4,5,7,8,9")
         assert epoly_from_counts(1, wide).epoly == epoly_from_counts(1).epoly
-
-    def test_plan_genus_mismatch(self):
-        with pytest.raises(ValueError):
-            epoly_from_counts(2, default_plan(1))
 
     def test_degree_check(self):
         # constant samples cannot come from this family

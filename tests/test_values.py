@@ -9,7 +9,7 @@ from affrep.affcount import AffElem, CountRecord
 from affrep.cli import Report
 from affrep.exactpoly import ONE, Q, IntPoly
 from affrep.finitefield import FieldOrder, make_field
-from affrep.interpolate import EPolyResult, SamplePlan
+from affrep.interpolate import EPolyResult
 
 
 # each maker builds a fresh object from equal fields on every call; the
@@ -20,7 +20,6 @@ FROZEN = {
     "FieldOrder": (lambda: FieldOrder(3, 2), "n"),
     "FqElem": (lambda: make_field(3, 2).from_int(5), "coeffs"),
     "AffElem": (lambda: AffElem(make_field(5, 1).from_int(2), make_field(5, 1).one()), "b"),
-    "SamplePlan": (lambda: SamplePlan(1, (2, 3, 4, 5)), "genus"),
 }
 
 
@@ -71,7 +70,6 @@ def test_examples():
     assert IntPoly([1, 2]) != IntPoly([1, 3])
     assert make_field(3, 2) != make_field(3, 2, modulus=(2, 2, 1))
     assert make_field(3, 2).from_int(5) != make_field(3, 2).from_int(4)
-    assert SamplePlan(1, (2, 3, 4, 5)) != SamplePlan(1, (2, 3, 4, 7))
     assert IntPoly([1]) != 1
 
 
@@ -100,6 +98,7 @@ def test_report_is_mutable_with_value_equality():
 
 
 def test_epoly_result_value_equality():
-    plan = SamplePlan(1, (2, 3, 4, 5))
-    assert EPolyResult(1, plan, [], Q) == EPolyResult(1, SamplePlan(1, (2, 3, 4, 5)), [], Q)
-    assert EPolyResult(1, plan, [], Q) != EPolyResult(1, plan, [], ONE)
+    records = [CountRecord(2, 1, 2, 1, 4, "semi", 0.5)]
+    assert EPolyResult(records, Q) == EPolyResult([CountRecord(2, 1, 2, 1, 4, "semi", 0.5)], Q)
+    assert EPolyResult(records, Q) != EPolyResult(records, ONE)
+    assert EPolyResult(records, Q) != EPolyResult([], Q)
