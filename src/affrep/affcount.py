@@ -291,29 +291,32 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
     Checks, in this order: the table is square, its entries are element
     indices, ``identity`` is a two-sided identity, every element has a
     two-sided inverse, associativity, and every row holds the identity
-    exactly once.  Associativity is checked a row at a time: for a pair
-    (x, y), row xy of the table is (xy)z for every z, and row x gathered at
-    row y is x(yz) for every z, so one gather and one list comparison check
-    n triples.  The pairs are all n^2 when n^3 <= 1000, otherwise
-    ceil(3000/n) drawn from ``random.Random(0)`` (:func:`_associativity_pairs`),
-    at least 3000 triples; a failure names the first z at which the rows
-    differ.  The last check is what :func:`oracle_counts` relies on: it
-    counts the last handles that complete a prefix p as the commutators
-    equal to p^-1, which equals the number of identities p*c only when p has
-    one right inverse.  In a group that holds by associativity; the sample
-    can miss a row with two.  That check reads only each row's tail after
-    its inverse, which the inverse scan left unread.
+    exactly once.  Every check reads the rows in C and copies none that is
+    a tuple: the range check is one set test per row, and the identity is
+    compared with the indices as its row and its column.  Associativity is
+    checked a row at a time: for a pair (x, y), row xy of the table is (xy)z
+    for every z, and row x gathered at row y is x(yz) for every z, so one
+    gather and one tuple comparison check n triples.  The pairs are all n^2
+    when n^3 <= 3000 (n <= 14), otherwise ceil(3000/n) drawn from
+    ``random.Random(0)`` (:func:`_associativity_pairs`), at least 3000
+    triples; a failure names the first z at which the rows differ.  The last
+    check is what :func:`oracle_counts` relies on: it counts the last
+    handles that complete a prefix p as the commutators equal to p^-1, which
+    equals the number of identities p*c only when p has one right inverse.
+    In a group that holds by associativity; the sample can miss a row with
+    two.  That check searches only each row's tail after its inverse, which
+    the inverse scan left unread, with ``row.index`` from there.
     """
     n = len(table)
     if n == 0 or any(len(row) != n for row in table):
         raise InvalidGroupTable("table must be square and non-empty")
-    if not set(range(n)).issuperset(itertools.chain.from_iterable(table)):
+    if not all(map(set(range(n)).issuperset, table)):
         raise InvalidGroupTable("table entries must be element indices")
     if not 0 <= identity < n:
         raise InvalidGroupTable("identity index out of range")
-    for x in range(n):
-        if table[identity][x] != x or table[x][identity] != x:
-            raise InvalidGroupTable(f"index {identity} is not a two-sided identity")
+    indices = tuple(range(n))
+    if tuple(table[identity]) != indices or tuple(map(itemgetter(identity), table)) != indices:
+        raise InvalidGroupTable(f"index {identity} is not a two-sided identity")
     inv, doubled = [], None
     for x in range(n):
         # the first y with x*y = identity = y*x: scan the row in C, resuming
@@ -339,9 +342,12 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
     # the first row holding the identity twice: one the inverse scan resumed
     # in, or an earlier one with the identity again after its inverse
     for x in range(n if doubled is None else doubled):
-        if identity in table[x][inv[x] + 1 :]:
-            doubled = x
-            break
+        try:
+            table[x].index(identity, inv[x] + 1)
+        except ValueError:
+            continue
+        doubled = x
+        break
     if doubled is not None:
         count = table[doubled].count(identity)
         raise InvalidGroupTable(f"row {doubled} holds the identity {count} times")
@@ -349,9 +355,10 @@ def validate_group_table(table: Sequence[Sequence[int]], identity: int) -> list[
 
 
 def _associativity_pairs(n: int) -> Iterable[tuple[int, int]]:
-    # every pair when n^3 <= 1000, else ceil(3000/n) seeded pairs: each pair
-    # checks n triples, so at least 3000 in all
-    if n**3 <= 1000:
+    # each pair checks n triples: every pair when n^3 <= 3000 (n <= 14), else
+    # ceil(3000/n) seeded pairs, so at least 3000 triples either way; below
+    # order 15 the draw, with its repeats, would take more pairs than all n^2
+    if n**3 <= 3000:
         return itertools.product(range(n), repeat=2)
     picks = random.Random(0).choices(range(n), k=2 * -(-3000 // n))
     return zip(picks[0::2], picks[1::2])
@@ -453,20 +460,26 @@ def count_group_generic(
     return len(table) * len(conjugacy_classes(table, inv))
 
 
-def _addition_rows(field: FieldSpec, elems: list[FqElem]) -> list[list[int]]:
-    # row x holds idx(x + y); the element of index k is, digit by digit, the
-    # element of index u = p^m <= k (a single coefficient 1) plus that of
-    # index k - u, so only those n rows take FqElem sums and every other row
-    # composes two earlier ones in one C-level gather
-    rows = [list(range(field.order))]
+def _addition_rows(field: FieldSpec) -> list[tuple[int, ...]]:
+    # row x holds idx(x + y).  The element of index u = p^m is a single
+    # coefficient 1, so adding it raises y's base-p digit of weight u by one,
+    # mod p: in each block of p u indices the row is the block rotated by u.
+    # The element of index k is, digit by digit, that of the largest such
+    # u <= k plus that of k - u, so every other row composes two earlier ones
+    # in one C-level gather, and no FqElem sum is taken
+    p, q = field.p, field.order
+    rows = [tuple(range(q))]
     unit = 1
-    for k in range(1, field.order):
-        if k == unit * field.p:
+    for k in range(1, q):
+        if k == unit * p:
             unit = k
         if k == unit:
-            rows.append([(elems[k] + y).index() for y in elems])
+            step = p * unit
+            blocks = range(0, q, step)
+            halves = (r for b in blocks for r in (range(b + unit, b + step), range(b, b + unit)))
+            rows.append(tuple(itertools.chain.from_iterable(halves)))
         else:
-            rows.append(list(itemgetter(*rows[k - unit])(rows[unit])))
+            rows.append(itemgetter(*rows[k - unit])(rows[unit]))
     return rows
 
 
@@ -492,8 +505,8 @@ def _multiplication_rows(field: FieldSpec, elems: list[FqElem]) -> list[list[int
     return [[0] + [exp[log[x] + k] for k in logs] for x in range(1, q)]
 
 
-def aff_group_table(field: FieldSpec) -> tuple[list[list[int]], int]:
-    """The multiplication table of Aff(1, F_q) in ``aff_elements`` order.
+def aff_group_table(field: FieldSpec) -> tuple[list[tuple[int, ...]], int]:
+    """The multiplication table of Aff(1, F_q) in ``aff_elements`` order, rows as tuples.
 
     The element (a, b) has index (idx(a) - 1) * q + idx(b), since the zero
     of F_q has index 0, so the translation (1, b) has the identity's index
@@ -502,20 +515,21 @@ def aff_group_table(field: FieldSpec) -> tuple[list[list[int]], int]:
     (1, b1), which sends (a2, b2) to (a2, b2 + b1), gathered at the row of
     the scaling (a1, 0), which sends (a2, b2) to (a1 a2, a1 b2).  Those q
     translation rows and q - 1 scaling rows are built from the addition and
-    multiplication tables of F_q on enumeration indices (n q :class:`FqElem`
-    sums and a few q products for q = p^n); each of the |G| = q(q - 1)
-    rows is then one C-level gather, so every entry is one of the q|G| int
+    multiplication tables of F_q on enumeration indices (the former from
+    base-p digits, with no :class:`FqElem` sum; the latter from a few q
+    products); each of the |G| = q(q - 1) rows is then the tuple of one
+    C-level gather, not copied, so every entry is one of the q|G| int
     objects of the translation rows, 8 bytes of pointer per entry.
     """
     q = field.order
-    elems = list(field.elements())  # elems[i].index() == i
-    add = _addition_rows(field, elems)
     bases = range(0, q * (q - 1), q)  # (idx(a2) - 1) * q for a2 != 0
-    translations = [[base + t for base in bases for t in row] for row in add]
-    table = []
-    for mul in _multiplication_rows(field, elems):
+    # comprehensions: C-level map(add, ...) spreads measured slower for the
+    # tables of q <= 16 and no faster at q = 47
+    translations = [[base + t for base in bases for t in row] for row in _addition_rows(field)]
+    table: list[tuple[int, ...]] = []
+    for mul in _multiplication_rows(field, list(field.elements())):
         scaling = itemgetter(*[(m - 1) * q + t for m in mul[1:] for t in mul])
-        table += [list(scaling(row)) for row in translations]
+        table += map(scaling, translations)
     return table, (field.one().index() - 1) * q
 
 

@@ -49,20 +49,24 @@ from .affcount import (
     semi_counts,
 )
 from .exactpoly import ONE, IntPoly, NotDivisible, Record
-from .finitefield import FieldOrder, make_field, parse_descriptor
+from .finitefield import (
+    FieldOrder,
+    echo_int,
+    int_str_limit,
+    make_field,
+    parse_descriptor,
+    short_repr,
+)
 from .geomstrat import character_class, class_charge, moduli_class, rep_class
 from .interpolate import (
     default_plan,
     epoly_from_counts,
     epoly_from_samples,
     factor_orders,
-    int_str_limit,
     interpolation_charge,
-    over_int_str_limit,
     plan_from_text,
     row_error,
     samples_from_csv,
-    short_repr,
     smallest_prime_powers,
     utf8_text,
 )
@@ -256,7 +260,7 @@ def cmd_epoly(
             try:
                 plan = plan_from_text(genus, plan_text, budget)
             except ValueError as exc:
-                raise ValueError(f"--plan {plan_text!r}: {exc}") from None
+                raise ValueError(f"--plan {short_repr(plan_text)}: {exc}") from None
         else:
             plan = default_plan(genus)
         _check_printable(genus, max(p**n for p, n in plan))
@@ -453,9 +457,7 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         digits = sum(map(str.isdecimal, text))
-        over = over_int_str_limit(digits)
-        size = f", of {digits} digits, {over}" if over else ""
-        raise ValueError(f"expected a positive integer, got {short_repr(text)}{size}")
+        raise ValueError(f"expected a positive integer, got {echo_int(text, digits)}")
     return value
 
 

@@ -14,6 +14,7 @@ divides, so only divisors with a nonzero constant term are tried.
 from __future__ import annotations
 
 import itertools
+import sys
 from math import isqrt
 from operator import mul
 from typing import Iterator, Sequence
@@ -206,14 +207,51 @@ def irreducible_moduli(p: int, n: int) -> list[tuple[int, ...]]:
     return list(_irreducible_moduli(p, n))
 
 
+def int_str_limit() -> int:
+    """CPython's limit on the digits of an int converted to or from a string.
+
+    ``PYTHONINTMAXSTRDIGITS`` sets it; 0 means no limit, as on an
+    interpreter older than 3.10.7.
+    """
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+ECHO_CHARS = 60
+
+
+def short_repr(value: object) -> str:
+    """``value``'s repr, cut to its first ``ECHO_CHARS`` characters and its length when longer."""
+    echo = repr(value)
+    return echo if len(echo) <= ECHO_CHARS else f"{echo[:ECHO_CHARS]}... ({len(echo)} characters)"
+
+
+def over_int_str_limit(digits: int) -> str | None:
+    """The clause naming :func:`int_str_limit` if ``digits`` decimal digits pass it, else None."""
+    limit = int_str_limit()
+    if limit and digits > limit:
+        return f"over Python's int-from-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
+    return None
+
+
+def echo_int(text: str, digits: int) -> str:
+    """``text`` by :func:`short_repr`, and its ``digits`` decimal digits if they pass the limit."""
+    over = over_int_str_limit(digits)
+    return f"{short_repr(text)}, of {digits} digits, {over}" if over else short_repr(text)
+
+
 def parse_descriptor(text: str) -> tuple[int, int]:
-    """Parse a ``p^n`` or bare-prime field descriptor into (p, n)."""
+    """Parse a ``p^n`` or bare-prime field descriptor into (p, n).
+
+    Malformed text is echoed by :func:`echo_int`, with the digits of its
+    longer part.
+    """
     base, sep, exp = text.partition("^")
     try:
         p = int(base)
         n = int(exp) if sep else 1
     except ValueError:
-        raise ValueError(f"malformed field descriptor {text!r}") from None
+        digits = max(sum(map(str.isdecimal, part)) for part in (base, exp))
+        raise ValueError(f"malformed field descriptor {echo_int(text, digits)}") from None
     return p, n
 
 

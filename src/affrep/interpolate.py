@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import sys
 from math import isqrt
 from typing import Sequence
 
 from .affcount import Budget, CountRecord, charge_ahead, count_charge, count_points
 from .exactpoly import IntPoly, Record, words
-from .finitefield import DEFAULT_MAX_ORDER, FieldOrder
+from .finitefield import DEFAULT_MAX_ORDER, FieldOrder, over_int_str_limit, short_repr
 
 
 class DuplicateAbscissa(ValueError):
@@ -226,10 +225,17 @@ def epoly_from_counts(
     the largest q), and their total is refused before the first count.  The
     returned polynomial reproduces every gathered count by construction
     (the interpolation verifies surplus points and the plan covers the
-    degree bound exactly or better).
+    degree bound exactly or better).  A pair whose n is below 1 or past the
+    bit length of :data:`~affrep.finitefield.DEFAULT_MAX_ORDER` is refused
+    as :class:`~affrep.finitefield.FieldOrder` refuses it, before any power
+    of the plan is built.
     """
     if plan is None:
         plan = default_plan(genus)
+    for p, n in plan:
+        # refused as FieldOrder refuses it, before any power p^n is built
+        if not 1 <= n <= DEFAULT_MAX_ORDER.bit_length():
+            FieldOrder(p, n)
     budget, powers = budget or Budget(), [p**n for p, n in plan]
     interpolation = interpolation_charge(genus, len(powers), 4 * genus * max(powers).bit_length())
     total = sum(count_charge(m, genus, engine)[0] for m in powers) + interpolation[0]
@@ -244,32 +250,6 @@ def epoly_from_counts(
     return EPolyResult(records, epoly_from_samples(genus, samples))
 
 
-def int_str_limit() -> int:
-    """CPython's limit on the digits of an int converted to or from a string.
-
-    ``PYTHONINTMAXSTRDIGITS`` sets it; 0 means no limit, as on an
-    interpreter older than 3.10.7.
-    """
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-ECHO_CHARS = 60
-
-
-def short_repr(value: object) -> str:
-    """``value``'s repr, cut to its first ``ECHO_CHARS`` characters and its length when longer."""
-    echo = repr(value)
-    return echo if len(echo) <= ECHO_CHARS else f"{echo[:ECHO_CHARS]}... ({len(echo)} characters)"
-
-
-def over_int_str_limit(digits: int) -> str | None:
-    """The clause naming :func:`int_str_limit` if ``digits`` decimal digits pass it, else None."""
-    limit = int_str_limit()
-    if limit and digits > limit:
-        return f"over Python's int-from-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)"
-    return None
-
-
 class CellTooLong(ValueError):
     """A CSV cell has more digits than CPython converts from a string."""
 
@@ -277,9 +257,10 @@ class CellTooLong(ValueError):
 def row_error(where: str, kind: str, row: object, cells: Sequence[str]) -> ValueError:
     """The error for a ``kind`` row whose ``cells`` do not all parse as integers.
 
-    A cell with more decimal digits than :func:`int_str_limit` gives
-    :class:`CellTooLong`; any other failure is "malformed".  The row is
-    echoed by :func:`short_repr`.
+    A cell with more decimal digits than
+    :func:`~affrep.finitefield.int_str_limit` gives :class:`CellTooLong`;
+    any other failure is "malformed".  The row is echoed by
+    :func:`~affrep.finitefield.short_repr`.
     """
     echo = short_repr(row)
     digits = max((sum(map(str.isdecimal, cell)) for cell in cells), default=0)
@@ -333,10 +314,12 @@ def plan_from_text(
     """Parse a comma-separated prime-power list into a plan, the (p, n) of each.
 
     A token that is empty or not an integer raises :class:`ValueError`
-    naming it, so no entry is dropped.  Then a genus under 1, a repeated
-    power or fewer than 4g powers is refused, and the powers are factored
-    by :func:`factor_orders`, charging ``budget`` (a fresh default-guard
-    :class:`Budget` if None), all of them before the first.
+    naming it, so no entry is dropped: by its position and digits if they
+    pass :func:`~affrep.finitefield.int_str_limit`, else by
+    :func:`~affrep.finitefield.short_repr`.  Then a genus under 1, a
+    repeated power or fewer than 4g powers is refused, and the powers are
+    factored by :func:`factor_orders`, charging ``budget`` (a fresh
+    default-guard :class:`Budget` if None), all of them before the first.
     """
     powers = []
     for position, tok in enumerate(text.split(","), start=1):
@@ -345,7 +328,11 @@ def plan_from_text(
         try:
             powers.append(int(tok))
         except ValueError:
-            raise ValueError(f"{tok.strip()!r} is not an integer") from None
+            digits = sum(map(str.isdecimal, tok))
+            over = over_int_str_limit(digits)
+            if over:
+                raise ValueError(f"entry {position} has {digits} digits, {over}") from None
+            raise ValueError(f"{short_repr(tok.strip())} is not an integer") from None
     if genus < 1:
         raise ValueError("genus must be >= 1")
     if len(set(powers)) != len(powers):

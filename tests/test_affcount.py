@@ -33,7 +33,7 @@ from affrep.affcount import (
     semi_counts,
     validate_group_table,
 )
-from affrep.finitefield import FieldMismatch, make_field
+from affrep.finitefield import FieldMismatch, FqElem, make_field
 from affrep.interpolate import prime_power
 from conftest import closed_count
 
@@ -353,8 +353,24 @@ class TestGroupTable:
         elems = aff_elements(field)
         index = {e: i for i, e in enumerate(elems)}  # elems.index, by hash
         table, ident = aff_group_table(field)
-        assert table == [[index[x * y] for y in elems] for x in elems]
+        assert all(type(row) is tuple for row in table)
+        assert table == [tuple(index[x * y] for y in elems) for x in elems]
         assert ident == index[aff_identity(field)]
+
+    @pytest.mark.parametrize("q", [q for q in range(2, 65) if prime_power(q)])
+    def test_addition_rows_match_fqelem_sums(self, q):
+        # the rows come from base-p digits; FqElem addition is their reference
+        field = make_field(*prime_power(q))
+        elems = list(field.elements())
+        rows = affcount._addition_rows(field)
+        assert rows == [tuple((x + y).index() for y in elems) for x in elems]
+
+    def test_no_fqelem_sum(self, monkeypatch):
+        # the table takes no FqElem sum, and so no addition of F_q at all
+        field = make_field(3, 2)
+        expected = aff_group_table(field)
+        monkeypatch.setattr(FqElem, "__add__", lambda *a: pytest.fail("added"))
+        assert aff_group_table(field) == expected
 
 
 class TestGenericEngine:
@@ -461,8 +477,8 @@ class TestGenericEngine:
 
     def test_rejects_non_associative_sampled(self):
         # x*y = x + y + xy(x + y) mod 12: commutative, identity 0, inverse -x,
-        # and 532 of the 1728 triples fail associativity, so the 250 sampled
-        # pairs of whole rows (order 12 > 10) cannot all agree
+        # and 532 of the 1728 triples fail associativity, so the 144 pairs of
+        # whole rows (every pair, as order 12 < 15) cannot all agree
         n = 12
         table = [[(x + y + x * y * (x + y)) % n for y in range(n)] for x in range(n)]
         failing = sum(
@@ -476,7 +492,7 @@ class TestGenericEngine:
     def test_rejects_row_with_two_identities_sampled(self):
         # Z_64 with 4*7 set to the identity 0: row 4 holds it at 7 and at 60,
         # 60 is still a two-sided inverse of 4, and the ceil(3000/64) = 47
-        # seeded pairs (order 64 > 10) gather no pair of rows that differ, so
+        # seeded pairs (order 64 > 14) gather no pair of rows that differ, so
         # only the row check is left to reject it; counting the last handles
         # c with c = p^-1 would miscount such a table
         n = 64
@@ -531,12 +547,13 @@ class TestGenericEngine:
         assert refused > len(tables) // 2
 
     def test_sampled_pairs_cover_3000_triples(self):
-        # each pair checks a whole row of n triples; below order 11 every pair
-        for n in range(1, 11):
+        # each pair checks a whole row of n triples; below order 15 every pair,
+        # as n^3 <= 3000 there
+        for n in range(1, 15):
             assert sorted(affcount._associativity_pairs(n)) == list(
                 itertools.product(range(n), repeat=2)
             )
-        for n in range(11, 301):
+        for n in range(15, 301):
             pairs = list(affcount._associativity_pairs(n))
             assert len(pairs) * n >= 3000
             assert all(0 <= x < n and 0 <= y < n for x, y in pairs)

@@ -22,9 +22,9 @@ from affrep import affcount, cli, tqft
 from affrep.affcount import ENGINES, BudgetExceeded
 from affrep.cli import EXTEND_CELLS, cmd_table, cmd_verify, load_golden_table, main
 from affrep.exactpoly import Q
-from affrep.finitefield import DEFAULT_MAX_ORDER
+from affrep.finitefield import DEFAULT_MAX_ORDER, ECHO_CHARS, int_str_limit
 from affrep.geomstrat import rep_class
-from affrep.interpolate import ECHO_CHARS, int_str_limit, prime_power
+from affrep.interpolate import prime_power
 from affrep.tqft import closing_charge
 from conftest import closed_count
 
@@ -1261,6 +1261,31 @@ class TestUsageErrors:
             f"{limit + 700} digits, over Python's int-from-str limit of {limit} "
             "(PYTHONINTMAXSTRDIGITS sets it)"
         ]
+
+    def test_a_plan_entry_past_the_str_limit_is_named_and_cut(self, capsys):
+        # the plan is echoed once, cut, and its entry named by position and digits
+        limit = int_str_limit()
+        if not 0 < limit < 5000:
+            pytest.skip("5000 digits are within the int-from-str limit here")
+        argv = ["epoly", "--genus", "1", "--plan", "2,3,4," + "9" * 5000]
+        assert run_cli(capsys, argv) == (
+            1,
+            "",
+            f"error: --plan '2,3,4,{'9' * 53}... (5008 characters): entry 4 has 5000 digits, "
+            f"over Python's int-from-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)\n",
+        )
+
+    def test_a_field_past_the_str_limit_is_named_and_cut(self, capsys):
+        limit = int_str_limit()
+        if not 0 < limit < 5000:
+            pytest.skip("5000 digits are within the int-from-str limit here")
+        argv = ["count", "--genus", "1", "--field", "9" * 5000]
+        assert run_cli(capsys, argv) == (
+            1,
+            "",
+            f"error: malformed field descriptor '{'9' * 59}... (5002 characters), of 5000 "
+            f"digits, over Python's int-from-str limit of {limit} (PYTHONINTMAXSTRDIGITS sets it)\n",
+        )
 
 
 def _kind_value(kind):

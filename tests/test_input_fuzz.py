@@ -41,10 +41,11 @@ def _run(argv: list[str], body: bytes) -> tuple[int, str, str]:
         return _main([arg.replace("INPUT", str(path)) for arg in argv])
 
 
-def _assert_one_error_line(code: int, out: str, err: str) -> None:
+def _assert_one_error_line(code: int, out: str, err: str, max_chars: int | None = None) -> None:
     assert (code, out) == (1, ""), err
     assert err.startswith("error: ") and err.endswith("\n")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert max_chars is None or len(err) < max_chars, err[:200]
 
 
 def _integers():
@@ -104,6 +105,9 @@ _UNREADABLE = st.text(max_size=6).filter(
     lambda t: any(not (c.isdecimal() or c.isspace() or c in "+-^_") for c in t)
 )
 DESCRIPTOR_JUNK = ("", " ", "^", "2^", "^3", "2^^3", "3^2^2", "2**3", "0x10", "1e3", "1.5", "F_4")
+# a token past Python's int-from-str limit, which the error cuts: no echo of it is long
+LONG_TOKENS = ("9" * 5000, "2^" + "9" * 5000, "9" * 5000 + "^2")
+ECHO_BOUND = 300
 
 
 @st.composite
@@ -120,7 +124,8 @@ def _descriptor(draw):
     # (a --field text, the (p, n) it names, or None if it names none): p^n
     # with n from 0 to 13, a bare p, or text that is no descriptor
     if draw(st.integers(0, 3)) == 0:
-        return draw(st.one_of(st.sampled_from(DESCRIPTOR_JUNK), _UNREADABLE)), None
+        junk = st.sampled_from(DESCRIPTOR_JUNK + LONG_TOKENS)
+        return draw(st.one_of(junk, _UNREADABLE)), None
     p = draw(st.one_of(st.integers(-3, 70), st.sampled_from([4093, 4096]), _integers()))
     n = draw(st.one_of(st.none(), st.integers(0, 13)))
     if n is None:
@@ -139,7 +144,7 @@ def _plan(draw, genus: int):
     ))
     for _ in range(draw(st.integers(0, 2)) if tokens else 0):
         j = draw(st.integers(0, len(tokens) - 1))
-        tokens[j] = draw(st.one_of(_integers(), st.sampled_from(JUNK_CELLS[:8])))
+        tokens[j] = draw(st.one_of(_integers(), st.sampled_from(JUNK_CELLS[:8] + LONG_TOKENS[:1])))
     text = ",".join(draw(_spelled(t)) if isinstance(t, int) else t for t in tokens)
     return text, tokens if all(isinstance(t, int) for t in tokens) else None
 
@@ -241,7 +246,7 @@ class TestFieldDescriptor:
         argv = ["count", f"--field={text}", "--genus", str(genus), "--engine", engine]
         code, out, err = _main(argv + ["--guard", "5000"])
         if code != 0:
-            _assert_one_error_line(code, out, err)
+            _assert_one_error_line(code, out, err, ECHO_BOUND)
             return
         assert err == "" and named is not None
         results = json.loads(out)["results"]
@@ -263,7 +268,7 @@ class TestPlan:
         argv = ["epoly", "--genus", str(genus), f"--plan={text}", "--guard", "5000"]
         code, out, err = _main(argv + (["--engine", engine] if engine else []))
         if code != 0:
-            _assert_one_error_line(code, out, err)
+            _assert_one_error_line(code, out, err, ECHO_BOUND)
             return
         assert err == "" and orders is not None
         results = json.loads(out)["results"]

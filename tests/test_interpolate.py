@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from affrep.affcount import Budget, BudgetExceeded
 from affrep.exactpoly import ONE, Q, IntPoly
+from affrep.finitefield import ECHO_CHARS, OrderTooLarge, int_str_limit
 from affrep.geomstrat import rep_class
 from affrep.interpolate import (
-    ECHO_CHARS,
     CellTooLong,
     DegreeMismatch,
     DuplicateAbscissa,
@@ -22,7 +22,6 @@ from affrep.interpolate import (
     epoly_from_counts,
     epoly_from_samples,
     factor_orders,
-    int_str_limit,
     lagrange_interpolate,
     plan_from_text,
     prime_power,
@@ -245,6 +244,15 @@ class TestEPolyFromCounts:
 
     def test_genus_two(self):
         assert epoly_from_counts(2).epoly == rep_class(2)
+
+    def test_an_oversized_pair_is_refused_before_its_power(self):
+        # 3^(4 * 10^6) alone takes about 0.65 s to build; n past the bound's
+        # bit length is refused before any power of the plan is built
+        plan = [(2, 1), (3, 1), (2, 2), (3, 4 * 10**6)]
+        t0 = time.perf_counter()
+        with pytest.raises(OrderTooLarge, match=r"^3\^4000000 exceeds the enumeration bound 4096$"):
+            epoly_from_counts(1, plan)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_extra_plan_points_do_not_change_the_answer(self):
         wide = plan_from_text(1, "2,3,4,5,7,8,9")
